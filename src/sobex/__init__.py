@@ -10,7 +10,6 @@ from .whitney import (
     WhitneyDecomposition,
     audit_whitney,
     capacity_check,
-    evaluate_partition,
     exterior_whitney,
     smooth_indicator,
     whitney_decompose,

@@ -193,8 +193,9 @@ class CantorTubeSpec:
         return cls(depth, lambdas, l, e, c, cubes, ax, ay, curves, splits)
 
 
-def build_cantor_tube(depth: int, lambda_override=None) -> CantorTubeSpec:
-    """Construct the depth-m spec and certify all invariants exactly."""
+def _cantor_constants(depth: int, lambda_override=None):
+    """Validated ratios lambda_n with the side lengths l, gaps e and tube
+    constants c of a depth-m construction."""
     if depth < 1:
         raise ConstructionError("depth must be >= 1")
     if lambda_override is not None:
@@ -224,6 +225,12 @@ def build_cantor_tube(depth: int, lambda_override=None) -> CantorTubeSpec:
             raise ConstructionError(
                 f"constants violate c_n <= e_n/8 and c_n <= l_n at n={n}", level=n
             )
+    return lambdas, l, e, c
+
+
+def build_cantor_tube(depth: int, lambda_override=None) -> CantorTubeSpec:
+    """Construct the depth-m spec and certify all invariants exactly."""
+    lambdas, l, e, c = _cantor_constants(depth, lambda_override)
 
     cubes: list[list[Vec]] = [[(Fraction(0),) * 3]]
     for n in range(1, depth + 1):

@@ -9,6 +9,7 @@ and version produce identical numeric content.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -22,7 +23,12 @@ from .curves import curve_condition_scan, weighted_geodesic
 from .distance import distance_transform
 from .domain import GENERATORS, GeneratorSpec, VoxelDomain, build_domain
 from .errors import SobexError
-from .extension import ExtensionParams, InequalityReport, extend_set
+from .extension import (
+    ExtensionParams,
+    ExtensionResult,
+    InequalityReport,
+    extend_set,
+)
 from .perimeter import VoxelSet
 from .whitney import audit_whitney, exterior_whitney, whitney_decompose
 
@@ -51,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default="runs/out", help="output directory")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--threads", type=int, default=1)
-    ap.add_argument("--config", default=None, help="INI config file")
     sub = ap.add_subparsers(dest="command")
 
     g = sub.add_parser("gen", help="generate a domain file and previews")
@@ -194,59 +199,47 @@ def make_set(dom: VoxelDomain, kind: str, seed: int = 7,
 
 
 def _extend_cell(spec: GeneratorSpec, K: int, set_kind: str, seed: int,
-                 density: float, p: float) -> InequalityReport:
+                 density: float, p: float) -> ExtensionResult:
     dom = build_domain(spec, K)
     dist = distance_transform(dom)
     W = whitney_decompose(dom, K)
     We = exterior_whitney(dom, K)
     A = make_set(dom, set_kind, seed=seed, density=density)
-    res = extend_set(A, W, We, dist, ExtensionParams(p=p))
-    return res.report
+    return extend_set(A, W, We, dist, ExtensionParams(p=p))
 
 
 def cmd_extend(args) -> int:
     out = _outdir(args)
     dom0 = VoxelDomain.load(args.domain_file)
     spec = dom0.name
-    cells = [
-        (K, p)
+    jobs = [
+        (spec, K, args.set_kind, args.seed, args.density, p)
         for K in range(dom0.K, dom0.K + args.refine + 1)
         for p in args.p
     ]
-    rows: list[str] = []
     if args.threads > 1:
         import multiprocessing as mp
 
         with mp.Pool(args.threads) as pool:
-            reports = pool.starmap(
-                _extend_cell,
-                [(spec, K, args.set_kind, args.seed, args.density, p)
-                 for K, p in cells],
-            )
+            results = pool.starmap(_extend_cell, jobs)
     else:
-        reports = [
-            _extend_cell(spec, K, args.set_kind, args.seed, args.density, p)
-            for K, p in cells
-        ]
+        # lazily, so each cell's domain and caches are freed before the next
+        results = itertools.starmap(_extend_cell, jobs)
+    rows: list[str] = []
+    for res in results:
+        if not rows and res.A.n == 2:
+            # overlay for the base resolution, cell (dom0.K, p[0])
+            figio.sets_svg(res.A.parent, [
+                (res.A.mask, "#1f77b4"),
+                (res.A_prime.mask, "#2ca02c"),
+                (res.A0.mask, "#ff7f0e"),
+            ]).save(os.path.join(out, "extension.svg"))
+        rows.append(res.report.csv_row())
     csv_path = os.path.join(out, "inequality.csv")
     with open(csv_path, "w") as f:
         f.write(InequalityReport.CSV_HEADER + "\n")
-        for rep in reports:
-            f.write(rep.csv_row() + "\n")
-            rows.append(rep.csv_row())
-    # overlay for the base resolution
-    dom = build_domain(spec, dom0.K)
-    dist = distance_transform(dom)
-    W = whitney_decompose(dom, dom0.K)
-    We = exterior_whitney(dom, dom0.K)
-    A = make_set(dom, args.set_kind, seed=args.seed, density=args.density)
-    res = extend_set(A, W, We, dist, ExtensionParams(p=args.p[0]))
-    if dom.n == 2:
-        figio.sets_svg(dom, [
-            (res.A.mask, "#1f77b4"),
-            (res.A_prime.mask, "#2ca02c"),
-            (res.A0.mask, "#ff7f0e"),
-        ]).save(os.path.join(out, "extension.svg"))
+        for row in rows:
+            f.write(row + "\n")
     man = _manifest(args)
     man.add_file(csv_path, root=out)
     man.save(os.path.join(out, "manifest.json"))

@@ -43,10 +43,6 @@ class DistanceField:
         """Distances at cell centers in absolute units."""
         return np.sqrt(self.d2_int.astype(np.float64)) * (self.h / 2.0)
 
-    def weight(self, p: float) -> np.ndarray:
-        """Per-cell singular weight dist**(1-p)."""
-        return self.values ** (1.0 - p)
-
     def d2_at_doubled(self, coords: np.ndarray) -> np.ndarray:
         """Exact squared distances at doubled-grid points (e.g. centroids)."""
         offs = np.asarray(coords, dtype=np.int64) - 2 * np.asarray(

@@ -87,6 +87,12 @@ class VoxelDomain:
         _, ncomp = ndimage.label(mask, structure=structure)
         self.connected = ncomp == 1
 
+    def __getstate__(self):
+        # the boundary and distance caches are rebuilt on demand and can be
+        # far larger than the mask, so pickles leave them out
+        return {**self.__dict__, "_faces": None, "_dist": None,
+                "_face_grid": None}
+
     @property
     def n(self) -> int:
         return self.mask.ndim
@@ -379,23 +385,24 @@ def build_domain(spec: GeneratorSpec | str, K: int, **params) -> VoxelDomain:
 
 
 def _build_cantor_domain(K, margin, p):
-    from .cantor import build_cantor_tube, cantor_occupancy
+    from .cantor import _cantor_constants, build_cantor_tube, cantor_occupancy
 
     depth = int(p.pop("depth", 1))
     lam = p.pop("lambda_override", None)
     window = p.pop("window", None)
     allow_coarse = bool(p.pop("allow_coarse", False))
     spec3 = p.pop("cantor_spec", None)
-    if spec3 is None:
-        spec3 = build_cantor_tube(depth, lambda_override=lam)
+    c = _cantor_constants(depth, lam)[3] if spec3 is None else spec3.c
     h = Fraction(1, 2**K)
-    if spec3.c[depth] < 4 * h and not allow_coarse:
+    if c[depth] < 4 * h and not allow_coarse:
         # sub-resolution tubes vanish under center sampling; measure-level
         # studies may opt in explicitly since the tubes carry no volume
         raise ResolutionTooCoarse(
             f"cantor_tube depth={depth} needs h <= c_{depth}/4 = "
-            f"{float(spec3.c[depth] / 4):.3e}, got h = {float(h):.3e}"
+            f"{float(c[depth] / 4):.3e}, got h = {float(h):.3e}"
         )
+    if spec3 is None:
+        spec3 = build_cantor_tube(depth, lambda_override=lam)
     if window is None:
         wlo = [Fraction(0) - margin] * 3
         whi = [Fraction(1) + margin] * 3

@@ -31,8 +31,11 @@ from .perimeter import (
 )
 from .whitney import (
     WhitneyDecomposition,
-    _box_count,
+    _box_count_batch,
     _integral_image,
+    _level_counts,
+    _paint_level,
+    _per_level,
     gradient_energy,
     smooth_indicator,
 )
@@ -104,34 +107,21 @@ def select_A_prime(A: VoxelSet, W: WhitneyDecomposition):
     the accepted (non-collar) cubes only.
     """
     dom = W.domain
-    n = dom.n
     P = _integral_image(A.mask)
     Pom = _integral_image(dom.mask)
-    lo_int = dom.lo_int
-    ids = []
+    picked = np.zeros(len(W.cubes), dtype=bool)
     mask = np.zeros(dom.mask.shape, dtype=bool)
-
-    def majority(q) -> bool:
-        k = q.level
-        if k <= dom.K:
-            f = 2 ** (dom.K - k)
-            clo = [q.index[d] * f - lo_int[d] for d in range(n)]
-            chi = [(q.index[d] + 1) * f - lo_int[d] for d in range(n)]
-            if 2 * _box_count(P, clo, chi) > _box_count(Pom, clo, chi):
-                mask[tuple(slice(a, b) for a, b in zip(clo, chi))] = True
-                return True
-            return False
-        cell = tuple((q.index[d] >> (k - dom.K)) - lo_int[d] for d in range(n))
-        # sub-cell cube: the fraction is 0 or 1, and the cube is too small
-        # to flip its grid cell
-        return bool(A.mask[cell])
-
-    for i, q in enumerate(W.cubes):
-        if majority(q):
-            ids.append(i)
-    for q in W.collar_cubes:
-        majority(q)
-    return VoxelSet.from_domain(dom, mask & dom.mask), ids
+    for collar in (False, True):
+        for k, pos, idx in _per_level(W, collar):
+            won = 2 * _level_counts(A.mask, P, dom, k, idx) \
+                > _level_counts(dom.mask, Pom, dom, k, idx)
+            if k <= dom.K:
+                # a sub-cell cube is too small to flip its grid cell
+                _paint_level(mask, dom, k, idx[won])
+            if not collar:
+                picked[pos[won]] = True
+    return VoxelSet.from_domain(dom, mask & dom.mask), \
+        np.nonzero(picked)[0].tolist()
 
 
 def select_A0(A_prime: VoxelSet, We: WhitneyDecomposition,
@@ -144,79 +134,44 @@ def select_A0(A_prime: VoxelSet, We: WhitneyDecomposition,
     clipped dilate and are reported in `clipped`.
     """
     dom = We.domain
-    n = dom.n
     K = dom.K
-    c2x = 400 * n if c_squared_times is None else c_squared_times
+    c2x = 400 * dom.n if c_squared_times is None else c_squared_times
     omega_minus = dom.mask & ~A_prime.mask
     Pa = _integral_image(A_prime.mask)
     Po = _integral_image(omega_minus)
-    lo_int = dom.lo_int
-    N = dom.mask.shape
-    ids, clipped = [], []
+    lo_int = np.asarray(dom.lo_int, dtype=np.int64)
+    N = np.asarray(dom.mask.shape, dtype=np.int64)
+    picked = np.zeros(len(We.cubes), dtype=bool)
+    clipped = np.zeros(len(We.cubes), dtype=bool)
     mask = np.zeros(dom.mask.shape, dtype=bool)
     # the exterior truncation collar joins the test so the extension has no
     # artificial gap along the domain boundary
-    todo = [(i, q) for i, q in enumerate(We.cubes)] + \
-        [(None, q) for q in We.collar_cubes]
-    for i, q in todo:
-        if i is not None and We.synthetic[i]:
-            continue
-        k = q.level
-        S = max(k + 1, K + 1)
-        u = 2 ** (S - K - 1)
-        ell = 2 ** (S - k)
-        # dilate half-width (c l / 2)^2 = c2x l^2 / 4; l is even at scale S
-        R = math.isqrt(c2x * (ell // 2) ** 2)  # floor of the irrational radius
-        was_clipped = False
-        win = []
-        for d in range(n):
-            ctr = (2 * q.index[d] + 1) * 2 ** (S - k - 1)
-            c0 = -((-(ctr - R)) // u)   # ceil((ctr-R)/u)
-            o_lo = c0 if c0 % 2 == 1 else c0 + 1
+    for collar in (False, True):
+        for k, pos, idx in _per_level(We, collar):
+            S = max(k + 1, K + 1)
+            u = 2 ** (S - K - 1)
+            ell = 2 ** (S - k)
+            # dilate half-width (c l / 2)^2 = c2x l^2 / 4; l is even at
+            # scale S.  R is the floor of the irrational radius.
+            R = math.isqrt(c2x * (ell // 2) ** 2)
+            ctr = (2 * idx + 1) * 2 ** (S - k - 1)
+            # cell centers sit at odd multiples of u
+            c0 = -((R - ctr) // u)   # ceil((ctr-R)/u)
+            o_lo = c0 + 1 - c0 % 2
             c1 = (ctr + R) // u
-            o_hi = c1 if c1 % 2 == 1 else c1 - 1
-            i0 = (o_lo - 1) // 2 - lo_int[d]
-            i1 = (o_hi - 1) // 2 - lo_int[d] + 1
-            if i0 < 0 or i1 > N[d]:
-                was_clipped = True
-            win.append((max(0, i0), min(N[d], i1)))
-        in_a = _box_count(Pa, [w[0] for w in win], [w[1] for w in win])
-        in_o = _box_count(Po, [w[0] for w in win], [w[1] for w in win])
-        if in_a > in_o:
-            if i is not None:
-                ids.append(i)
-                if was_clipped:
-                    clipped.append(i)
-            _paint_cube(mask, q, dom)
+            o_hi = c1 - 1 + c1 % 2
+            i0 = (o_lo - 1) // 2 - lo_int
+            i1 = (o_hi - 1) // 2 - lo_int + 1
+            won = _box_count_batch(Pa, i0, i1) > _box_count_batch(Po, i0, i1)
+            if not collar:
+                won &= ~We.synthetic[pos]
+                picked[pos[won]] = True
+                out = np.any((i0 < 0) | (i1 > N), axis=1)
+                clipped[pos[won & out]] = True
+            _paint_level(mask, dom, k, idx[won])
     mask &= ~dom.mask
     return VoxelSet(dom.K, dom.lo_int, mask, parent=dom, require_subset=False), \
-        ids, clipped
-
-
-def _paint_cube(mask: np.ndarray, q, dom) -> None:
-    n = dom.n
-    K = dom.K
-    lo_int = dom.lo_int
-    if q.level <= K:
-        f = 2 ** (K - q.level)
-        sl = []
-        for d in range(n):
-            a = q.index[d] * f - lo_int[d]
-            sl.append(slice(max(0, a), min(mask.shape[d], a + f)))
-        mask[tuple(sl)] = True
-    else:
-        # cube below grid resolution: mark the cell iff it covers the center
-        shift = q.level - K
-        cell = tuple((q.index[d] >> shift) - lo_int[d] for d in range(n))
-        if all(0 <= cell[d] < mask.shape[d] for d in range(n)):
-            inside = True
-            for d in range(n):
-                # compare at scale 2^-q.level: center is (2(lo+cell)+1) h/2
-                c_scaled = (2 * (lo_int[d] + cell[d]) + 1) * 2 ** (shift - 1)
-                if not (q.index[d] <= c_scaled <= q.index[d] + 1):
-                    inside = False
-            if inside:
-                mask[cell] = True
+        np.nonzero(picked)[0].tolist(), np.nonzero(clipped)[0].tolist()
 
 
 def extend_set(A: VoxelSet, W: WhitneyDecomposition, We: WhitneyDecomposition,
@@ -396,12 +351,3 @@ def verify_lemma_34(result: ExtensionResult, n_samples: int = 200,
         cnt = sum(1 for s in samples if delta < s["A_tilde"][j] < 1 - delta)
         bad.append(cnt / len(samples) if samples else math.nan)
     return DensityDichotomyReport(radii, bad, samples, delta)
-
-
-def touching_mass_decay(reports: list[InequalityReport]) -> list[float]:
-    """Per-refinement decay factors of the touching-mass proxy."""
-    out = []
-    for a, b in zip(reports, reports[1:]):
-        out.append(a.lhs_touching / b.lhs_touching if b.lhs_touching > 0
-                   else math.inf)
-    return out

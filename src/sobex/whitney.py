@@ -36,10 +36,23 @@ class WhitneyDecomposition:
     collar_measure: float = 0.0
     _nbrs: list[list[int]] | None = None
     _level_index: dict | None = None
+    _arrays: dict = field(default_factory=dict)
 
     @property
     def levels(self) -> np.ndarray:
-        return np.array([q.level for q in self.cubes])
+        return self._cube_arrays()[0]
+
+    def _cube_arrays(self, collar: bool = False):
+        """(levels, indices) int64 arrays of the accepted or collar cubes."""
+        if collar not in self._arrays:
+            cubes = self.collar_cubes if collar else self.cubes
+            n = self.domain.n
+            self._arrays[collar] = (
+                np.array([q.level for q in cubes], dtype=np.int64),
+                np.array([q.index for q in cubes],
+                         dtype=np.int64).reshape(-1, n),
+            )
+        return self._arrays[collar]
 
     def side_mask(self) -> np.ndarray:
         m = self.domain.mask
@@ -86,25 +99,80 @@ def _integral_image(mask: np.ndarray) -> np.ndarray:
     return P
 
 
-def _box_count(P: np.ndarray, lo, hi) -> int:
-    """Sum of the mask over cell index range [lo, hi) via the summed table."""
+def _box_count_batch(P: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sums of the mask over the cell index boxes [lo, hi), one per row,
+    clipped to the grid, via the summed table."""
     n = P.ndim
-    lo = [max(0, int(a)) for a in lo]
-    hi = [min(P.shape[d] - 1, int(b)) for d, b in enumerate(hi)]
-    if any(a >= b for a, b in zip(lo, hi)):
-        return 0
-    total = 0
+    lo = np.clip(lo, 0, np.array(P.shape) - 1)
+    hi = np.clip(hi, 0, np.array(P.shape) - 1)
+    total = np.zeros(len(lo), dtype=np.int64)
     for corner in range(2**n):
         sign = 1
         idx = []
         for d in range(n):
             if (corner >> d) & 1:
-                idx.append(lo[d])
+                idx.append(lo[:, d])
                 sign = -sign
             else:
-                idx.append(hi[d])
-        total += sign * int(P[tuple(idx)])
+                idx.append(hi[:, d])
+        total += sign * P[tuple(idx)]
     return total
+
+
+def _per_level(dec: WhitneyDecomposition, collar: bool = False):
+    """Yield (level, cube ids, (m, n) indices) for each level present."""
+    levels, idx = dec._cube_arrays(collar)
+    for k in np.unique(levels):
+        pos = np.nonzero(levels == k)[0]
+        yield int(k), pos, idx[pos]
+
+
+def _level_counts(region: np.ndarray, P: np.ndarray, dom: VoxelDomain,
+                  level: int, idx: np.ndarray) -> np.ndarray:
+    """Cells of `region` inside each cube of one level: a box count on its
+    summed table P down to the grid level K, and below it the region value
+    of the one cell containing the cube (0 outside the grid).
+
+    Cubes at levels <= K lie on that level's block grid inside the bbox,
+    which the root tiling level guarantees.
+    """
+    K = dom.K
+    lo_int = np.asarray(dom.lo_int, dtype=np.int64)
+    if level <= K:
+        f = 2 ** (K - level)
+        clo = idx * f - lo_int
+        return _box_count_batch(P, clo, clo + f)
+    cell = (idx >> (level - K)) - lo_int
+    ok = np.all((cell >= 0) & (cell < region.shape), axis=1)
+    cnt = np.zeros(len(idx), dtype=np.int64)
+    cnt[ok] = region[tuple(cell[ok].T)]
+    return cnt
+
+
+def _paint_level(mask: np.ndarray, dom: VoxelDomain, level: int,
+                 idx: np.ndarray) -> None:
+    """Mark the cells of the cubes of one level in a domain-grid mask.
+
+    A cube at a level <= K marks its block of cells.  A cube below the grid
+    resolution marks its cell iff it contains the cell center.
+    """
+    n = dom.n
+    K = dom.K
+    lo_int = np.asarray(dom.lo_int, dtype=np.int64)
+    if level <= K:
+        f = 2 ** (K - level)
+        blocks = mask.reshape([m for s in mask.shape for m in (s // f, f)])
+        b = idx - lo_int // f
+        blocks[sum(((b[:, d], slice(None)) for d in range(n)), ())] = True
+        return
+    shift = level - K
+    top = idx >> shift
+    cell = top - lo_int
+    # compare at scale 2^-level: the cell center is (2 top + 1) 2^(shift-1)
+    c_scaled = (2 * top + 1) * 2 ** (shift - 1)
+    hit = np.all((cell >= 0) & (cell < mask.shape)
+                 & (idx <= c_scaled) & (c_scaled <= idx + 1), axis=1)
+    mask[tuple(cell[hit].T)] = True
 
 
 def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
@@ -154,17 +222,8 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
     level = root_level
 
     while len(cur) and level <= L_max:
-        if level <= K:
-            f = 2 ** (K - level)
-            clo = cur * f - lo_int
-            cnt = _box_count_batch(P, clo, clo + f)
-            full = f**n
-        else:
-            cell = (cur >> (level - K)) - lo_int
-            ok = np.all((cell >= 0) & (cell < shape), axis=1)
-            cnt = np.zeros(len(cur), dtype=np.int64)
-            cnt[ok] = region[tuple(cell[ok].T)]
-            full = 1
+        cnt = _level_counts(region, P, dom, level, cur)
+        full = 2 ** (max(K - level, 0) * n)
         keep = cnt > 0
         cur = cur[keep]
         cnt = cnt[keep]
@@ -207,10 +266,10 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
                 acc_syn.append(np.zeros(int(accept.sum()), dtype=bool))
         rest = ~accept
         if level == L_max:
-            for row, c in zip(cur[rest], cnt[rest]):
-                collar.append(DyadicCube(level, tuple(int(v) for v in row)))
-                collar_cells += float(c) if level <= K \
-                    else 2.0 ** (-(level - K) * n)
+            collar = [DyadicCube(level, tuple(int(v) for v in row))
+                      for row in cur[rest]]
+            collar_cells = float(cnt[rest].sum()) if level <= K \
+                else len(collar) * 2.0 ** (-(level - K) * n)
             break
         nxt = cur[rest]
         children = []
@@ -236,24 +295,6 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
         collar_measure=float(collar_cells) * dom.h**n,
     )
     return dec
-
-
-def _box_count_batch(P: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    n = P.ndim
-    lo = np.clip(lo, 0, np.array(P.shape) - 1)
-    hi = np.clip(hi, 0, np.array(P.shape) - 1)
-    total = np.zeros(len(lo), dtype=np.int64)
-    for corner in range(2**n):
-        sign = 1
-        idx = []
-        for d in range(n):
-            if (corner >> d) & 1:
-                idx.append(lo[:, d])
-                sign = -sign
-            else:
-                idx.append(hi[:, d])
-        total += sign * P[tuple(idx)]
-    return total
 
 
 def _surface_gather_d2(idx: np.ndarray, level: int, dom, field,
@@ -380,37 +421,21 @@ def audit_whitney(dec: WhitneyDecomposition) -> dict:
     S = dec.scale_level
     region = dec.side_mask()
     P = _integral_image(region)
-    lo_int = np.asarray(dom.lo_int, dtype=np.int64)
-    shape = np.asarray(dom.mask.shape)
     w1 = w2 = w3 = w4 = True
     # (W1): dyadic by construction; all covered cells in the region and
     # positive distance to the boundary centroids.  (W3) in exact integers.
     vol = Fraction(0)
-    levels = dec.levels
-    d2s = dec.d2
-    idx_all = np.array([q.index for q in dec.cubes], dtype=np.int64) \
-        if dec.cubes else np.empty((0, n), dtype=np.int64)
-    for k in np.unique(levels):
-        sel = levels == k
-        idx = idx_all[sel]
-        if k <= dom.K:
-            f = 2 ** (dom.K - int(k))
-            clo = idx * f - lo_int
-            cnt = _box_count_batch(P, clo, clo + f)
-            if not np.all(cnt == f**n):
-                w1 = False
-        else:
-            cell = (idx >> (int(k) - dom.K)) - lo_int
-            ok = np.all((cell >= 0) & (cell < shape), axis=1)
-            if not (ok.all() and region[tuple(cell.T)].all()):
-                w1 = False
-        ell = 2 ** (S - int(k))
-        dk = d2s[sel]
+    for k, pos, idx in _per_level(dec):
+        cnt = _level_counts(region, P, dom, k, idx)
+        if not np.all(cnt == 2 ** (max(dom.K - k, 0) * n)):
+            w1 = False
+        ell = 2 ** (S - k)
+        dk = dec.d2[pos]
         if np.any(dk <= 0):
             w1 = False
         if not np.all((ell * ell <= dk) & (dk <= 16 * n * ell * ell)):
             w3 = False
-        vol += int(sel.sum()) * Fraction(1, 2 ** (int(k) * n))
+        vol += len(pos) * Fraction(1, 2 ** (k * n))
     # (W2): no cube is an ancestor of another, and volumes account for the
     # region up to the collar
     ids = set((q.level, q.index) for q in dec.cubes)
@@ -422,15 +447,12 @@ def audit_whitney(dec: WhitneyDecomposition) -> dict:
                 w2 = False
                 break
     collar_vol = Fraction(0)
-    for q in dec.collar_cubes:
-        k = q.level
+    for k, pos, idx in _per_level(dec, collar=True):
         if k <= dom.K:
-            f = 2 ** (dom.K - k)
-            clo = [q.index[d] * f - lo_int[d] for d in range(n)]
-            chi = [(q.index[d] + 1) * f - lo_int[d] for d in range(n)]
-            collar_vol += Fraction(_box_count(P, clo, chi), 2 ** (dom.K * n))
+            cells = int(_level_counts(region, P, dom, k, idx).sum())
+            collar_vol += Fraction(cells, 2 ** (dom.K * n))
         else:
-            collar_vol += Fraction(1, 2 ** (k * n))
+            collar_vol += Fraction(len(pos), 2 ** (k * n))
     region_vol = Fraction(int(region.sum()), 2 ** (dom.K * n))
     if vol + collar_vol != region_vol:
         w2 = False
@@ -462,27 +484,7 @@ class PartitionOfUnity:
 
     def __init__(self, dec: WhitneyDecomposition):
         self.dec = dec
-        self._boxes = np.array(
-            [
-                [float(v) for v in q.corner_lo()] + [float(v) for v in q.corner_hi()]
-                for q in dec.cubes
-            ]
-        )
-        self._radii = np.array([float(q.side) / SUPPORT_SHELL for q in dec.cubes])
-
-    def _phi_one(self, i: int, x: np.ndarray) -> np.ndarray:
-        n = self.dec.domain.n
-        box = self._boxes[i]
-        r = self._radii[i]
-        d2 = np.zeros(x.shape[:-1])
-        for d in range(n):
-            gap = np.maximum(box[d] - x[..., d], 0.0) + np.maximum(
-                x[..., d] - box[n + d], 0.0
-            )
-            d2 += gap * gap
-        t = np.sqrt(d2) / r
-        out = np.where(t >= 1.0, 0.0, 1.0 - t * t * (3.0 - 2.0 * t))
-        return out
+        self._boxes, self._radii = _cube_boxes(dec)
 
     def candidates(self, x) -> list[int]:
         """Cube ids whose support can contain the point."""
@@ -507,8 +509,7 @@ class PartitionOfUnity:
         vals = []
         covered = False
         for i in cand:
-            q = self.dec.cubes[i]
-            phi = float(self._phi_one(i, x[None, :])[0])
+            phi = float(_bump(self._boxes[i], self._radii[i], x))
             if _point_in_closed_box(x, self._boxes[i], self.dec.domain.n):
                 covered = True
             if phi > 0.0:
@@ -581,13 +582,36 @@ class PartitionOfUnity:
         total = np.zeros(len(pts))
         mine = np.zeros(len(pts))
         for j in np.nonzero(cand)[0]:
-            phi = self._phi_one(int(j), pts)
+            phi = _bump(boxes[j], radii[j], pts.T)
             total += phi
             if j == i:
                 mine = phi
         with np.errstate(invalid="ignore"):
             out = np.where(total > 0, mine / np.where(total > 0, total, 1.0), 0.0)
         return out
+
+
+def _cube_boxes(dec: WhitneyDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """Per cube the float box [lo..., hi...] and the support shell width
+    l/16; both are exact dyadic floats."""
+    levels, idx = dec._cube_arrays()
+    k = -levels[:, None]
+    boxes = np.hstack([np.ldexp(idx, k), np.ldexp(idx + 1, k)])
+    return boxes, np.ldexp(1.0, -levels) / SUPPORT_SHELL
+
+
+def _bump(box: np.ndarray, r: float, x) -> np.ndarray:
+    """C1 plateau bump of one cube at the points whose per-axis coordinates
+    are the (broadcastable) arrays x[0..n-1]: 1 on the box, 1 - t^2 (3 - 2t)
+    at t = dist/r < 1 outside it, 0 beyond."""
+    n = len(box) // 2
+    d2 = 0.0
+    for d in range(n):
+        gap = (np.maximum(box[d] - x[d], 0.0)
+               + np.maximum(x[d] - box[n + d], 0.0))
+        d2 = d2 + gap * gap
+    t = np.sqrt(d2) / r
+    return np.where(t >= 1.0, 0.0, 1.0 - t * t * (3.0 - 2.0 * t))
 
 
 _OFFSETS = {
@@ -598,10 +622,6 @@ _OFFSETS = {
 
 def _point_in_closed_box(x, box, n) -> bool:
     return all(box[d] <= x[d] <= box[n + d] for d in range(n))
-
-
-def evaluate_partition(pou: PartitionOfUnity, x) -> list[tuple[int, float]]:
-    return pou.evaluate(x)
 
 
 # ---------------------------------------------------------------------------
@@ -624,20 +644,11 @@ class SmoothedIndicator:
 def cube_averages(dec: WhitneyDecomposition, F_mask: np.ndarray) -> np.ndarray:
     """a_i = |F n Q_i| / |Q_i| for a set given on the domain grid."""
     dom = dec.domain
-    n = dom.n
     P = _integral_image(F_mask)
-    lo_int = dom.lo_int
     out = np.empty(len(dec.cubes))
-    for m, q in enumerate(dec.cubes):
-        k = q.level
-        if k <= dom.K:
-            f = 2 ** (dom.K - k)
-            clo = [q.index[d] * f - lo_int[d] for d in range(n)]
-            chi = [(q.index[d] + 1) * f - lo_int[d] for d in range(n)]
-            out[m] = _box_count(P, clo, chi) / f**n
-        else:
-            cell = tuple((q.index[d] >> (k - dom.K)) - lo_int[d] for d in range(n))
-            out[m] = 1.0 if F_mask[cell] else 0.0
+    for k, pos, idx in _per_level(dec):
+        out[pos] = _level_counts(F_mask, P, dom, k, idx) \
+            / 2 ** (max(dom.K - k, 0) * dom.n)
     return out
 
 
@@ -651,46 +662,24 @@ def smooth_indicator(dec: WhitneyDecomposition, F_mask: np.ndarray,
     if eval_level is None:
         eval_level = dec.min_side_level() + 3
     h_eval = 2.0**-eval_level
+    boxes, radii = _cube_boxes(dec)
     # the grid only needs to cover the cube union (plus the support shells)
-    lo = [None] * n
-    hi = [None] * n
-    for q in dec.cubes:
-        qlo, qhi = q.corner_lo(), q.corner_hi()
-        for d in range(n):
-            lo[d] = qlo[d] if lo[d] is None else min(lo[d], qlo[d])
-            hi[d] = qhi[d] if hi[d] is None else max(hi[d], qhi[d])
-    lo = tuple(int(np.floor(float(v) / h_eval)) - 2 for v in lo)
-    shape = tuple(int(np.ceil(float(v) / h_eval)) + 2 - lo[d]
-                  for d, v in enumerate(hi))
+    lo = np.floor(boxes[:, :n].min(axis=0) / h_eval).astype(int) - 2
+    hi = np.ceil(boxes[:, n:].max(axis=0) / h_eval).astype(int) + 2
+    shape = tuple(int(v) for v in hi - lo)
     axes = [(np.arange(s) + lo[d] + 0.5) * h_eval for d, s in enumerate(shape)]
     num = np.zeros(shape)
     den = np.zeros(shape)
-    boxes = np.array(
-        [[float(v) for v in q.corner_lo()] + [float(v) for v in q.corner_hi()]
-         for q in dec.cubes]
-    )
-    radii = np.array([float(q.side) / SUPPORT_SHELL for q in dec.cubes])
-    for i, q in enumerate(dec.cubes):
-        r = radii[i]
-        sel = []
-        for d in range(n):
-            i0 = int(np.searchsorted(axes[d], boxes[i, d] - r))
-            i1 = int(np.searchsorted(axes[d], boxes[i, n + d] + r))
-            sel.append(slice(i0, i1))
+    i0 = [np.searchsorted(axes[d], boxes[:, d] - radii) for d in range(n)]
+    i1 = [np.searchsorted(axes[d], boxes[:, n + d] + radii) for d in range(n)]
+    for i in range(len(boxes)):
+        sel = tuple(slice(i0[d][i], i1[d][i]) for d in range(n))
         sub = [axes[d][sel[d]] for d in range(n)]
         if any(s.size == 0 for s in sub):
             continue
-        grids = np.meshgrid(*sub, indexing="ij")
-        d2 = np.zeros(grids[0].shape)
-        for d in range(n):
-            gap = np.maximum(boxes[i, d] - grids[d], 0.0) + np.maximum(
-                grids[d] - boxes[i, n + d], 0.0
-            )
-            d2 += gap * gap
-        t = np.sqrt(d2) / r
-        phi = np.where(t >= 1.0, 0.0, 1.0 - t * t * (3.0 - 2.0 * t))
-        num[tuple(sel)] += a[i] * phi
-        den[tuple(sel)] += phi
+        phi = _bump(boxes[i], radii[i], np.ix_(*sub))
+        num[sel] += a[i] * phi
+        den[sel] += phi
     covered = den > 0.0
     u = np.where(covered, num / np.where(covered, den, 1.0), 0.0)
     grad = np.stack(np.gradient(u, h_eval), axis=0)
@@ -698,7 +687,8 @@ def smooth_indicator(dec: WhitneyDecomposition, F_mask: np.ndarray,
 
     structure = ndimage.generate_binary_structure(n, 1)
     grad_valid = ndimage.binary_erosion(covered, structure=structure)
-    return SmoothedIndicator(dec, a, h_eval, tuple(v * h_eval for v in lo),
+    return SmoothedIndicator(dec, a, h_eval,
+                             tuple(float(v) * h_eval for v in lo),
                              u, grad, covered, grad_valid)
 
 

@@ -1,8 +1,11 @@
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sobex.distance import distance_transform
 from sobex.domain import build_domain
@@ -17,7 +20,7 @@ from sobex.extension import (
     verify_lemma_34,
 )
 from sobex.perimeter import VoxelSet
-from sobex.whitney import exterior_whitney, whitney_decompose
+from sobex.whitney import cube_averages, exterior_whitney, whitney_decompose
 
 
 @pytest.fixture(scope="module")
@@ -317,3 +320,132 @@ def test_random_sets_lemma_ratios_finite(disk_setup):
         assert math.isfinite(r.ratio)
         assert math.isfinite(r.lemma31)
         assert math.isfinite(r.lemma32)
+
+
+# -- differential check of the per-level cube kernels ------------------------
+
+_KERNEL_CASES = {
+    "disk": (("ball", 4), dict(r=0.5, margin=Fraction(1, 2))),
+    "slit": (("slit_square", 4), dict(slit_len=0.5, margin=Fraction(1, 2))),
+    "ball3": (("ball", 3), dict(r=0.5, dim=3, margin=Fraction(1, 2))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_setup(case, L_max):
+    args, kw = _KERNEL_CASES[case]
+    dom = build_domain(*args, **kw)
+    return dom, whitney_decompose(dom, L_max), exterior_whitney(dom, L_max)
+
+
+def _cube_slices(dom, q):
+    """Cell slices of a cube at a level <= K."""
+    f = 2 ** (dom.K - q.level)
+    return tuple(slice(q.index[d] * f - dom.lo_int[d],
+                       (q.index[d] + 1) * f - dom.lo_int[d])
+                 for d in range(dom.n))
+
+
+def _cube_cell(dom, q):
+    """The grid cell holding a cube below the grid resolution."""
+    s = q.level - dom.K
+    return tuple((q.index[d] >> s) - dom.lo_int[d] for d in range(dom.n))
+
+
+def _oracle_window(dom, q, c2x):
+    """Per axis the cell range [a, b) whose centers lie in the closed c-dilate
+    of q, c^2 = c2x, unclipped; exact integers in units 2^-T."""
+    T = max(q.level, dom.K) + 1
+    ell = 2 ** (T - q.level)
+    reach = (math.isqrt(c2x) + 1) * 2 ** max(dom.K - q.level, 0) + 2
+    win = []
+    for d in range(dom.n):
+        ctr = (2 * q.index[d] + 1) * 2 ** (T - q.level - 1)
+        js = np.arange(-reach, dom.shape[d] + reach)
+        x = (2 * (js + dom.lo_int[d]) + 1) * 2 ** (T - dom.K - 1)
+        inside = js[4 * (x - ctr) ** 2 <= c2x * ell * ell]
+        win.append((int(inside.min()), int(inside.max()) + 1) if inside.size
+                   else (0, 0))
+    return win
+
+
+def _oracle_selections(dom, W, We, F, c2x):
+    """cube_averages, select_A_prime and select_A0 recomputed cube by cube,
+    counting cells by slicing the masks."""
+    K, n = dom.K, dom.n
+    avg = []
+    for q in W.cubes:
+        if q.level <= K:
+            sl = _cube_slices(dom, q)
+            avg.append(int(F[sl].sum()) / F[sl].size)
+        else:
+            avg.append(1.0 if F[_cube_cell(dom, q)] else 0.0)
+    ap_mask = np.zeros(dom.shape, bool)
+    ap_ids = []
+    for i, q in enumerate(W.cubes + W.collar_cubes):
+        if q.level <= K:
+            sl = _cube_slices(dom, q)
+            won = 2 * int(F[sl].sum()) > int(dom.mask[sl].sum())
+            if won:
+                ap_mask[sl] = True
+        else:
+            won = bool(F[_cube_cell(dom, q)])
+        if won and i < len(W.cubes):
+            ap_ids.append(i)
+    c2x = 400 * n if c2x is None else c2x
+    rest = dom.mask & ~F
+    a0_mask = np.zeros(dom.shape, bool)
+    a0_ids, clipped = [], []
+    for i, q in enumerate(We.cubes + We.collar_cubes):
+        accepted = i < len(We.cubes)
+        if accepted and We.synthetic[i]:
+            continue
+        win = _oracle_window(dom, q, c2x)
+        sl = tuple(slice(max(a, 0), min(b, dom.shape[d]))
+                   for d, (a, b) in enumerate(win))
+        if not int(F[sl].sum()) > int(rest[sl].sum()):
+            continue
+        if accepted:
+            a0_ids.append(i)
+            if any(a < 0 or b > dom.shape[d] for d, (a, b) in enumerate(win)):
+                clipped.append(i)
+        if q.level <= K:
+            a0_mask[_cube_slices(dom, q)] = True
+        else:
+            # the cell is marked iff its center lies in the closed cube
+            cell = _cube_cell(dom, q)
+            T = q.level + 1
+            if all(2 * q.index[d]
+                   <= (2 * (cell[d] + dom.lo_int[d]) + 1) * 2 ** (T - K - 1)
+                   <= 2 * q.index[d] + 2 for d in range(n)):
+                a0_mask[cell] = True
+    return (np.array(avg), ap_mask & dom.mask, ap_ids,
+            a0_mask & ~dom.mask, a0_ids, clipped)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from([("disk", 4), ("disk", 5), ("disk", 6),
+                          ("slit", 5), ("ball3", 3), ("ball3", 4)]),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.05, 0.95),
+    c2x=st.sampled_from([None, 9, 36, 100]),
+)
+def test_cube_kernels_match_slicing_oracle(case, seed, density, c2x):
+    dom, W, We = _kernel_setup(*case)
+    assert W.collar_cubes and We.collar_cubes
+    if case[1] > dom.K:
+        assert any(q.level > dom.K for q in W.cubes + We.cubes)
+    rng = np.random.default_rng(seed)
+    F = VoxelSet.from_domain(dom, (rng.random(dom.shape) < density)
+                             & dom.mask)
+    avg, ap_mask, ap_ids, a0_mask, a0_ids, clipped = _oracle_selections(
+        dom, W, We, F.mask, c2x)
+    assert np.array_equal(cube_averages(W, F.mask), avg)
+    Ap, ids = select_A_prime(F, W)
+    assert np.array_equal(Ap.mask, ap_mask)
+    assert ids == ap_ids
+    A0, ids0, clip0 = select_A0(F, We, c2x)
+    assert np.array_equal(A0.mask, a0_mask)
+    assert ids0 == a0_ids
+    assert clip0 == clipped
