@@ -16,14 +16,20 @@ radius c_n/2 stay >= c_n apart.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConstructionError
+from .errors import ConstructionError, PreconditionNotMet
 
 Vec = tuple[Fraction, Fraction, Fraction]
+
+# Split pieces a build may hold: about 11x depth 2 (366,064); depth 3 needs
+# about 55.3M.
+_MAX_PIECES = 1 << 22
 
 
 def default_lambdas(depth: int) -> tuple[Fraction, ...]:
@@ -147,46 +153,58 @@ class CantorTubeSpec:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if lines[0] != "CANTOR1":
             raise ValueError("not a CANTOR1 spec")
-        it = iter(lines[1:])
-        depth = int(next(it).split()[1])
-        lambdas = tuple(Fraction(t) for t in next(it).split()[1:])
-        l = [Fraction(t) for t in next(it).split()[1:]]
-        e = [Fraction(t) for t in next(it).split()[1:]]
-        c = [Fraction(t) for t in next(it).split()[1:]]
+        rows = lines[6:]
+        # split pieces repeat their neighbours' end vertices and coordinates,
+        # so each distinct token and vertex line is parsed once
+        fracs: dict[str, Fraction] = {}
+        vecs: dict[str, Vec] = {}
+
+        def frac(t: str) -> Fraction:
+            x = fracs.get(t)
+            if x is None:
+                x = fracs[t] = Fraction(t)
+            return x
+
+        def vec(toks) -> Vec:
+            return tuple(frac(t) for t in toks)
+
+        def vert_rows(k: int, nv: int) -> list[Vec]:
+            out = []
+            for row in rows[k + 1:k + 1 + nv]:
+                v = vecs.get(row)
+                if v is None:
+                    v = vecs[row] = vec(row.split()[1:4])
+                out.append(v)
+            return out
+
+        depth = int(lines[1].split()[1])
+        lambdas = vec(lines[2].split()[1:])
+        l, e, c = (list(vec(ln.split()[1:])) for ln in lines[3:6])
         cubes = [[] for _ in range(depth + 1)]
         ax = [[] for _ in range(depth + 1)]
         ay = [[] for _ in range(depth + 1)]
         curves = [[] for _ in range(depth + 1)]
         splits = [[] for _ in range(depth + 1)]
-        rows = list(it)
         k = 0
         while k < len(rows):
             toks = rows[k].split()
             if toks[0] == "cube":
                 n = int(toks[1])
-                cubes[n].append(tuple(Fraction(t) for t in toks[3:6]))
+                cubes[n].append(vec(toks[3:6]))
                 k += 1
             elif toks[0] == "anchor":
                 n = int(toks[1])
-                ax[n].append(tuple(Fraction(t) for t in toks[3:6]))
-                ay[n].append(tuple(Fraction(t) for t in toks[6:9]))
+                ax[n].append(vec(toks[3:6]))
+                ay[n].append(vec(toks[6:9]))
                 k += 1
             elif toks[0] == "curve":
                 n, i, nv = int(toks[1]), int(toks[2]), int(toks[3])
-                verts = []
-                for m in range(nv):
-                    vt = rows[k + 1 + m].split()
-                    verts.append(tuple(Fraction(t) for t in vt[1:4]))
-                curves[n].append(verts)
+                curves[n].append(vert_rows(k, nv))
                 splits[n].append([])
                 k += 1 + nv
             elif toks[0] == "split":
                 n, i, nv = int(toks[1]), int(toks[2]), int(toks[4])
-                verts = []
-                for m in range(nv):
-                    vt = rows[k + 1 + m].split()
-                    verts.append(tuple(Fraction(t) for t in vt[1:4]))
-                splits[n][i].append(verts)
+                splits[n][i].append(vert_rows(k, nv))
                 k += 1 + nv
             else:
                 raise ValueError(f"bad record: {rows[k]!r}")
@@ -251,10 +269,19 @@ def build_cantor_tube(depth: int, lambda_override=None) -> CantorTubeSpec:
         curves=[[] for _ in range(depth + 1)],
         splits=[[] for _ in range(depth + 1)],
     )
+    schedules = []
+    pieces = 0
     for n in range(1, depth + 1):
         _route_level(spec, n)
         _check_level(spec, n)
-        _split_level(spec, n)
+        schedules.append(_split_schedule(spec, n))
+        pieces += sum(k for *_, runs in schedules[-1] for _, k in runs)
+        if pieces > _MAX_PIECES:
+            raise PreconditionNotMet(
+                f"Cantor depth {depth} needs {pieces} tube pieces through "
+                f"level {n}, over the limit of {_MAX_PIECES}")
+    for n, schedule in enumerate(schedules, 1):
+        _split_level(spec, n, schedule)
     _check_measures(spec)
     return spec
 
@@ -385,79 +412,109 @@ def _curve_dist2_lt(va: list[Vec], vb: list[Vec], bound: Fraction) -> bool:
     return False
 
 
-def _split_level(spec: CantorTubeSpec, n: int) -> None:
-    """Partition each curve into an even number of pieces with lengths in
-    [2c_n, 6c_n]: greedy cuts every 4c_n, merge a short tail, then split the
-    longest piece to fix parity.  Pieces run from the parent-boundary end."""
+def _split_schedule(spec: CantorTubeSpec, n: int) -> list:
+    """Integer schedule of the (P1)-(P4) split of every level-n curve.
+
+    Each chain runs from y (parent boundary) to x (child cube) for (P4) and
+    is scaled by D = 2 lcm of the denominators of c_n and its vertices, so
+    its vertices, c_n and every cut are integers (the 2 keeps the parity
+    bisection integral).  (P1) and (P2) are certified here in closed form on
+    the piece runs.  Returns (chain, integer chain, D, integer length, runs)
+    per curve.
+    """
     cn = spec.c[n]
+    out = []
     for i, verts in enumerate(spec.curves[n]):
-        # orient from y (parent boundary) to x (child cube) for (P4)
-        chain = list(reversed(verts))
-        seglens = [
-            sum(abs(p - q) for p, q in zip(a, b)) for a, b in zip(chain, chain[1:])
-        ]
-        total = sum(seglens)
-        step = 4 * cn
-        m = int(total / step)
-        rem = total - m * step
-        if rem == 0:
-            cuts = [step * q for q in range(1, m)]
-        elif rem >= 2 * cn:
-            cuts = [step * q for q in range(1, m + 1)]
-        else:
-            cuts = [step * q for q in range(1, m)]  # merge short tail
-        pieces = _cut_chain(chain, seglens, cuts)
-        if len(pieces) % 2 == 1:
-            lens = [polyline_length(p) for p in pieces]
-            j = max(range(len(pieces)), key=lambda m: lens[m])
-            left, right = _bisect_piece(pieces[j])
-            pieces = pieces[:j] + [left, right] + pieces[j + 1:]
-        lens = [polyline_length(p) for p in pieces]
-        if len(pieces) % 2 == 1:
+        chain = verts[::-1]
+        D = 2 * math.lcm(cn.denominator, *(x.denominator for v in chain for x in v))
+        ichain = [tuple(x.numerator * (D // x.denominator) for x in v)
+                  for v in chain]
+        total = sum(abs(p - q) for a, b in zip(ichain, ichain[1:])
+                    for p, q in zip(a, b))
+        c = cn.numerator * (D // cn.denominator)
+        runs = _piece_runs(total, c)
+        if sum(k for _, k in runs) % 2 == 1:
             raise ConstructionError("(P1) could not enforce even piece count",
                                     level=n, cube=i)
-        for ln in lens:
-            if not (2 * cn <= ln <= 6 * cn):
+        for ln, k in runs:
+            if k and not (2 * c <= ln <= 6 * c):
                 raise ConstructionError(
-                    f"(P2) piece length {float(ln):.3e} outside [2c_n, 6c_n]",
+                    f"(P2) piece length {float(Fraction(ln, D)):.3e} "
+                    "outside [2c_n, 6c_n]",
                     level=n, cube=i,
                 )
-        for p, q in zip(pieces, pieces[1:]):
-            if p[-1] != q[0]:
-                raise ConstructionError("(P3) pieces not chained", level=n, cube=i)
+        out.append((chain, ichain, D, total, runs))
+    return out
+
+
+def _piece_runs(total: int, c: int) -> list[tuple[int, int]]:
+    """Piece lengths of a chain of integer length total >= 8c as runs
+    (length, count) in chain order: greedy cuts every 4c, a tail of at
+    least 2c kept and a shorter one merged into the last piece, then the
+    first longest piece bisected if the count is odd."""
+    step = 4 * c
+    m, rem = divmod(total, step)
+    full = m if rem >= 2 * c else m - 1
+    tail = total - full * step
+    if full % 2 == 1:
+        return [(step, full), (tail, 1)]
+    if tail > step:
+        return [(step, full), (tail // 2, 2)]
+    return [(step // 2, 2), (step, full - 1), (tail, 1)]
+
+
+def _split_level(spec: CantorTubeSpec, n: int, schedule: list) -> None:
+    """Partition each curve into an even number of pieces with lengths in
+    [2c_n, 6c_n], as scheduled by `_split_schedule`.  Pieces run from the
+    parent-boundary end."""
+    coords: dict[int, dict[int, Fraction]] = {}
+    for i, (chain, ichain, D, total, runs) in enumerate(schedule):
+        ends = list(accumulate(ln for ln, k in runs for _ in range(k)))
+        # (P3): pieces share their end tuples, so they chain when the
+        # integer ends tile the chain exactly
+        if ends[-1] != total:
+            raise ConstructionError("(P3) pieces not chained", level=n, cube=i)
+        pieces = _cut_pieces(chain, ichain, D, ends[:-1],
+                             coords.setdefault(D, {}))
         if pieces[0][0] != spec.anchors_y[n][i] or pieces[-1][-1] != spec.anchors_x[n][i]:
             raise ConstructionError("(P4) end pieces misplaced", level=n, cube=i)
         spec.splits[n].append(pieces)
 
 
-def _cut_chain(chain: list[Vec], seglens: list[Fraction], cuts: list[Fraction]):
+def _cut_pieces(chain: list[Vec], ichain: list[tuple[int, int, int]], D: int,
+                cuts: list[int], coords: dict[int, Fraction]) -> list[list[Vec]]:
+    """Cut an axis-parallel chain at increasing integer arclengths (units of
+    1/D).  A cut point is its segment's start moved along the segment's axis,
+    so it shares the start's other two coordinates; its moved coordinate is
+    built once per distinct numerator in `coords`.  A piece's end is the next
+    piece's start tuple, and a cut on a vertex is that vertex."""
     pieces = []
     cur = [chain[0]]
-    walked = Fraction(0)
-    ci = 0
-    for (a, b), ln in zip(zip(chain, chain[1:]), seglens):
-        seg_start = walked
-        walked += ln
-        while ci < len(cuts) and cuts[ci] <= walked:
-            t = (cuts[ci] - seg_start) / ln
-            pt = tuple(p + t * (q - p) for p, q in zip(a, b))
-            if pt != cur[-1]:
-                cur.append(pt)
+    walked = k = 0
+    for a, b, ia, ib in zip(chain, chain[1:], ichain, ichain[1:]):
+        ax = next(d for d in range(3) if ia[d] != ib[d])
+        sign = 1 if ib[ax] > ia[ax] else -1
+        base = ia[ax] - sign * walked
+        walked += abs(ib[ax] - ia[ax])
+        j = bisect_right(cuts, walked, k)
+        on_b = j > k and cuts[j - 1] == walked
+        nums = [base + sign * c for c in cuts[k:j - on_b]]
+        for num in nums:
+            if num not in coords:
+                coords[num] = Fraction(num, D)
+        pts = [a[:ax] + (coords[num],) + a[ax + 1:] for num in nums]
+        if on_b:
+            pts.append(b)
+        if pts:
+            cur.append(pts[0])
             pieces.append(cur)
-            cur = [pt]
-            ci += 1
-        if b != cur[-1]:
+            pieces.extend([p, q] for p, q in zip(pts, pts[1:]))
+            cur = [pts[-1]]
+        if cur[-1] is not b:
             cur.append(b)
+        k = j
     pieces.append(cur)
     return pieces
-
-
-def _bisect_piece(piece: list[Vec]):
-    seglens = [
-        sum(abs(p - q) for p, q in zip(a, b)) for a, b in zip(piece, piece[1:])
-    ]
-    half = sum(seglens) / 2
-    return _cut_chain(piece, seglens, [half])
 
 
 def _check_measures(spec: CantorTubeSpec) -> None:

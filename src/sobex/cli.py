@@ -119,9 +119,17 @@ def _outdir(args) -> str:
     return args.out
 
 
-def _manifest(args, extra: str = "") -> RunManifest:
+def _manifest(args) -> RunManifest:
     cfg = ExperimentConfig(out_dir=args.out, seed=args.seed)
-    return RunManifest(config_hash=cfg.sha256() if not extra else extra)
+    return RunManifest(config_hash=cfg.sha256())
+
+
+def _save_manifest(man: RunManifest, out: str, names: list[str]) -> None:
+    """Record this command's artifacts in <out>/manifest.json, next to those
+    of the commands run into `out` before it."""
+    for name in names:
+        man.add_file(os.path.join(out, name), root=out)
+    man.save(os.path.join(out, "manifest.json"))
 
 
 def cmd_gen(args) -> int:
@@ -149,9 +157,8 @@ def cmd_gen(args) -> int:
         figio.save_ppm(dom, os.path.join(out, "preview.ppm"))
         if dom.n == 2:
             figio.domain_svg(dom).save(os.path.join(out, "preview.svg"))
-    for name in ("domain.voxd", "preview.ppm"):
-        man.add_file(os.path.join(out, name), root=out)
-    man.save(os.path.join(out, "manifest.json"))
+    _save_manifest(man, out, ["domain.voxd", "preview.ppm"]
+                   + (["preview.svg"] if dom.n == 2 else []))
     print(f"wrote {path}: {dom.n}D K={dom.K} cells={int(dom.mask.sum())} "
           f"connected={dom.connected}")
     return 0
@@ -168,6 +175,8 @@ def cmd_whitney(args) -> int:
         f.write(dec.to_text())
     if dom.n == 2:
         figio.whitney_svg(dec).save(os.path.join(out, "whitney.svg"))
+    _save_manifest(_manifest(args), out,
+                   ["cubes.txt"] + (["whitney.svg"] if dom.n == 2 else []))
     line = " ".join(
         f"{k} {'ok' if audit[k] else 'FAIL'}" for k in ("W1", "W2", "W3", "W4")
     )
@@ -226,6 +235,7 @@ def cmd_extend(args) -> int:
         # lazily, so each cell's domain and caches are freed before the next
         results = itertools.starmap(_extend_cell, jobs)
     rows: list[str] = []
+    names = ["inequality.csv"]
     for res in results:
         if not rows and res.A.n == 2:
             # overlay for the base resolution, cell (dom0.K, p[0])
@@ -234,15 +244,14 @@ def cmd_extend(args) -> int:
                 (res.A_prime.mask, "#2ca02c"),
                 (res.A0.mask, "#ff7f0e"),
             ]).save(os.path.join(out, "extension.svg"))
+            names.append("extension.svg")
         rows.append(res.report.csv_row())
     csv_path = os.path.join(out, "inequality.csv")
     with open(csv_path, "w") as f:
         f.write(InequalityReport.CSV_HEADER + "\n")
         for row in rows:
             f.write(row + "\n")
-    man = _manifest(args)
-    man.add_file(csv_path, root=out)
-    man.save(os.path.join(out, "manifest.json"))
+    _save_manifest(_manifest(args), out, names)
     print(f"wrote {csv_path} with {len(rows)} rows")
     return 0
 
@@ -272,9 +281,7 @@ def cmd_curvescan(args) -> int:
             if rep.drift:
                 print(f"p={p} refinement drift: "
                       + " ".join(f"{v:.3f}" for v in rep.drift))
-    man = _manifest(args)
-    man.add_file(csv_path, root=out)
-    man.save(os.path.join(out, "manifest.json"))
+    _save_manifest(_manifest(args), out, ["curvescan.csv"])
     return 0
 
 
@@ -305,6 +312,7 @@ def cmd_cantor(args) -> int:
     path = os.path.join(out, "cantor_spec.txt")
     with open(path, "w") as f:
         f.write(spec.to_text())
+    _save_manifest(_manifest(args), out, ["cantor_spec.txt"])
     ntubes = sum(len(spec.curves[n]) for n in range(1, spec.depth + 1))
     print(f"depth={spec.depth} tubes={ntubes} "
           f"c_m={float(spec.c[spec.depth])!r} "

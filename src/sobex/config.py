@@ -6,6 +6,7 @@ import configparser
 import hashlib
 import io
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -105,8 +106,6 @@ class RunManifest:
     timings: dict = field(default_factory=dict)
 
     def add_file(self, path, root=None) -> None:
-        import os
-
         with open(path, "rb") as f:
             digest = hashlib.sha256(f.read()).hexdigest()
         rel = os.path.relpath(path, root) if root else str(path)
@@ -116,11 +115,21 @@ class RunManifest:
         return _Timer(self, name)
 
     def save(self, path) -> None:
+        """Write the manifest, keeping the artifacts and timings that an
+        existing file at `path` records for other paths and names."""
+        artifacts = {a["path"]: a for a in self.artifacts}
+        timings = dict(self.timings)
+        if os.path.exists(path):
+            with open(path) as f:
+                old = json.load(f)
+            for a in old["artifacts"]:
+                artifacts.setdefault(a["path"], a)
+            timings = {**old["timings"], **timings}
         payload = {
             "tool_version": self.version,
             "config_hash": self.config_hash,
-            "artifacts": sorted(self.artifacts, key=lambda a: a["path"]),
-            "timings": self.timings,
+            "artifacts": sorted(artifacts.values(), key=lambda a: a["path"]),
+            "timings": timings,
         }
         with open(path, "w") as f:
             json.dump(payload, f, indent=2, sort_keys=True)

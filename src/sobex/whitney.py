@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .domain import VoxelDomain, root_tiling_level
-from .dyadic import DyadicCube
+from .dyadic import DyadicCube, box_point_dist2_int
 from .errors import CollarPoint, InvalidDomain, PreconditionNotMet
 
 SUPPORT_SHELL = 16  # support reaches l(Q)/16 beyond the cube
@@ -352,7 +352,7 @@ def _exact_box_dist2(qlo, qhi, tree: cKDTree, coords_S: np.ndarray,
     using the KD-tree only to prune candidates."""
     ctr = [(a + b) / 2.0 for a, b in zip(qlo, qhi)]
     _, j = tree.query(ctr)
-    best = _box_pt_d2_row(qlo, qhi, coords_S[j])
+    best = box_point_dist2_int(qlo, qhi, coords_S[j].tolist())
     r = math.sqrt(best) + half_diag
     cand = tree.query_ball_point(ctr, r * (1.0 + 1e-12) + 1e-9)
     pts = coords_S[cand]
@@ -361,17 +361,6 @@ def _exact_box_dist2(qlo, qhi, tree: cKDTree, coords_S: np.ndarray,
         gap = np.maximum(qlo[d] - pts[:, d], 0) + np.maximum(pts[:, d] - qhi[d], 0)
         d2 += gap * gap
     return int(d2.min())
-
-
-def _box_pt_d2_row(qlo, qhi, p) -> int:
-    d2 = 0
-    for a, b, x in zip(qlo, qhi, p):
-        x = int(x)
-        if x < a:
-            d2 += (a - x) ** 2
-        elif x > b:
-            d2 += (x - b) ** 2
-    return d2
 
 
 def _build_neighbor_graph(cubes: list[DyadicCube], S: int) -> list[list[int]]:

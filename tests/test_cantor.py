@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sobex.cantor import (
     CantorTubeSpec,
@@ -11,7 +13,7 @@ from sobex.cantor import (
     polyline_length,
     seg_seg_dist2,
 )
-from sobex.errors import ConstructionError
+from sobex.errors import ConstructionError, PreconditionNotMet
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +144,116 @@ def test_window_voxelization_tubes(depth1):
 
     _, ncomp = ndimage.label(removed)
     assert ncomp == 8
+
+
+# -- the (P1)-(P4) split against a piece-by-piece Fraction walk --------------
+
+
+def _cut_chain(chain, seglens, cuts):
+    pieces = []
+    cur = [chain[0]]
+    walked = Fraction(0)
+    ci = 0
+    for (a, b), ln in zip(zip(chain, chain[1:]), seglens):
+        seg_start = walked
+        walked += ln
+        while ci < len(cuts) and cuts[ci] <= walked:
+            t = (cuts[ci] - seg_start) / ln
+            pt = tuple(p + t * (q - p) for p, q in zip(a, b))
+            if pt != cur[-1]:
+                cur.append(pt)
+            pieces.append(cur)
+            cur = [pt]
+            ci += 1
+        if b != cur[-1]:
+            cur.append(b)
+    pieces.append(cur)
+    return pieces
+
+
+def _bisect_piece(piece):
+    seglens = [
+        sum(abs(p - q) for p, q in zip(a, b)) for a, b in zip(piece, piece[1:])
+    ]
+    half = sum(seglens) / 2
+    return _cut_chain(piece, seglens, [half])
+
+
+def _oracle_splits(spec, n):
+    """Greedy cuts every 4c_n from the parent-boundary end, a short tail
+    merged, then the first longest piece bisected, in Fraction arithmetic."""
+    cn = spec.c[n]
+    out = []
+    for verts in spec.curves[n]:
+        chain = list(reversed(verts))
+        seglens = [
+            sum(abs(p - q) for p, q in zip(a, b)) for a, b in zip(chain, chain[1:])
+        ]
+        total = sum(seglens)
+        step = 4 * cn
+        m = int(total / step)
+        rem = total - m * step
+        if rem == 0:
+            cuts = [step * q for q in range(1, m)]
+        elif rem >= 2 * cn:
+            cuts = [step * q for q in range(1, m + 1)]
+        else:
+            cuts = [step * q for q in range(1, m)]  # merge short tail
+        pieces = _cut_chain(chain, seglens, cuts)
+        if len(pieces) % 2 == 1:
+            lens = [polyline_length(p) for p in pieces]
+            j = max(range(len(pieces)), key=lambda m: lens[m])
+            left, right = _bisect_piece(pieces[j])
+            pieces = pieces[:j] + [left, right] + pieces[j + 1:]
+        out.append(pieces)
+    return out
+
+
+def _split_branches(spec, n):
+    """Which tail and parity rules the level-n curves take."""
+    cn = spec.c[n]
+    out = set()
+    for verts in spec.curves[n]:
+        m, rem = divmod(polyline_length(verts), 4 * cn)
+        tail = "exact" if rem == 0 else "kept" if rem >= 2 * cn else "merged"
+        out.add(tail)
+        if (m + (tail == "kept")) % 2 == 1:
+            out.add("bisect last" if tail == "merged" else "bisect first")
+    return out
+
+
+# lambda_1 = (N - 1536) / 2N makes the level-1 curve lengths N/2 or N plus an
+# integer, in units of c_1, so integer N reach every tail residue
+_lambda_n = st.integers(1538, 3800).map(lambda N: Fraction(N - 1536, 2 * N))
+_lambda_any = st.fractions(Fraction(1, 100), Fraction(3, 10), max_denominator=10**6)
+
+
+def test_split_examples_reach_every_branch():
+    assert _split_branches(build_cantor_tube(1, [Fraction(35, 1606)]), 1) == {
+        "exact", "kept", "merged", "bisect first", "bisect last"}
+
+
+@settings(max_examples=20, deadline=None)
+@given(lam=st.one_of(_lambda_n, _lambda_any))
+@example(lam=Fraction(35, 1606))
+@example(lam=Fraction(1, 4))
+def test_split_matches_fraction_walk_depth1(lam):
+    spec = build_cantor_tube(1, lambda_override=[lam])
+    assert spec.splits[1] == _oracle_splits(spec, 1)
+
+
+def test_split_matches_fraction_walk_depth2(depth2):
+    for n in (1, 2):
+        assert depth2.splits[n] == _oracle_splits(depth2, n)
+
+
+def test_from_text_shares_parsed_vertices(depth1):
+    back = CantorTubeSpec.from_text(depth1.to_text())
+    assert back.splits == depth1.splits
+    pieces = back.splits[1][5]
+    assert all(p[-1] is q[0] for p, q in zip(pieces, pieces[1:]))
+
+
+def test_oversize_depth_refused_before_splitting():
+    with pytest.raises(PreconditionNotMet, match="55339960 tube pieces"):
+        build_cantor_tube(3)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 
 import pytest
@@ -110,6 +112,37 @@ def test_cantor_command(tmp_path, capsys):
     assert run(["--out", out, "cantor", "--depth", "1"]) == 0
     assert "invariants=ok" in capsys.readouterr().out
     assert os.path.exists(os.path.join(out, "cantor_spec.txt"))
+
+
+def test_manifest_accumulates_across_commands(tmp_path):
+    out = str(tmp_path)
+    dom = os.path.join(out, "domain.voxd")
+    assert run(["--out", out, "gen", "--domain", "ball", "--K", "6",
+                "--margin", "2"]) == 0
+    assert run(["--out", out, "whitney", "--domain-file", dom,
+                "--L-max", "6"]) == 0
+    assert run(["--out", out, "extend", "--domain-file", dom,
+                "--p", "1.5"]) == 0
+    assert run(["--out", out, "curvescan", "--domain-file", dom,
+                "--p", "1.5", "--pairs", "4", "--no-refine"]) == 0
+    assert run(["--out", out, "cantor", "--depth", "1"]) == 0
+    with open(os.path.join(out, "manifest.json")) as f:
+        payload = json.load(f)
+    assert {a["path"] for a in payload["artifacts"]} == {
+        "domain.voxd", "preview.ppm", "preview.svg", "cubes.txt",
+        "whitney.svg", "inequality.csv", "extension.svg", "curvescan.csv",
+        "cantor_spec.txt"}
+    for a in payload["artifacts"]:
+        with open(os.path.join(out, a["path"]), "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == a["sha256"]
+    assert "gen" in payload["timings"]
+
+
+def test_cantor_oversize_depth_exit_2(tmp_path, capsys):
+    assert run(["--out", str(tmp_path), "cantor", "--depth", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "cantor_spec.txt").exists()
 
 
 def test_unknown_args_quietly_error():
