@@ -117,9 +117,23 @@ class CantorTubeSpec:
 
     def to_text(self) -> str:
         out = ["CANTOR1", f"depth {self.depth}"]
+        # split pieces share coordinates and their end vertices with their
+        # neighbours; the spec keeps those objects alive, so each token and
+        # vertex line is formatted once, keyed by the object's id
+        tokens: dict[int, str] = {}
+        vlines: dict[int, str] = {}
 
         def f(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
+            t = tokens.get(id(x))
+            if t is None:
+                t = tokens[id(x)] = f"{x.numerator}/{x.denominator}"
+            return t
+
+        def vline(v: Vec) -> str:
+            t = vlines.get(id(v))
+            if t is None:
+                t = vlines[id(v)] = "v " + " ".join(map(f, v))
+            return t
 
         out.append("lambda " + " ".join(f(x) for x in self.lambdas))
         out.append("l " + " ".join(f(x) for x in self.l))
@@ -140,12 +154,10 @@ class CantorTubeSpec:
                 )
                 verts = self.curves[n][i]
                 out.append(f"curve {n} {i} {len(verts)}")
-                for v in verts:
-                    out.append("v " + " ".join(f(x) for x in v))
+                out.extend(map(vline, verts))
                 for j, piece in enumerate(self.splits[n][i]):
                     out.append(f"split {n} {i} {j} {len(piece)}")
-                    for v in piece:
-                        out.append("v " + " ".join(f(x) for x in v))
+                    out.extend(map(vline, piece))
         return "\n".join(out) + "\n"
 
     @classmethod

@@ -295,10 +295,13 @@ def cmd_geodesic(args) -> int:
     with open(csv_path, "w") as f:
         f.write("p,cost,length,vertices\n")
         f.write(f"{args.p!r},{path.cost!r},{path.length!r},{len(path.vertices)}\n")
+    names = ["geodesic.csv"]
     if dom.n == 2 and not path.empty:
         cv = figio.domain_svg(dom)
         cv.polyline(path.vertices, stroke="#d62728")
         cv.save(os.path.join(out, "geodesic.svg"))
+        names.append("geodesic.svg")
+    _save_manifest(_manifest(args), out, names)
     print(f"cost={path.cost!r} length={path.length!r} "
           f"vertices={len(path.vertices)}")
     return 0

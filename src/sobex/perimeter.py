@@ -407,40 +407,44 @@ def _split_to_simple(paths):
     return out
 
 
-def _loop_contains(pts: np.ndarray, px2: int, py2: int) -> bool:
-    """Point-in-polygon for a lattice loop; the query point is given in
-    doubled coordinates (odd components), so no ray ever hits a vertex."""
-    crossings = 0
-    x2 = pts[:, 0] * 2
-    y2 = pts[:, 1] * 2
-    for k in range(len(pts) - 1):
-        if x2[k] != x2[k + 1]:
-            continue  # horizontal edge, ray is horizontal too
-        ylo, yhi = (y2[k], y2[k + 1]) if y2[k] < y2[k + 1] else (y2[k + 1], y2[k])
-        if ylo < py2 < yhi and x2[k] > px2:
-            crossings += 1
-    return crossings % 2 == 1
-
-
 def _assign_nesting(loops: list[JordanLoop]) -> None:
-    reps = []
-    for lp in loops:
-        pts = lp._ipath
+    """Set each loop's parent to the innermost other loop enclosing it.
+
+    Loops paint their interiors into one cell map, largest area first, and a
+    loop's parent is the last painter of its representative cell: the cell
+    beside its first edge on its enclosed side.  Loops are edge-disjoint and
+    never cross, so a loop containing that cell also contains the cell across
+    the edge and encloses the whole loop; it is strictly larger and was
+    painted before."""
+    if not loops:
+        return
+    corners = np.concatenate([lp._ipath for lp in loops])
+    lo = corners.min(axis=0)
+    owner = np.full(tuple(corners.max(axis=0) - lo), -1, dtype=np.int64)
+    order = sorted(range(len(loops)),
+                   key=lambda k: (-abs(loops[k].signed_area), k))
+    for i in order:
+        lp = loops[i]
+        pts = lp._ipath - lo
         a, b = pts[0], pts[1]
-        d = (b[0] - a[0], b[1] - a[1])
+        d = b - a
         enclosed = (-d[1], d[0]) if lp.signed_area > 0 else (d[1], -d[0])
-        mx2 = int(a[0] + b[0])  # doubled midpoint
-        my2 = int(a[1] + b[1])
-        reps.append((mx2 + enclosed[0], my2 + enclosed[1]))
-    for i, lp in enumerate(loops):
-        best = None
-        for j, other in enumerate(loops):
-            if i == j:
-                continue
-            if _loop_contains(other._ipath, reps[i][0], reps[i][1]):
-                if best is None or abs(other.signed_area) < abs(loops[best].signed_area):
-                    best = j
-        lp.parent = best
+        # doubled midpoint plus the normal is the doubled rep cell centre
+        rx = (a[0] + b[0] + enclosed[0] - 1) // 2
+        ry = (a[1] + b[1] + enclosed[1] - 1) // 2
+        parent = int(owner[rx, ry])
+        lp.parent = None if parent < 0 else parent
+        # ray parity over the bbox: a cell is inside iff an odd number of the
+        # loop's vertical edges in its row lie on its left side or further
+        # left (each row meets an even number, so this is the rightward ray)
+        x0, y0 = pts.min(axis=0)
+        x1, y1 = pts.max(axis=0)
+        x, y = pts[:-1, 0], pts[:-1, 1]
+        vert = (x == pts[1:, 0]) & (x < x1)
+        toggles = np.zeros((x1 - x0, y1 - y0), dtype=np.uint8)
+        toggles[x[vert] - x0, np.minimum(y, pts[1:, 1])[vert] - y0] = 1
+        inside = np.bitwise_xor.accumulate(toggles, axis=0).view(bool)
+        owner[x0:x1, y0:y1][inside] = i
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,24 @@ def test_geodesic_command(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "geodesic.svg"))
 
 
+def test_geodesic_records_artifacts(tmp_path):
+    out = str(tmp_path)
+    assert run(["--out", out, "gen", "--domain", "ball", "--K", "6",
+                "--margin", "1"]) == 0
+    assert run(["--out", out, "geodesic",
+                "--domain-file", os.path.join(out, "domain.voxd"),
+                "--p", "1.5", "--src", "0.1", "1.2",
+                "--dst", "0.9", "-0.2"]) == 0
+    with open(os.path.join(out, "manifest.json")) as f:
+        payload = json.load(f)
+    assert {a["path"] for a in payload["artifacts"]} == {
+        "domain.voxd", "preview.ppm", "preview.svg", "geodesic.csv",
+        "geodesic.svg"}
+    for a in payload["artifacts"]:
+        with open(os.path.join(out, a["path"]), "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == a["sha256"]
+
+
 def test_cantor_command(tmp_path, capsys):
     out = str(tmp_path)
     assert run(["--out", out, "cantor", "--depth", "1"]) == 0

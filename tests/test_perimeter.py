@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sobex.distance import distance_transform
 from sobex.domain import VoxelDomain, build_domain
@@ -272,6 +274,96 @@ def test_random_sets_loops_exhaustive(seed):
         i, j = int(rng.integers(64)), int(rng.integers(64))
         parity = _ray_parity(loops, 2 * i + 1, 2 * j + 1)
         assert parity == (1 if mask[i, j] else 0)
+
+
+def _loop_contains(pts: np.ndarray, px2: int, py2: int) -> bool:
+    """Point-in-polygon for a lattice loop; the query point is given in
+    doubled coordinates (odd components), so no ray ever hits a vertex."""
+    crossings = 0
+    x2 = pts[:, 0] * 2
+    y2 = pts[:, 1] * 2
+    for k in range(len(pts) - 1):
+        if x2[k] != x2[k + 1]:
+            continue  # horizontal edge, ray is horizontal too
+        ylo, yhi = (y2[k], y2[k + 1]) if y2[k] < y2[k + 1] else (y2[k + 1], y2[k])
+        if ylo < py2 < yhi and x2[k] > px2:
+            crossings += 1
+    return crossings % 2 == 1
+
+
+def _pairwise_parents(loops):
+    """O(L^2 m) oracle: the smallest other loop containing each loop's
+    representative cell (first edge's midpoint pushed to the enclosed side),
+    the first such loop on equal areas."""
+    reps = []
+    for lp in loops:
+        pts = lp._ipath
+        a, b = pts[0], pts[1]
+        d = (b[0] - a[0], b[1] - a[1])
+        enclosed = (-d[1], d[0]) if lp.signed_area > 0 else (d[1], -d[0])
+        reps.append((int(a[0] + b[0]) + enclosed[0], int(a[1] + b[1]) + enclosed[1]))
+    parents = []
+    for i in range(len(loops)):
+        best = None
+        for j, other in enumerate(loops):
+            if i == j:
+                continue
+            if _loop_contains(other._ipath, reps[i][0], reps[i][1]):
+                if best is None or abs(other.signed_area) < abs(loops[best].signed_area):
+                    best = j
+        parents.append(best)
+    return parents
+
+
+def _assert_parents_match_oracle(mask, lo_int=(0, 0)):
+    loops = jordan_loops(VoxelSet(5, lo_int, mask))
+    assert [lp.parent for lp in loops] == _pairwise_parents(loops)
+    return loops
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(1, 32), ny=st.integers(1, 32),
+       density=st.floats(0.1, 0.9), seed=st.integers(0, 2**32 - 1),
+       lo=st.tuples(st.integers(-40, 8), st.integers(-40, 8)),
+       pad=st.booleans())
+def test_nesting_matches_pairwise_oracle(nx, ny, density, seed, lo, pad):
+    mask = np.random.default_rng(seed).random((nx, ny)) < density
+    if pad:  # keep the set off the bbox; unpadded sets usually touch it
+        mask = np.pad(mask, 1)
+    _assert_parents_match_oracle(mask, lo)
+
+
+def _square_ring(n, k):
+    """Cells at Chebyshev distance exactly k from the border of an n x n grid."""
+    i = np.arange(n)
+    depth = np.minimum(np.minimum(i, n - 1 - i)[:, None],
+                       np.minimum(i, n - 1 - i)[None, :])
+    return depth == k
+
+
+def test_nesting_fixtures():
+    assert jordan_loops(VoxelSet(5, (0, 0), np.zeros((6, 6), bool))) == []
+    full = _assert_parents_match_oracle(np.ones((8, 8), bool))
+    assert [lp.parent for lp in full] == [None]
+    checker = (np.add.outer(np.arange(9), np.arange(9)) % 2).astype(bool)
+    loops = _assert_parents_match_oracle(checker)
+    assert len(loops) == int(checker.sum())
+    assert all(lp.parent is None for lp in loops)
+    # three nested rings: six loops, each inside the next larger one
+    rings = _square_ring(14, 0) | _square_ring(14, 2) | _square_ring(14, 4)
+    loops = _assert_parents_match_oracle(rings)
+    by_size = sorted(range(6), key=lambda k: -abs(loops[k].signed_area))
+    assert [loops[k].parent for k in by_size] == [None] + by_size[:-1]
+    # a ring missing a corner cell touches itself at that corner, which the
+    # tracer walks twice (a pinch split); it holds an island with a hole
+    pinched = _square_ring(11, 1)
+    pinched[9, 9] = False
+    island = np.zeros((11, 11), bool)
+    island[3:8, 3:8] = _square_ring(5, 0) | _square_ring(5, 2)
+    loops = _assert_parents_match_oracle(pinched | island)
+    by_size = sorted(range(len(loops)), key=lambda k: -abs(loops[k].signed_area))
+    assert len(loops) == 5
+    assert [loops[k].parent for k in by_size] == [None] + by_size[:-1]
 
 
 # -- density profiles --------------------------------------------------------
