@@ -15,6 +15,7 @@ radius c_n/2 stay >= c_n apart.
 
 from __future__ import annotations
 
+import gc
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .dyadic import box_box_dist2_int
 from .errors import ConstructionError, PreconditionNotMet
 
 Vec = tuple[Fraction, Fraction, Fraction]
@@ -45,33 +47,14 @@ def _fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def seg_box_dist2(a: Vec, b: Vec, lo: Vec, hi: Vec) -> Fraction:
-    """Squared distance between an axis-parallel segment and a box (exact).
-
-    The segment is treated as a degenerate box, which is valid because all
-    curve segments here are axis-parallel.
-    """
-    d2 = Fraction(0)
-    for aa, bb, l, h in zip(a, b, lo, hi):
-        slo, shi = min(aa, bb), max(aa, bb)
-        if shi < l:
-            d2 += (l - shi) ** 2
-        elif h < slo:
-            d2 += (slo - h) ** 2
-    return d2
+def _seg_box(a: Vec, b: Vec) -> tuple[Vec, Vec]:
+    """An axis-parallel segment as the degenerate box it spans."""
+    return tuple(map(min, a, b)), tuple(map(max, a, b))
 
 
 def seg_seg_dist2(a: Vec, b: Vec, c: Vec, d: Vec) -> Fraction:
     """Squared distance between two axis-parallel segments (exact)."""
-    d2 = Fraction(0)
-    for a1, b1, c1, d1 in zip(a, b, c, d):
-        lo1, hi1 = min(a1, b1), max(a1, b1)
-        lo2, hi2 = min(c1, d1), max(c1, d1)
-        if hi1 < lo2:
-            d2 += (lo2 - hi1) ** 2
-        elif hi2 < lo1:
-            d2 += (lo1 - hi2) ** 2
-    return d2
+    return box_box_dist2_int(*_seg_box(a, b), *_seg_box(c, d))
 
 
 def polyline_length(verts: list[Vec]) -> Fraction:
@@ -260,6 +243,17 @@ def _cantor_constants(depth: int, lambda_override=None):
 
 def build_cantor_tube(depth: int, lambda_override=None) -> CantorTubeSpec:
     """Construct the depth-m spec and certify all invariants exactly."""
+    # the cyclic collector would rescan the growing piece lists many times
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _build_cantor_tube(depth, lambda_override)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _build_cantor_tube(depth: int, lambda_override) -> CantorTubeSpec:
     lambdas, l, e, c = _cantor_constants(depth, lambda_override)
 
     cubes: list[list[Vec]] = [[(Fraction(0),) * 3]]
@@ -371,7 +365,7 @@ def _check_level(spec: CantorTubeSpec, n: int) -> None:
                 continue
             blo, bhi = spec.cube_box(n, j)
             for a, b in zip(verts, verts[1:]):
-                if seg_box_dist2(a, b, blo, bhi) < cn**2:
+                if box_box_dist2_int(*_seg_box(a, b), blo, bhi) < cn**2:
                     raise ConstructionError(
                         f"lane too close to sibling cube at level {n}",
                         level=n, cube=i,
@@ -394,13 +388,7 @@ def _check_level(spec: CantorTubeSpec, n: int) -> None:
         alo, ahi = spec.cube_box(n - 1, pi)
         for pj in range(pi + 1, nparents):
             blo, bhi = spec.cube_box(n - 1, pj)
-            d2 = Fraction(0)
-            for a0, a1, b0, b1 in zip(alo, ahi, blo, bhi):
-                if a1 < b0:
-                    d2 += (b0 - a1) ** 2
-                elif b1 < a0:
-                    d2 += (a0 - b1) ** 2
-            if d2 < bound:
+            if box_box_dist2_int(alo, ahi, blo, bhi) < bound:
                 raise ConstructionError(
                     f"parent cubes {pi},{pj} too close for (L3) at level {n}",
                     level=n,

@@ -2,14 +2,18 @@
 curve-condition experiments, and consolidated reports.
 
 Exit codes: 0 ok, 1 internal error, 2 usage/precondition error.  All CSV
-numbers use repr() so values round-trip exactly; reruns with the same config
-and version produce identical numeric content.
+numbers use repr() so values round-trip exactly; reruns with the same
+arguments and version produce identical numeric content.  Every command but
+`report` records, in <out>/manifest.json, the sha256 of its parsed arguments,
+its wall time and the hashes of the artifacts it wrote.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
+import json
 import math
 import os
 import sys
@@ -18,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import figio
-from .config import ExperimentConfig, RunManifest, __version__
+from .config import RunManifest, __version__
 from .curves import curve_condition_scan, weighted_geodesic
 from .distance import distance_transform
 from .domain import GENERATORS, GeneratorSpec, VoxelDomain, build_domain
@@ -40,7 +44,9 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        if args.command == "report":
+            return args.func(args)
+        return _run_recorded(args)
     except SobexError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -114,26 +120,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _outdir(args) -> str:
+def _run_recorded(args) -> int:
+    """Run a command into --out and record its argument hash, wall time and
+    returned artifacts in <out>/manifest.json, next to the entries of the
+    commands run into --out before it."""
     os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
-def _manifest(args) -> RunManifest:
-    cfg = ExperimentConfig(out_dir=args.out, seed=args.seed)
-    return RunManifest(config_hash=cfg.sha256())
-
-
-def _save_manifest(man: RunManifest, out: str, names: list[str]) -> None:
-    """Record this command's artifacts in <out>/manifest.json, next to those
-    of the commands run into `out` before it."""
+    params = {k: v for k, v in vars(args).items() if k != "func"}
+    man = RunManifest(config_hash=hashlib.sha256(
+        json.dumps(params, sort_keys=True).encode()).hexdigest())
+    with man.time_block(args.command):
+        code, names = args.func(args)
     for name in names:
-        man.add_file(os.path.join(out, name), root=out)
-    man.save(os.path.join(out, "manifest.json"))
+        man.add_file(os.path.join(args.out, name), root=args.out)
+    man.save(os.path.join(args.out, "manifest.json"))
+    return code
 
 
-def cmd_gen(args) -> int:
-    out = _outdir(args)
+def cmd_gen(args) -> tuple[int, list[str]]:
+    out = args.out
     params = {"margin": Fraction(args.margin)}
     if args.domain == "ball":
         params["r"] = args.r
@@ -150,22 +154,20 @@ def cmd_gen(args) -> int:
         params["depth"] = args.depth
         params.pop("margin")
     dom = build_domain(args.domain, args.K, **params)
-    man = _manifest(args)
-    with man.time_block("gen"):
-        path = os.path.join(out, "domain.voxd")
-        dom.save(path)
-        figio.save_ppm(dom, os.path.join(out, "preview.ppm"))
-        if dom.n == 2:
-            figio.domain_svg(dom).save(os.path.join(out, "preview.svg"))
-    _save_manifest(man, out, ["domain.voxd", "preview.ppm"]
-                   + (["preview.svg"] if dom.n == 2 else []))
+    path = os.path.join(out, "domain.voxd")
+    dom.save(path)
+    figio.save_ppm(dom, os.path.join(out, "preview.ppm"))
+    names = ["domain.voxd", "preview.ppm"]
+    if dom.n == 2:
+        figio.domain_svg(dom).save(os.path.join(out, "preview.svg"))
+        names.append("preview.svg")
     print(f"wrote {path}: {dom.n}D K={dom.K} cells={int(dom.mask.sum())} "
           f"connected={dom.connected}")
-    return 0
+    return 0, names
 
 
-def cmd_whitney(args) -> int:
-    out = _outdir(args)
+def cmd_whitney(args) -> tuple[int, list[str]]:
+    out = args.out
     dom = VoxelDomain.load(args.domain_file)
     dec = (exterior_whitney if args.exterior else whitney_decompose)(
         dom, args.L_max
@@ -173,15 +175,15 @@ def cmd_whitney(args) -> int:
     audit = audit_whitney(dec)
     with open(os.path.join(out, "cubes.txt"), "w") as f:
         f.write(dec.to_text())
+    names = ["cubes.txt"]
     if dom.n == 2:
         figio.whitney_svg(dec).save(os.path.join(out, "whitney.svg"))
-    _save_manifest(_manifest(args), out,
-                   ["cubes.txt"] + (["whitney.svg"] if dom.n == 2 else []))
+        names.append("whitney.svg")
     line = " ".join(
         f"{k} {'ok' if audit[k] else 'FAIL'}" for k in ("W1", "W2", "W3", "W4")
     )
     print(f"{line} collar={audit['collar_measure']!r} cubes={audit['cubes']}")
-    return 0 if all(audit[k] for k in ("W1", "W2", "W3", "W4")) else 1
+    return (0 if all(audit[k] for k in ("W1", "W2", "W3", "W4")) else 1), names
 
 
 def make_set(dom: VoxelDomain, kind: str, seed: int = 7,
@@ -217,8 +219,8 @@ def _extend_cell(spec: GeneratorSpec, K: int, set_kind: str, seed: int,
     return extend_set(A, W, We, dist, ExtensionParams(p=p))
 
 
-def cmd_extend(args) -> int:
-    out = _outdir(args)
+def cmd_extend(args) -> tuple[int, list[str]]:
+    out = args.out
     dom0 = VoxelDomain.load(args.domain_file)
     spec = dom0.name
     jobs = [
@@ -251,13 +253,12 @@ def cmd_extend(args) -> int:
         f.write(InequalityReport.CSV_HEADER + "\n")
         for row in rows:
             f.write(row + "\n")
-    _save_manifest(_manifest(args), out, names)
     print(f"wrote {csv_path} with {len(rows)} rows")
-    return 0
+    return 0, names
 
 
-def cmd_curvescan(args) -> int:
-    out = _outdir(args)
+def cmd_curvescan(args) -> tuple[int, list[str]]:
+    out = args.out
     dom = VoxelDomain.load(args.domain_file)
     if dom.name.tag in GENERATORS and dom.name.tag != "custom":
         dom = build_domain(dom.name, dom.K)  # regenerate so refine can rebuild
@@ -281,12 +282,11 @@ def cmd_curvescan(args) -> int:
             if rep.drift:
                 print(f"p={p} refinement drift: "
                       + " ".join(f"{v:.3f}" for v in rep.drift))
-    _save_manifest(_manifest(args), out, ["curvescan.csv"])
-    return 0
+    return 0, ["curvescan.csv"]
 
 
-def cmd_geodesic(args) -> int:
-    out = _outdir(args)
+def cmd_geodesic(args) -> tuple[int, list[str]]:
+    out = args.out
     dom = VoxelDomain.load(args.domain_file)
     dist = distance_transform(dom)
     path = weighted_geodesic(dom, dist, args.src, args.dst, args.p,
@@ -301,26 +301,22 @@ def cmd_geodesic(args) -> int:
         cv.polyline(path.vertices, stroke="#d62728")
         cv.save(os.path.join(out, "geodesic.svg"))
         names.append("geodesic.svg")
-    _save_manifest(_manifest(args), out, names)
     print(f"cost={path.cost!r} length={path.length!r} "
           f"vertices={len(path.vertices)}")
-    return 0
+    return 0, names
 
 
-def cmd_cantor(args) -> int:
+def cmd_cantor(args) -> tuple[int, list[str]]:
     from .cantor import build_cantor_tube
 
-    out = _outdir(args)
     spec = build_cantor_tube(args.depth)
-    path = os.path.join(out, "cantor_spec.txt")
-    with open(path, "w") as f:
+    with open(os.path.join(args.out, "cantor_spec.txt"), "w") as f:
         f.write(spec.to_text())
-    _save_manifest(_manifest(args), out, ["cantor_spec.txt"])
     ntubes = sum(len(spec.curves[n]) for n in range(1, spec.depth + 1))
     print(f"depth={spec.depth} tubes={ntubes} "
           f"c_m={float(spec.c[spec.depth])!r} "
           f"|C_m|={float(spec.cantor_measure(spec.depth))!r} invariants=ok")
-    return 0
+    return 0, ["cantor_spec.txt"]
 
 
 def cmd_report(args) -> int:

@@ -72,7 +72,7 @@ def distance_transform(dom: VoxelDomain) -> DistanceField:
         diff = ax - nearest[d].astype(np.int64)
         d2 += diff * diff
     field = DistanceField(dom.K, dom.lo_int, d2,
-                          feature=nearest.astype(np.int32))
+                          feature=nearest.astype(np.int32, copy=False))
     dom._dist = field
     return field
 

@@ -118,7 +118,8 @@ def box_point_dist2_int(lo, hi, p) -> int:
 
 
 def box_box_dist2_int(alo, ahi, blo, bhi) -> int:
-    """Squared distance between two integer boxes."""
+    """Squared distance between two integer boxes; plain arithmetic, so it
+    is exact on Fraction boxes too."""
     d2 = 0
     for a0, a1, b0, b1 in zip(alo, ahi, blo, bhi):
         if a1 < b0:

@@ -21,7 +21,6 @@ import numpy as np
 from .distance import DistanceField
 from .errors import UnsupportedExponent
 from .perimeter import (
-    EXTERIOR,
     INTERIOR,
     ON_BOUNDARY,
     VoxelSet,
@@ -70,10 +69,6 @@ class InequalityReport:
     # property says must vanish under refinement
     lhs_touching_new: float = 0.0
     flags: list[str] = field(default_factory=list)
-
-    @property
-    def lhs_finite(self) -> float:
-        return self.lhs_exterior + self.lhs_interior
 
     def csv_row(self) -> str:
         cells = [
@@ -209,14 +204,12 @@ def extend_set(A: VoxelSet, W: WhitneyDecomposition, We: WhitneyDecomposition,
 
     l31 = l32 = l33 = math.nan
     if params.lemma_ratios:
-        l31, f31 = verify_lemma_31(A, A_prime, p, dist)
+        aprime_int = weighted_boundary_integral(A_prime, p, dist, "interior")[0]
+        l31, f31 = _ratio(aprime_int, rhs, "lemma31")
         flags += f31
         si = smooth_indicator(W, A_prime.mask, eval_level=params.eval_level)
         energy = gradient_energy(si, p)
-        l32, f32 = _ratio(energy,
-                          weighted_boundary_integral(A_prime, p, dist,
-                                                     "interior")[0],
-                          "lemma32")
+        l32, f32 = _ratio(energy, aprime_int, "lemma32")
         flags += f32
         l33, f33 = verify_lemma_33(A0, energy, p, dist)
         flags += f33
@@ -231,9 +224,7 @@ def _build_report(A, A_tilde, dom, dist, params, rhs, l31, l32, l33, flags):
     faces = boundary_faces(A_tilde)
     d2 = dist.d2_at_doubled(faces.coords)
     area = faces.face_area
-    cls = faces.classification
-    near = d2 <= 1
-    touching = (cls == ON_BOUNDARY) | near
+    touching = (faces.classification == ON_BOUNDARY) | (d2 <= 1)
     lhs_touch = float(touching.sum()) * area
     # subtract the touching faces A already owns (e.g. a set boundary that
     # runs along the domain boundary is carried by every valid extension)
@@ -249,16 +240,8 @@ def _build_report(A, A_tilde, dom, dist, params, rhs, l31, l32, l33, flags):
         if (int(ax), tuple(int(v) for v in row)) not in own:
             new += 1
     lhs_touch_new = new * area
-
-    def finite_part(sel):
-        sel = sel & ~near & (cls != ON_BOUNDARY)
-        if not sel.any():
-            return 0.0
-        dv = np.sqrt(d2[sel].astype(float)) * (dist.h / 2.0)
-        return float(np.sum(dv ** (1.0 - p))) * area
-
-    lhs_ext = finite_part(cls == EXTERIOR)
-    lhs_int = finite_part(cls == INTERIOR)
+    lhs_ext = weighted_boundary_integral(A_tilde, p, dist, "exterior")[0]
+    lhs_int = weighted_boundary_integral(A_tilde, p, dist, "interior")[0]
     ratio, rflags = _ratio(lhs_ext + lhs_int, rhs, "ratio")
     return InequalityReport(dom.K, p, rhs, lhs_ext, lhs_int, lhs_touch,
                             ratio, l31, l32, l33, lhs_touch_new,
@@ -296,14 +279,7 @@ def verify_lemma_33(A0: VoxelSet, u_energy: float, p: float,
                     dist: DistanceField):
     """Exterior weighted integral of A0 against the gradient energy of the
     smoothed indicator."""
-    faces = boundary_faces(A0)
-    sel = faces.classification == EXTERIOR
-    num = 0.0
-    if sel.any():
-        d2 = dist.d2_at_doubled(faces.coords[sel])
-        keep = d2 > 1
-        dv = np.sqrt(d2[keep].astype(float)) * (dist.h / 2.0)
-        num = float(np.sum(dv ** (1.0 - p))) * faces.face_area
+    num = weighted_boundary_integral(A0, p, dist, "exterior")[0]
     if u_energy == 0.0 and num > 0.0:
         return math.inf, ["lemma33:degenerate"]
     return _ratio(num, u_energy, "lemma33")

@@ -57,9 +57,6 @@ class VoxelSet:
     def measure(self) -> float:
         return float(self.mask.sum()) * self.h**self.n
 
-    def complement_in(self, dom: VoxelDomain) -> "VoxelSet":
-        return VoxelSet(self.K, self.lo_int, dom.mask & ~self.mask, parent=dom)
-
 
 @dataclass
 class BoundaryFaceSet:

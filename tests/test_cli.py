@@ -5,7 +5,7 @@ import os
 import pytest
 
 from sobex.cli import main
-from sobex.config import ExperimentConfig, RunManifest
+from sobex.config import RunManifest
 
 
 def run(args):
@@ -143,17 +143,24 @@ def test_manifest_accumulates_across_commands(tmp_path):
                 "--p", "1.5"]) == 0
     assert run(["--out", out, "curvescan", "--domain-file", dom,
                 "--p", "1.5", "--pairs", "4", "--no-refine"]) == 0
+    assert run(["--out", out, "geodesic", "--domain-file", dom,
+                "--p", "1.5", "--src", "0.1", "1.2",
+                "--dst", "0.9", "-0.2"]) == 0
     assert run(["--out", out, "cantor", "--depth", "1"]) == 0
     with open(os.path.join(out, "manifest.json")) as f:
         payload = json.load(f)
     assert {a["path"] for a in payload["artifacts"]} == {
         "domain.voxd", "preview.ppm", "preview.svg", "cubes.txt",
         "whitney.svg", "inequality.csv", "extension.svg", "curvescan.csv",
-        "cantor_spec.txt"}
+        "geodesic.csv", "geodesic.svg", "cantor_spec.txt"}
     for a in payload["artifacts"]:
         with open(os.path.join(out, a["path"]), "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == a["sha256"]
-    assert "gen" in payload["timings"]
+    # every command is timed and hashes its own arguments
+    commands = {"gen", "whitney", "extend", "curvescan", "geodesic", "cantor"}
+    assert set(payload["timings"]) == commands
+    assert set(payload["config_hash"]) == commands
+    assert len(set(payload["config_hash"].values())) == len(commands)
 
 
 def test_cantor_oversize_depth_exit_2(tmp_path, capsys):
@@ -165,20 +172,6 @@ def test_cantor_oversize_depth_exit_2(tmp_path, capsys):
 
 def test_unknown_args_quietly_error():
     assert run([]) == 2
-
-
-def test_config_roundtrip_byte_identical():
-    cfg = ExperimentConfig(
-        generator="slit_square",
-        gen_params={"slit_len": 0.5, "margin": 2},
-        K=8, refine=1, p_list=[1.25, 1.5, 1.75],
-        set_kind="below_slit", pairs=64, seed=3, out_dir="runs/x",
-    )
-    text = cfg.emit()
-    back = ExperimentConfig.parse(text)
-    assert back.emit() == text
-    assert back == cfg
-    assert ExperimentConfig.parse(back.emit()).sha256() == cfg.sha256()
 
 
 def test_manifest_lists_artifacts(tmp_path):
@@ -196,3 +189,45 @@ def test_manifest_lists_artifacts(tmp_path):
     assert payload["artifacts"][0]["path"] == "x.csv"
     assert len(payload["artifacts"][0]["sha256"]) == 64
     assert "demo" in payload["timings"]
+
+
+def _manifest(out):
+    with open(os.path.join(out, "manifest.json")) as f:
+        return json.load(f)
+
+
+def test_rerun_records_same_hash(tmp_path):
+    out = str(tmp_path)
+    args = ["--out", out, "gen", "--domain", "ball", "--K", "5"]
+    assert run(args) == 0
+    first = _manifest(out)["config_hash"]
+    assert run(args) == 0
+    assert _manifest(out)["config_hash"] == first
+    assert set(first) == {"gen"} and len(first["gen"]) == 64
+
+
+def test_changed_arguments_change_only_their_command_hash(tmp_path):
+    out = str(tmp_path)
+    dom = os.path.join(out, "domain.voxd")
+    assert run(["--out", out, "gen", "--domain", "ball", "--K", "5"]) == 0
+    assert run(["--out", out, "whitney", "--domain-file", dom,
+                "--L-max", "5"]) == 0
+    seen = [_manifest(out)["config_hash"]]
+    for args in (["--domain", "ball", "--K", "6"],
+                 ["--domain", "slit_square", "--K", "6"]):
+        assert run(["--out", out, "gen", *args]) == 0
+        hashes = _manifest(out)["config_hash"]
+        assert hashes["whitney"] == seen[0]["whitney"]
+        assert all(hashes["gen"] != h["gen"] for h in seen)
+        seen.append(hashes)
+
+
+def test_old_string_config_hash_is_replaced(tmp_path):
+    out = str(tmp_path)
+    with open(os.path.join(out, "manifest.json"), "w") as f:
+        json.dump({"tool_version": "0.1.0", "config_hash": "7030018c",
+                   "artifacts": [], "timings": {"gen": 0.003}}, f)
+    assert run(["--out", out, "cantor", "--depth", "1"]) == 0
+    payload = _manifest(out)
+    assert set(payload["config_hash"]) == {"cantor"}
+    assert set(payload["timings"]) == {"gen", "cantor"}

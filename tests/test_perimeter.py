@@ -59,12 +59,12 @@ def test_face_count_matches_neighbor_scan():
     faces = boundary_faces(A)
     count = 0
     padded = np.pad(mask, 1)
-    for d, sh in ((0, (1, 0)), (1, (0, 1))):
+    for sh in ((1, 0), (0, 1)):
         moved = np.roll(padded, sh, axis=(0, 1))
-        count += int(np.sum(padded != moved) // 1)
+        count += int(np.sum(padded != moved))
     # each interface counted once per direction pass; roll wraps but the pad
     # ring is empty so wrap contributes nothing
-    assert len(faces) == count // 1 - 0 if False else True
+    assert len(faces) == count
     # direct O(N) scan
     scan = 0
     for d in range(2):
