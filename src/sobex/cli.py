@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -27,12 +26,7 @@ from .curves import curve_condition_scan, weighted_geodesic
 from .distance import distance_transform
 from .domain import GENERATORS, GeneratorSpec, VoxelDomain, build_domain
 from .errors import SobexError
-from .extension import (
-    ExtensionParams,
-    ExtensionResult,
-    InequalityReport,
-    extend_set,
-)
+from .extension import InequalityReport, extend_geometry
 from .perimeter import VoxelSet
 from .whitney import audit_whitney, exterior_whitney, whitney_decompose
 
@@ -62,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sobex")
     ap.add_argument("--out", default="runs/out", help="output directory")
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--threads", type=int, default=1)
     sub = ap.add_subparsers(dest="command")
 
     g = sub.add_parser("gen", help="generate a domain file and previews")
@@ -209,52 +202,35 @@ def make_set(dom: VoxelDomain, kind: str, seed: int = 7,
     return VoxelSet.from_domain(dom, mask & dom.mask)
 
 
-def _extend_cell(spec: GeneratorSpec, K: int, set_kind: str, seed: int,
-                 density: float, p: float) -> ExtensionResult:
+def cmd_extend(args) -> tuple[int, list[str]]:
+    dom0 = VoxelDomain.load(args.domain_file)
+    rows = [InequalityReport.CSV_HEADER]
+    for K in range(dom0.K, dom0.K + args.refine + 1):
+        rows += _extension_rows(dom0.name, K, args, overlay=K == dom0.K)
+    csv_path = os.path.join(args.out, "inequality.csv")
+    with open(csv_path, "w") as f:
+        f.write("\n".join(rows) + "\n")
+    print(f"wrote {csv_path} with {len(rows) - 1} rows")
+    return 0, ["inequality.csv"] + (["extension.svg"] if dom0.n == 2 else [])
+
+
+def _extension_rows(spec: GeneratorSpec, K: int, args,
+                    overlay: bool) -> list[str]:
+    """Extend the set once at resolution K and report it at every --p; the
+    geometry and its smoothing are freed on return, before the next K."""
     dom = build_domain(spec, K)
     dist = distance_transform(dom)
     W = whitney_decompose(dom, K)
     We = exterior_whitney(dom, K)
-    A = make_set(dom, set_kind, seed=seed, density=density)
-    return extend_set(A, W, We, dist, ExtensionParams(p=p))
-
-
-def cmd_extend(args) -> tuple[int, list[str]]:
-    out = args.out
-    dom0 = VoxelDomain.load(args.domain_file)
-    spec = dom0.name
-    jobs = [
-        (spec, K, args.set_kind, args.seed, args.density, p)
-        for K in range(dom0.K, dom0.K + args.refine + 1)
-        for p in args.p
-    ]
-    if args.threads > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(args.threads) as pool:
-            results = pool.starmap(_extend_cell, jobs)
-    else:
-        # lazily, so each cell's domain and caches are freed before the next
-        results = itertools.starmap(_extend_cell, jobs)
-    rows: list[str] = []
-    names = ["inequality.csv"]
-    for res in results:
-        if not rows and res.A.n == 2:
-            # overlay for the base resolution, cell (dom0.K, p[0])
-            figio.sets_svg(res.A.parent, [
-                (res.A.mask, "#1f77b4"),
-                (res.A_prime.mask, "#2ca02c"),
-                (res.A0.mask, "#ff7f0e"),
-            ]).save(os.path.join(out, "extension.svg"))
-            names.append("extension.svg")
-        rows.append(res.report.csv_row())
-    csv_path = os.path.join(out, "inequality.csv")
-    with open(csv_path, "w") as f:
-        f.write(InequalityReport.CSV_HEADER + "\n")
-        for row in rows:
-            f.write(row + "\n")
-    print(f"wrote {csv_path} with {len(rows)} rows")
-    return 0, names
+    A = make_set(dom, args.set_kind, seed=args.seed, density=args.density)
+    geom = extend_geometry(A, W, We, dist)
+    if overlay and dom.n == 2:
+        figio.sets_svg(dom, [
+            (A.mask, "#1f77b4"),
+            (geom.A_prime.mask, "#2ca02c"),
+            (geom.A0.mask, "#ff7f0e"),
+        ]).save(os.path.join(args.out, "extension.svg"))
+    return [geom.report(p).csv_row() for p in args.p]
 
 
 def cmd_curvescan(args) -> tuple[int, list[str]]:

@@ -39,9 +39,10 @@ class RunManifest:
                 old = json.load(f)
             for a in old["artifacts"]:
                 artifacts.setdefault(a["path"], a)
-            timings = {**old["timings"], **timings}
-            # an older manifest holds one string hash; it is replaced
+            # an older manifest holds one string hash; it is replaced, and
+            # the timings it kept go with it
             if isinstance(old.get("config_hash"), dict):
+                timings = {**old["timings"], **timings}
                 hashes = {**old["config_hash"], **hashes}
         payload = {
             "tool_version": self.version,

@@ -83,15 +83,10 @@ class VoxelDomain:
         self.name = name or GeneratorSpec("custom")
         self._faces = None
         self._dist = None
+        self._face_grid = None
         structure = ndimage.generate_binary_structure(mask.ndim, 1)
         _, ncomp = ndimage.label(mask, structure=structure)
         self.connected = ncomp == 1
-
-    def __getstate__(self):
-        # the boundary and distance caches are rebuilt on demand and can be
-        # far larger than the mask, so pickles leave them out
-        return {**self.__dict__, "_faces": None, "_dist": None,
-                "_face_grid": None}
 
     @property
     def n(self) -> int:
@@ -137,7 +132,7 @@ class VoxelDomain:
 
     def boundary_face_lookup(self) -> np.ndarray:
         """Bool array over the doubled grid marking boundary face centroids."""
-        if getattr(self, "_face_grid", None) is None:
+        if self._face_grid is None:
             _, coords = self.boundary_faces_doubled()
             shape2 = tuple(2 * s + 1 for s in self.mask.shape)
             grid = np.zeros(shape2, dtype=bool)

@@ -29,6 +29,7 @@ from .perimeter import (
     weighted_boundary_integral,
 )
 from .whitney import (
+    SmoothedIndicator,
     WhitneyDecomposition,
     _box_count_batch,
     _integral_image,
@@ -43,8 +44,6 @@ from .whitney import (
 @dataclass
 class ExtensionParams:
     p: float
-    c_squared_times: int | None = None  # (c*l)^2 = c2x * l^2; default 400*n
-    eval_level: int | None = None       # smoothing grid level for lemma ratios
     lemma_ratios: bool = True
 
     def __post_init__(self):
@@ -169,83 +168,99 @@ def select_A0(A_prime: VoxelSet, We: WhitneyDecomposition,
         np.nonzero(picked)[0].tolist(), np.nonzero(clipped)[0].tolist()
 
 
+@dataclass
+class ExtensionGeometry:
+    """The p-free part of extending one set: A', A0, A~, the touching
+    masses and, when lemma ratios are on, the smoothed indicator of A'.
+    `report(p)` adds the dist^(1-p) sums for one exponent."""
+    A: VoxelSet
+    A_prime: VoxelSet
+    A0: VoxelSet
+    A_tilde: VoxelSet
+    aprime_ids: list[int]
+    a0_ids: list[int]
+    a0_clipped: list[int]
+    dist: DistanceField
+    lhs_touch: float
+    lhs_touch_new: float
+    flags: list[str]
+    smoothed: SmoothedIndicator | None = None
+    fallback: bool = False
+
+    def report(self, p: float) -> InequalityReport:
+        dist = self.dist
+        rhs = weighted_boundary_integral(self.A, p, dist, "interior")[0]
+        flags = list(self.flags)
+        l31 = l32 = l33 = math.nan
+        if self.smoothed is not None:
+            aprime_int = weighted_boundary_integral(self.A_prime, p, dist,
+                                                    "interior")[0]
+            l31, f31 = _ratio(aprime_int, rhs, "lemma31")
+            energy = gradient_energy(self.smoothed, p)
+            l32, f32 = _ratio(energy, aprime_int, "lemma32")
+            l33, f33 = verify_lemma_33(self.A0, energy, p, dist)
+            flags += f31 + f32 + f33
+        lhs_ext, lhs_int = (weighted_boundary_integral(self.A_tilde, p, dist,
+                                                       side)[0]
+                            for side in ("exterior", "interior"))
+        ratio, rflags = _ratio(lhs_ext + lhs_int, rhs, "ratio")
+        return InequalityReport(self.A.K, p, rhs, lhs_ext, lhs_int,
+                                self.lhs_touch, ratio, l31, l32, l33,
+                                self.lhs_touch_new, flags + rflags)
+
+    def result(self, p: float) -> ExtensionResult:
+        return ExtensionResult(self.A, self.A_prime, self.A0, self.A_tilde,
+                               self.aprime_ids, self.a0_ids, self.a0_clipped,
+                               self.report(p), fallback=self.fallback)
+
+
 def extend_set(A: VoxelSet, W: WhitneyDecomposition, We: WhitneyDecomposition,
                dist: DistanceField, params: ExtensionParams) -> ExtensionResult:
+    return extend_geometry(A, W, We, dist, params.lemma_ratios).result(params.p)
+
+
+def extend_geometry(A: VoxelSet, W: WhitneyDecomposition,
+                    We: WhitneyDecomposition, dist: DistanceField,
+                    lemma_ratios: bool = True) -> ExtensionGeometry:
+    """A -> A' -> A0 -> A~ and everything else that does not depend on p;
+    A' is smoothed here, once, only when lemma ratios are on."""
     dom = W.domain
-    p = params.p
-    rhs, _rhs_touch = weighted_boundary_integral(A, p, dist, "interior")
-    flags = []
     # the finiteness hypothesis on the interior integral: interior-classified
     # faces at zero distance would make the continuum integral infinite
     afaces = boundary_faces(A)
-    int_sel = afaces.classification == INTERIOR
-    proxy = 0.0
-    if int_sel.any():
-        d2 = dist.d2_at_doubled(afaces.coords[int_sel])
-        proxy = float((d2 <= 1).sum()) * afaces.face_area
-    if proxy > 0.0:
-        flags.append("rhs-touching-fallback")
-        empty = VoxelSet(dom.K, dom.lo_int, np.zeros(dom.mask.shape, bool),
-                         parent=dom, require_subset=False)
-        report = _build_report(A, A, dom, dist, params, rhs, math.nan,
-                               math.nan, math.nan, flags)
-        return ExtensionResult(A, empty, empty, A, [], [], [], report,
-                               fallback=True)
+    inner = afaces.coords[afaces.classification == INTERIOR]
+    if (dist.d2_at_doubled(inner) <= 1).any():
+        empty = VoxelSet.from_domain(dom, np.zeros(dom.shape, bool))
+        return ExtensionGeometry(A, empty, empty, A, [], [], [], dist,
+                                 *_touching_masses(A, A, dist),
+                                 ["rhs-touching-fallback"], fallback=True)
 
     A_prime, ap_ids = select_A_prime(A, W)
-    A0, a0_ids, clipped = select_A0(A_prime, We, params.c_squared_times)
-    if clipped:
-        flags.append(f"clipped-dilates:{len(clipped)}")
-    tilde_mask = A.mask | A0.mask
-    A_tilde = VoxelSet(dom.K, dom.lo_int, tilde_mask, parent=dom,
-                       require_subset=False)
+    A0, a0_ids, clipped = select_A0(A_prime, We)
+    flags = [f"clipped-dilates:{len(clipped)}"] if clipped else []
+    A_tilde = VoxelSet.from_domain(dom, A.mask | A0.mask, require_subset=False)
     assert np.array_equal(A_tilde.mask & dom.mask, A.mask), \
         "extension altered the set inside the domain"
-
-    l31 = l32 = l33 = math.nan
-    if params.lemma_ratios:
-        aprime_int = weighted_boundary_integral(A_prime, p, dist, "interior")[0]
-        l31, f31 = _ratio(aprime_int, rhs, "lemma31")
-        flags += f31
-        si = smooth_indicator(W, A_prime.mask, eval_level=params.eval_level)
-        energy = gradient_energy(si, p)
-        l32, f32 = _ratio(energy, aprime_int, "lemma32")
-        flags += f32
-        l33, f33 = verify_lemma_33(A0, energy, p, dist)
-        flags += f33
-    report = _build_report(A, A_tilde, dom, dist, params, rhs, l31, l32, l33,
-                           flags)
-    return ExtensionResult(A, A_prime, A0, A_tilde, ap_ids, a0_ids, clipped,
-                           report)
+    smoothed = smooth_indicator(W, A_prime.mask) if lemma_ratios else None
+    return ExtensionGeometry(A, A_prime, A0, A_tilde, ap_ids, a0_ids, clipped,
+                             dist, *_touching_masses(A, A_tilde, dist), flags,
+                             smoothed)
 
 
-def _build_report(A, A_tilde, dom, dist, params, rhs, l31, l32, l33, flags):
-    p = params.p
-    faces = boundary_faces(A_tilde)
-    d2 = dist.d2_at_doubled(faces.coords)
-    area = faces.face_area
-    touching = (faces.classification == ON_BOUNDARY) | (d2 <= 1)
-    lhs_touch = float(touching.sum()) * area
-    # subtract the touching faces A already owns (e.g. a set boundary that
-    # runs along the domain boundary is carried by every valid extension)
-    afaces = boundary_faces(A)
-    ad2 = dist.d2_at_doubled(afaces.coords)
-    a_touch = (afaces.classification == ON_BOUNDARY) | (ad2 <= 1)
-    own = {
-        (int(ax), tuple(int(v) for v in row))
-        for ax, row in zip(afaces.axes[a_touch], afaces.coords[a_touch])
-    }
-    new = 0
-    for ax, row in zip(faces.axes[touching], faces.coords[touching]):
-        if (int(ax), tuple(int(v) for v in row)) not in own:
-            new += 1
-    lhs_touch_new = new * area
-    lhs_ext = weighted_boundary_integral(A_tilde, p, dist, "exterior")[0]
-    lhs_int = weighted_boundary_integral(A_tilde, p, dist, "interior")[0]
-    ratio, rflags = _ratio(lhs_ext + lhs_int, rhs, "ratio")
-    return InequalityReport(dom.K, p, rhs, lhs_ext, lhs_int, lhs_touch,
-                            ratio, l31, l32, l33, lhs_touch_new,
-                            flags + rflags)
+def _touching_masses(A, A_tilde, dist) -> tuple[float, float]:
+    """Area of A~'s faces touching the domain boundary, and the part of it
+    that A's own touching faces do not carry (a set boundary that runs along
+    the domain boundary is carried by every valid extension)."""
+    touch = []
+    for S in (A_tilde, A):
+        faces = boundary_faces(S)
+        d2 = dist.d2_at_doubled(faces.coords)
+        touch.append(faces.coords[(faces.classification == ON_BOUNDARY)
+                                  | (d2 <= 1)])
+    # faces are unique per set, so |T u O| - |O| counts T \ O
+    new = len(np.unique(np.concatenate(touch), axis=0)) - len(touch[1])
+    area = A.h ** (A.n - 1)
+    return float(len(touch[0])) * area, new * area
 
 
 def _ratio(num: float, den: float, tag: str) -> tuple[float, list[str]]:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .domain import VoxelDomain, root_tiling_level
@@ -641,10 +642,16 @@ def cube_averages(dec: WhitneyDecomposition, F_mask: np.ndarray) -> np.ndarray:
     return out
 
 
+# num, den and u (8 B each), the gradient (8n B) and the two coverage masks
+# (1 B each) per evaluation cell may take at most this many bytes together
+SMOOTH_BUDGET_BYTES = 4 * 2**30
+
+
 def smooth_indicator(dec: WhitneyDecomposition, F_mask: np.ndarray,
                      eval_level: int | None = None) -> SmoothedIndicator:
     """u = sum_i psi_i * a_i sampled on a uniform evaluation grid with
-    spacing l(Q_min)/8 (overridable), gradient by central differences."""
+    spacing l(Q_min)/8 (overridable), gradient by central differences.
+    Grids over SMOOTH_BUDGET_BYTES are refused before allocation."""
     dom = dec.domain
     n = dom.n
     a = cube_averages(dec, F_mask)
@@ -656,6 +663,11 @@ def smooth_indicator(dec: WhitneyDecomposition, F_mask: np.ndarray,
     lo = np.floor(boxes[:, :n].min(axis=0) / h_eval).astype(int) - 2
     hi = np.ceil(boxes[:, n:].max(axis=0) / h_eval).astype(int) + 2
     shape = tuple(int(v) for v in hi - lo)
+    need = math.prod(shape) * (8 * (3 + n) + 2)
+    if need > SMOOTH_BUDGET_BYTES:
+        raise PreconditionNotMet(
+            f"smoothing grid {shape} needs {need / 2**30:.1f} GiB, over the "
+            f"{SMOOTH_BUDGET_BYTES / 2**30:g} GiB budget")
     axes = [(np.arange(s) + lo[d] + 0.5) * h_eval for d, s in enumerate(shape)]
     num = np.zeros(shape)
     den = np.zeros(shape)
@@ -672,8 +684,6 @@ def smooth_indicator(dec: WhitneyDecomposition, F_mask: np.ndarray,
     covered = den > 0.0
     u = np.where(covered, num / np.where(covered, den, 1.0), 0.0)
     grad = np.stack(np.gradient(u, h_eval), axis=0)
-    from scipy import ndimage
-
     structure = ndimage.generate_binary_structure(n, 1)
     grad_valid = ndimage.binary_erosion(covered, structure=structure)
     return SmoothedIndicator(dec, a, h_eval,

@@ -22,7 +22,7 @@ from sobex.curves import (
 from sobex.distance import brute_force_d2, distance_transform
 from sobex.domain import VoxelDomain, build_domain
 from sobex.errors import CollarPoint
-from sobex.extension import ExtensionParams, extend_set, select_A_prime, \
+from sobex.extension import extend_geometry, select_A_prime, \
     verify_lemma_31, verify_lemma_33
 from sobex.perimeter import (
     VoxelSet,
@@ -247,10 +247,10 @@ def extension_runs():
             dist = distance_transform(dom)
             W = whitney_decompose(dom, K)
             We = exterior_whitney(dom, K)
-            A = _make_set(dom, kind)
+            # one geometry per (case, K), reported at every p
+            geom = extend_geometry(_make_set(dom, kind), W, We, dist)
             for p in (1.25, 1.5, 1.75):
-                res = extend_set(A, W, We, dist, ExtensionParams(p=p))
-                out[(tag, K, p)] = res
+                out[(tag, K, p)] = geom.result(p)
     return out
 
 

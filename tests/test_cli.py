@@ -4,8 +4,12 @@ import os
 
 import pytest
 
-from sobex.cli import main
+from sobex.cli import main, make_set
 from sobex.config import RunManifest
+from sobex.distance import distance_transform
+from sobex.domain import VoxelDomain, build_domain
+from sobex.extension import ExtensionParams, InequalityReport, extend_set
+from sobex.whitney import exterior_whitney, whitney_decompose
 
 
 def run(args):
@@ -71,6 +75,33 @@ def test_extend_seed_only_affects_seeded_sets(tmp_path):
         rows[out] = open(os.path.join(out, "inequality.csv")).read()
     # the half set is deterministic: different seeds, identical rows
     assert rows[out1] == rows[out2]
+
+
+@pytest.mark.parametrize("kind", ["half", "random"])
+def test_extend_rows_match_per_cell_extend_set(tmp_path, kind):
+    """`extend` shares one geometry across --p; each row must equal a
+    separate extend_set call on freshly built objects."""
+    out = str(tmp_path)
+    ps = (1.25, 1.5, 1.75)
+    assert run(["--out", out, "gen", "--domain", "ball", "--K", "5",
+                "--margin", "2"]) == 0
+    dom_file = os.path.join(out, "domain.voxd")
+    assert run(["--out", out, "--seed", "3", "extend", "--domain-file",
+                dom_file, "--set", kind, "--refine", "1",
+                "--p", *map(str, ps)]) == 0
+    spec = VoxelDomain.load(dom_file).name
+    expected = [InequalityReport.CSV_HEADER]
+    for K in (5, 6):
+        for p in ps:
+            dom = build_domain(spec, K)
+            dist = distance_transform(dom)
+            W = whitney_decompose(dom, K)
+            We = exterior_whitney(dom, K)
+            A = make_set(dom, kind, seed=3)
+            res = extend_set(A, W, We, dist, ExtensionParams(p=p))
+            expected.append(res.report.csv_row())
+    with open(os.path.join(out, "inequality.csv")) as f:
+        assert f.read().splitlines() == expected
 
 
 def test_report_empty_dir_exit_2(tmp_path, capsys):
@@ -230,4 +261,4 @@ def test_old_string_config_hash_is_replaced(tmp_path):
     assert run(["--out", out, "cantor", "--depth", "1"]) == 0
     payload = _manifest(out)
     assert set(payload["config_hash"]) == {"cantor"}
-    assert set(payload["timings"]) == {"gen", "cantor"}
+    assert set(payload["timings"]) == {"cantor"}

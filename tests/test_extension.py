@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sobex import extension
 from sobex.distance import distance_transform
 from sobex.domain import build_domain
+from sobex.errors import PreconditionNotMet
 from sobex.extension import (
     ExtensionParams,
+    extend_geometry,
     extend_set,
     select_A0,
     select_A_prime,
@@ -20,7 +23,12 @@ from sobex.extension import (
     verify_lemma_34,
 )
 from sobex.perimeter import VoxelSet
-from sobex.whitney import cube_averages, exterior_whitney, whitney_decompose
+from sobex.whitney import (
+    cube_averages,
+    exterior_whitney,
+    smooth_indicator,
+    whitney_decompose,
+)
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +328,72 @@ def test_random_sets_lemma_ratios_finite(disk_setup):
         assert math.isfinite(r.ratio)
         assert math.isfinite(r.lemma31)
         assert math.isfinite(r.lemma32)
+
+
+def test_touching_masses_match_face_set_loop(disk_setup):
+    from sobex.perimeter import ON_BOUNDARY, boundary_faces
+
+    dom, dist, W, We = disk_setup
+    rng = np.random.default_rng(5)
+    A = VoxelSet.from_domain(dom, (rng.random(dom.shape) < 0.5) & dom.mask)
+
+    def touching(S):
+        faces = boundary_faces(S)
+        d2 = dist.d2_at_doubled(faces.coords)
+        sel = (faces.classification == ON_BOUNDARY) | (d2 <= 1)
+        return {(int(ax), tuple(int(v) for v in row))
+                for ax, row in zip(faces.axes[sel], faces.coords[sel])}
+
+    res = extend_set(A, W, We, dist, ExtensionParams(p=1.5, lemma_ratios=False))
+    rep = res.report
+    tilde, own = touching(res.A_tilde), touching(A)
+    area = dom.h ** (dom.n - 1)
+    assert rep.lhs_touching == float(len(tilde)) * area
+    assert rep.lhs_touching_new == len(tilde - own) * area
+    assert rep.lhs_touching_new > 0
+
+
+def _count_smoothing(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return smooth_indicator(*args, **kwargs)
+
+    monkeypatch.setattr(extension, "smooth_indicator", counted)
+    return calls
+
+
+def test_no_smoothing_without_lemma_ratios(disk_setup, monkeypatch):
+    dom, dist, W, We = disk_setup
+    calls = _count_smoothing(monkeypatch)
+    res = extend_set(left_half(dom), W, We, dist,
+                     ExtensionParams(p=1.5, lemma_ratios=False))
+    assert calls == []
+    assert math.isnan(res.report.lemma32)
+
+
+def test_one_smoothing_for_every_p(disk_setup, monkeypatch):
+    dom, dist, W, We = disk_setup
+    A = left_half(dom)
+    calls = _count_smoothing(monkeypatch)
+    geom = extend_geometry(A, W, We, dist)
+    reports = [geom.report(p) for p in (1.25, 1.5, 1.75)]
+    assert len(calls) == 1
+    # each shared-geometry report is the one extend_set gives on its own
+    monkeypatch.undo()
+    for rep in reports:
+        alone = extend_set(A, W, We, dist, ExtensionParams(p=rep.p)).report
+        assert rep.csv_row() == alone.csv_row()
+        assert rep.lhs_touching_new == alone.lhs_touching_new
+        assert rep.flags == alone.flags
+
+
+def test_smoothing_budget_refuses_before_allocating(disk_setup):
+    dom, dist, W, We = disk_setup
+    # a 2^40-per-axis grid over the disk: refused from its shape alone
+    with pytest.raises(PreconditionNotMet, match="budget"):
+        smooth_indicator(W, dom.mask, eval_level=40)
 
 
 # -- differential check of the per-level cube kernels ------------------------
