@@ -692,12 +692,13 @@ def smooth_indicator(dec: WhitneyDecomposition, F_mask: np.ndarray,
 
 
 def gradient_energy(si: SmoothedIndicator, p: float) -> float:
-    """Integral of |grad u|^p over the covered region."""
+    """Integral of |grad u|^p over the covered region; the cell sum is
+    correctly rounded (math.fsum), so it does not depend on cell order."""
     g2 = np.zeros(si.u.shape)
     for d in range(si.grad.shape[0]):
         g2 += si.grad[d] ** 2
     vals = g2[si.grad_valid] ** (p / 2.0)
-    return float(vals.sum()) * si.h_eval ** si.u.ndim
+    return math.fsum(vals.tolist()) * si.h_eval ** si.u.ndim
 
 
 # ---------------------------------------------------------------------------
