@@ -10,11 +10,11 @@ automatically for accepted cubes and is asserted.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .domain import VoxelDomain, root_tiling_level
@@ -36,7 +36,6 @@ class WhitneyDecomposition:
     collar_cubes: list[DyadicCube] = field(default_factory=list)
     collar_measure: float = 0.0
     _nbrs: list[list[int]] | None = None
-    _level_index: dict | None = None
     _arrays: dict = field(default_factory=dict)
 
     @property
@@ -64,15 +63,6 @@ class WhitneyDecomposition:
         if self._nbrs is None:
             self._nbrs = _build_neighbor_graph(self.cubes, self.scale_level)
         return self._nbrs
-
-    def cube_lookup(self):
-        """Per-level map from absolute dyadic index to cube id."""
-        if self._level_index is None:
-            by_level: dict[int, dict[tuple, int]] = {}
-            for i, q in enumerate(self.cubes):
-                by_level.setdefault(q.level, {})[q.index] = i
-            self._level_index = by_level
-        return self._level_index
 
     def min_side_level(self) -> int:
         return max(q.level for q in self.cubes)
@@ -476,48 +466,69 @@ class PartitionOfUnity:
         self.dec = dec
         self._boxes, self._radii = _cube_boxes(dec)
 
-    def candidates(self, x) -> list[int]:
-        """Cube ids whose support can contain the point."""
-        lookup = self.dec.cube_lookup()
-        n = self.dec.domain.n
-        out = []
-        for level, idx_map in lookup.items():
-            s = 2.0**-level
-            base = [int(np.floor(x[d] / s)) for d in range(n)]
-            for off in _OFFSETS[n]:
-                key = tuple(base[d] + off[d] for d in range(n))
-                i = idx_map.get(key)
-                if i is not None:
-                    out.append(i)
-        return out
-
     def evaluate(self, x) -> list[tuple[int, float]]:
         """Nonzero (cube id, psi_i(x)) pairs; raises CollarPoint when x lies
         in the domain but outside the covered region."""
         x = np.asarray(x, dtype=float)
-        cand = self.candidates(x)
-        vals = []
-        covered = False
-        for i in cand:
-            phi = float(_bump(self._boxes[i], self._radii[i], x))
-            if _point_in_closed_box(x, self._boxes[i], self.dec.domain.n):
-                covered = True
-            if phi > 0.0:
-                vals.append((i, phi))
-        if not covered:
-            cell = tuple(
-                int(np.floor(x[d] / self.dec.domain.h)) - self.dec.domain.lo_int[d]
-                for d in range(self.dec.domain.n)
-            )
-            inside = all(
-                0 <= cell[d] < self.dec.domain.mask.shape[d]
-                for d in range(self.dec.domain.n)
-            ) and bool(self.dec.side_mask()[cell])
-            if inside:
-                raise CollarPoint(f"point {tuple(x)} lies in the truncation collar")
-            raise PreconditionNotMet(f"point {tuple(x)} is outside the region")
-        total = sum(v for _, v in vals)
-        return [(i, v / total) for i, v in vals]
+        _, ids, psi, covered = self.evaluate_many(x[None, :])
+        if not covered[0]:
+            raise CollarPoint(f"point {tuple(x)} lies in the truncation collar")
+        return [(int(i), float(v)) for i, v in zip(ids, psi)]
+
+    def evaluate_many(self, pts):
+        """psi at an (m, n) array of points: (point, cube id, psi) arrays of
+        the nonzero weights and the (m,) covered mask.  The candidates of a
+        point are, level by level in the order the cubes list them, the 3^n
+        cubes around it; its weights follow that order and are summed in it.
+        Points in the truncation collar are not covered and get no weights;
+        a point outside the region raises PreconditionNotMet."""
+        dom = self.dec.domain
+        n = dom.n
+        pts = np.asarray(pts, dtype=float).reshape(-1, n)
+        m = len(pts)
+        levels, idx = self.dec._cube_arrays()
+        first = np.sort(np.unique(levels, return_index=True)[1])
+        covered = np.zeros(m, dtype=bool)
+        total = np.zeros(m)
+        found = []
+        for k in levels[first]:
+            ids = np.nonzero(levels == k)[0]
+            lo = idx[ids].min(axis=0) - 1
+            span = idx[ids].max(axis=0) - lo + 2
+            keys = np.ravel_multi_index(tuple((idx[ids] - lo).T), span)
+            order = np.argsort(keys)
+            keys, ids = keys[order], ids[order]
+            base = np.floor(pts / 2.0**-int(k)).astype(np.int64) - lo
+            for off in itertools.product((-1, 0, 1), repeat=n):
+                cell = base + off
+                ok = np.all((cell >= 0) & (cell < span), axis=1)
+                key = np.ravel_multi_index(tuple(cell[ok].T), span)
+                at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+                hit = keys[at] == key
+                p = np.nonzero(ok)[0][hit]
+                i = ids[at[hit]]
+                box = self._boxes[i].T
+                phi = _bump(box, self._radii[i], pts[p].T)
+                covered[p] |= np.all((box[:n] <= pts[p].T)
+                                     & (pts[p].T <= box[n:]), axis=0)
+                pos = phi > 0.0
+                total[p[pos]] += phi[pos]
+                found.append((p[pos], i[pos], phi[pos]))
+        p, i, phi = (np.concatenate(v) for v in zip(*found))
+        lost = np.nonzero(~covered)[0]
+        if len(lost):
+            cell = np.floor(pts[lost] / dom.h).astype(np.int64) - dom.lo_int
+            inside = np.all((cell >= 0) & (cell < dom.mask.shape), axis=1)
+            inside[inside] = self.dec.side_mask()[tuple(cell[inside].T)]
+            if not inside.all():
+                x = pts[lost[~inside][0]]
+                raise PreconditionNotMet(
+                    f"point {tuple(x)} is outside the region")
+        order = np.argsort(p, kind="stable")
+        p, i, phi = p[order], i[order], phi[order]
+        keep = covered[p]
+        p, i, phi = p[keep], i[keep], phi[keep]
+        return p, i, phi / total[p], covered
 
     def gradient_constant(self, max_cubes: int = 400, seed: int = 0) -> float:
         """Measured sup |grad psi_i| * l(Q_i) over structured probe lines
@@ -604,16 +615,6 @@ def _bump(box: np.ndarray, r: float, x) -> np.ndarray:
     return np.where(t >= 1.0, 0.0, 1.0 - t * t * (3.0 - 2.0 * t))
 
 
-_OFFSETS = {
-    2: [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)],
-    3: [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)],
-}
-
-
-def _point_in_closed_box(x, box, n) -> bool:
-    return all(box[d] <= x[d] <= box[n + d] for d in range(n))
-
-
 # ---------------------------------------------------------------------------
 # smoothing operator
 # ---------------------------------------------------------------------------
@@ -621,14 +622,24 @@ def _point_in_closed_box(x, box, n) -> bool:
 
 @dataclass
 class SmoothedIndicator:
+    """u = sum_i psi_i a_i on the band of a uniform evaluation grid.
+
+    The grid has `shape` cells of side h_eval from `grid_lo`, but only the
+    band cells listed in `flat` (sorted C-order indices) are evaluated.  Off
+    the band every support that reaches a cell belongs to a cube of the same
+    average 0 or 1, so u is exactly 0.0 or 1.0 there (0.0 where uncovered)
+    and its central difference on a covered stencil is exactly 0.
+    """
     dec: WhitneyDecomposition
     a: np.ndarray            # cube averages in [0,1]
     h_eval: float
     grid_lo: tuple[float, ...]
-    u: np.ndarray
-    grad: np.ndarray         # (n, ...) central differences
-    covered: np.ndarray      # points inside the cube union
-    grad_valid: np.ndarray   # full central-difference stencil covered
+    shape: tuple[int, ...]   # the evaluation grid, never allocated
+    flat: np.ndarray         # (m,) band cells, sorted C-order grid indices
+    u: np.ndarray            # (m,) u at the band cells
+    grad: np.ndarray         # (n, m) central differences where grad_valid
+    covered: np.ndarray      # (m,) cell center inside some support
+    grad_valid: np.ndarray   # (m,) full central-difference stencil covered
 
 
 def cube_averages(dec: WhitneyDecomposition, F_mask: np.ndarray) -> np.ndarray:
@@ -642,16 +653,148 @@ def cube_averages(dec: WhitneyDecomposition, F_mask: np.ndarray) -> np.ndarray:
     return out
 
 
-# num, den and u (8 B each), the gradient (8n B) and the two coverage masks
-# (1 B each) per evaluation cell may take at most this many bytes together
+# The band's arrays and temporaries may take at most this many bytes.
 SMOOTH_BUDGET_BYTES = 4 * 2**30
+# band cells evaluated at a time; each chunk holds (cube, cell) pairs
+_BAND_CHUNK = 2**16
+
+
+def _band_bytes(rows: float, cells: float, n: int) -> float:
+    """Peak bytes of a band of `cells` cells cut from pieces of `rows` grid
+    rows: 48 B per row (interval ends, their sort order and copies); per
+    cell the larger of the run expansion (32 B) and what the band keeps
+    (flat index, u, the n gradient components and two masks: 18 + 8n B);
+    and one chunk of (cube, cell) pairs, at most 8 per cell, each with its
+    ids, coordinates, box and bump temporaries (128 + 24n B)."""
+    return (48 * rows + max(32, 18 + 8 * n) * cells
+            + _BAND_CHUNK * 8 * (128 + 24 * n))
+
+
+def _refuse_over_budget(rows: float, cells: float, n: int, what: str):
+    need = _band_bytes(rows, cells, n)
+    if need > SMOOTH_BUDGET_BYTES:
+        raise PreconditionNotMet(
+            f"smoothing band of {what} needs {need / 2**30:.1f} GiB, over the "
+            f"{SMOOTH_BUDGET_BYTES / 2**30:g} GiB budget")
+
+
+def _expand(lo: np.ndarray, hi: np.ndarray):
+    """(range number, member) for every member of the integer ranges
+    [lo, hi), ranges in order and members ascending within each."""
+    cnt = np.maximum(hi - lo, 0)
+    item = np.repeat(np.arange(len(cnt)), cnt)
+    start = np.cumsum(cnt) - cnt
+    return item, np.arange(len(item)) + np.repeat(lo - start, cnt)
+
+
+def _near_pairs(s0: np.ndarray, s1: np.ndarray, levels: np.ndarray):
+    """Pairs (i, j), i != j, of the nonempty index boxes [s0, s1) whose
+    one-cell dilates intersect.  Boxes of one level have nearly one size, so
+    a KD-tree query per pair of levels (L-infinity on doubled centers) finds
+    the candidates, and an integer test keeps the exact pairs."""
+    c = s0 + s1
+    w = s1 - s0
+    live = np.all(w > 0, axis=1)
+    groups = [np.nonzero(live & (levels == k))[0] for k in np.unique(levels)]
+    groups = [g for g in groups if len(g)]
+    trees = [cKDTree(c[g]) for g in groups]
+    pi, pj = [], []
+    for x, gx in enumerate(groups):
+        for y in range(x, len(groups)):
+            gy = groups[y]
+            reach = float(w[gx].max() + w[gy].max() + 2)
+            hit = trees[x].sparse_distance_matrix(
+                trees[y], reach + 0.5, p=np.inf, output_type="ndarray")
+            i, j = gx[hit["i"]], gy[hit["j"]]
+            if x == y:
+                i, j = i[i < j], j[i < j]
+            pi.append(i)
+            pj.append(j)
+    i = np.concatenate(pi) if pi else np.empty(0, dtype=np.int64)
+    j = np.concatenate(pj) if pj else np.empty(0, dtype=np.int64)
+    near = np.all(np.abs(c[i] - c[j]) <= w[i] + w[j] + 2, axis=1)
+    return i[near], j[near]
+
+
+def _band_flat(s0, s1, a, levels, shape) -> np.ndarray:
+    """Sorted C-order indices of the band cells.
+
+    A cell c adds to the energy only if u(c + e) != u(c - e) on some axis.
+    Then c + e or c - e lies in a support with a fractional average, or in
+    two supports with different averages, or the two lie in such supports
+    apart; so c lies in the one-cell dilate of a fractional support or in
+    the one-cell dilates of two supports with different averages.  The
+    stencil adds one more cell: the band is the two-cell dilates of the
+    fractional supports and the intersections of the two-cell dilates of
+    every such pair.  Each piece is a box; the pieces are cut into grid rows
+    and the row intervals merged.
+    """
+    n = len(shape)
+    i, j = _near_pairs(s0, s1, levels)
+    keep = a[i] != a[j]
+    i, j = i[keep], j[keep]
+    frac = np.nonzero(np.all(s1 > s0, axis=1) & (a > 0.0) & (a < 1.0))[0]
+    lo = np.concatenate([np.maximum(s0[i], s0[j]) - 2, s0[frac] - 2])
+    hi = np.concatenate([np.minimum(s1[i], s1[j]) + 2, s1[frac] + 2])
+    lo = np.clip(lo, 0, shape)
+    hi = np.clip(hi, 0, shape)
+    ext = hi - lo
+    lo, hi, ext = (v[np.all(ext > 0, axis=1)] for v in (lo, hi, ext))
+    rows = float(np.prod(ext[:, :-1].astype(np.float64), axis=1).sum())
+    _refuse_over_budget(rows, 0, n, f"{rows:.3g} piece rows")
+    item = np.arange(len(lo))
+    prefix = np.zeros(len(lo), dtype=np.int64)
+    for d in range(n - 1):
+        it, val = _expand(lo[item, d], hi[item, d])
+        item = item[it]
+        prefix = prefix[it] * shape[d] + val
+    if len(item) == 0:
+        return np.empty(0, dtype=np.int64)
+    start = prefix * shape[-1] + lo[item, -1]
+    end = prefix * shape[-1] + hi[item, -1]
+    # union of the flat intervals [start, end): a run starts where an
+    # interval begins after every earlier one has ended
+    order = np.argsort(start, kind="stable")
+    start, end = start[order], np.maximum.accumulate(end[order])
+    new = np.ones(len(start), dtype=bool)
+    new[1:] = start[1:] > end[:-1]
+    last = np.append(np.nonzero(new)[0][1:] - 1, len(start) - 1)
+    run_lo, run_hi = start[new], end[last]
+    cells = int((run_hi - run_lo).sum())
+    _refuse_over_budget(rows, cells, n, f"{cells} cells")
+    return _expand(run_lo, run_hi)[1]
+
+
+def _box_members(flat, shape, s0, s1):
+    """(box, position) of every cell of the sorted C-order indices `flat`
+    inside each box [s0, s1): boxes in the given order, positions ascending
+    within each.  The search descends one axis at a time through the
+    distinct prefixes (coordinates 0..d) of the cells, so a box visits only
+    the rows of cells it meets."""
+    n = len(shape)
+    box = np.arange(len(s0))
+    base = np.zeros(len(s0), dtype=np.int64)
+    for d in range(n):
+        ukeys = np.unique(flat // math.prod(shape[d + 1:])) if d < n - 1 \
+            else flat
+        lo = np.searchsorted(ukeys, base * shape[d] + s0[box, d])
+        hi = np.searchsorted(ukeys, base * shape[d] + s1[box, d])
+        it, pos = _expand(lo, hi)
+        box = box[it]
+        base = ukeys[pos]
+    return box, pos
 
 
 def smooth_indicator(dec: WhitneyDecomposition, F_mask: np.ndarray,
                      eval_level: int | None = None) -> SmoothedIndicator:
-    """u = sum_i psi_i * a_i sampled on a uniform evaluation grid with
-    spacing l(Q_min)/8 (overridable), gradient by central differences.
-    Grids over SMOOTH_BUDGET_BYTES are refused before allocation."""
+    """u = sum_i psi_i * a_i on a uniform evaluation grid with spacing
+    l(Q_min)/8 (overridable), gradient by central differences, evaluated on
+    the band where u is not constant (see SmoothedIndicator).
+
+    Every band cell sums its covering cubes in ascending cube id through the
+    dense kernel, so its u, coverage and gradient equal those of the full
+    grid bit for bit.  Bands over SMOOTH_BUDGET_BYTES are refused before
+    allocation."""
     dom = dec.domain
     n = dom.n
     a = cube_averages(dec, F_mask)
@@ -660,45 +803,97 @@ def smooth_indicator(dec: WhitneyDecomposition, F_mask: np.ndarray,
     h_eval = 2.0**-eval_level
     boxes, radii = _cube_boxes(dec)
     # the grid only needs to cover the cube union (plus the support shells)
-    lo = np.floor(boxes[:, :n].min(axis=0) / h_eval).astype(int) - 2
-    hi = np.ceil(boxes[:, n:].max(axis=0) / h_eval).astype(int) + 2
+    lo = np.floor(boxes[:, :n].min(axis=0) / h_eval).astype(np.int64) - 2
+    hi = np.ceil(boxes[:, n:].max(axis=0) / h_eval).astype(np.int64) + 2
     shape = tuple(int(v) for v in hi - lo)
-    need = math.prod(shape) * (8 * (3 + n) + 2)
-    if need > SMOOTH_BUDGET_BYTES:
-        raise PreconditionNotMet(
-            f"smoothing grid {shape} needs {need / 2**30:.1f} GiB, over the "
-            f"{SMOOTH_BUDGET_BYTES / 2**30:g} GiB budget")
-    axes = [(np.arange(s) + lo[d] + 0.5) * h_eval for d, s in enumerate(shape)]
-    num = np.zeros(shape)
-    den = np.zeros(shape)
-    i0 = [np.searchsorted(axes[d], boxes[:, d] - radii) for d in range(n)]
-    i1 = [np.searchsorted(axes[d], boxes[:, n + d] + radii) for d in range(n)]
-    for i in range(len(boxes)):
-        sel = tuple(slice(i0[d][i], i1[d][i]) for d in range(n))
-        sub = [axes[d][sel[d]] for d in range(n)]
-        if any(s.size == 0 for s in sub):
-            continue
-        phi = _bump(boxes[i], radii[i], np.ix_(*sub))
-        num[sel] += a[i] * phi
-        den[sel] += phi
-    covered = den > 0.0
-    u = np.where(covered, num / np.where(covered, den, 1.0), 0.0)
-    grad = np.stack(np.gradient(u, h_eval), axis=0)
-    structure = ndimage.generate_binary_structure(n, 1)
-    grad_valid = ndimage.binary_erosion(covered, structure=structure)
+    if math.prod(shape) >= 2**62:
+        raise PreconditionNotMet(f"smoothing grid {shape} is over the 2^62-cell "
+                                 "index budget")
+    # support boxes [s0, s1): the cells whose centers (g + 1/2) h lie in
+    # [lo - r, hi + r), clipped to the grid
+    s0 = np.clip(np.ceil((boxes[:, :n] - radii[:, None]) / h_eval - 0.5)
+                 .astype(np.int64) - lo, 0, shape)
+    s1 = np.clip(np.ceil((boxes[:, n:] + radii[:, None]) / h_eval - 0.5)
+                 .astype(np.int64) - lo, 0, shape)
+    flat = _band_flat(s0, s1, a, dec.levels, shape)
+    u, covered = _band_values(flat, shape, lo, h_eval, boxes, radii, s0, s1, a)
+    grad, grad_valid = _band_gradient(flat, shape, h_eval, u, covered)
     return SmoothedIndicator(dec, a, h_eval,
-                             tuple(float(v) * h_eval for v in lo),
-                             u, grad, covered, grad_valid)
+                             tuple(float(v) * h_eval for v in lo), shape,
+                             flat, u, grad, covered, grad_valid)
+
+
+def _band_values(flat, shape, lo, h_eval, boxes, radii, s0, s1, a):
+    """u and coverage at the band cells, a chunk of cells at a time: the
+    (cube, cell) pairs of every support box meeting the chunk, the bump at
+    each, and per cell num and den summed in ascending cube id."""
+    n = len(shape)
+    m = len(flat)
+    strides = [math.prod(shape[d + 1:]) for d in range(n)]
+    live = np.nonzero(np.all(s1 > s0, axis=1))[0]
+    box_first = (s0[live] * strides).sum(axis=1)
+    box_last = ((s1[live] - 1) * strides).sum(axis=1)
+    u = np.empty(m)
+    covered = np.empty(m, dtype=bool)
+    for p0 in range(0, m, _BAND_CHUNK):
+        p1 = min(p0 + _BAND_CHUNK, m)
+        sub = flat[p0:p1]
+        ids = live[(box_first <= sub[-1]) & (box_last >= sub[0])]
+        box, pos = _box_members(sub, shape, s0[ids], s1[ids])
+        ids = ids[box]
+        cell = np.unravel_index(sub[pos], shape)
+        # the dense grid's coordinates: ((g + lo) + 1/2) h
+        x = [(cell[d] + lo[d] + 0.5) * h_eval for d in range(n)]
+        phi = _bump(boxes[ids].T, radii[ids], x)
+        # bincount adds each cell's weights in input order, which is
+        # ascending cube id, starting from 0.0: the dense accumulation
+        num = np.bincount(pos, weights=a[ids] * phi, minlength=p1 - p0)
+        den = np.bincount(pos, weights=phi, minlength=p1 - p0)
+        cov = den > 0.0
+        covered[p0:p1] = cov
+        u[p0:p1] = np.where(cov, num / np.where(cov, den, 1.0), 0.0)
+    return u, covered
+
+
+def _band_gradient(flat, shape, h_eval, u, covered):
+    """Central differences (u[+1] - u[-1]) / 2h, as np.gradient takes them,
+    at the band cells; valid where the cell and its 2n neighbours are
+    covered band cells."""
+    n = len(shape)
+    m = len(flat)
+    grad = np.zeros((n, m))
+    grad_valid = covered.copy()
+    for p0 in range(0, m, _BAND_CHUNK):
+        p1 = min(p0 + _BAND_CHUNK, m)
+        sub = flat[p0:p1]
+        cell = np.unravel_index(sub, shape)
+        for d in range(n):
+            side = []
+            for step in (1, -1):
+                nb = sub + step * math.prod(shape[d + 1:])
+                at = np.minimum(np.searchsorted(flat, nb), m - 1)
+                inside = (cell[d] + step >= 0) & (cell[d] + step < shape[d])
+                found = inside & (flat[at] == nb)
+                side.append(np.where(found, u[at], 0.0))
+                grad_valid[p0:p1] &= found & covered[at]
+            grad[d, p0:p1] = (side[0] - side[1]) / (2.0 * h_eval)
+    return grad, grad_valid
 
 
 def gradient_energy(si: SmoothedIndicator, p: float) -> float:
-    """Integral of |grad u|^p over the covered region; the cell sum is
-    correctly rounded (math.fsum), so it does not depend on cell order."""
-    g2 = np.zeros(si.u.shape)
-    for d in range(si.grad.shape[0]):
-        g2 += si.grad[d] ** 2
-    vals = g2[si.grad_valid] ** (p / 2.0)
-    return math.fsum(vals.tolist()) * si.h_eval ** si.u.ndim
+    """Integral of |grad u|^p over the covered region.  The cell sum is
+    correctly rounded (math.fsum), so it does not depend on cell order and
+    the cells off the band, where the gradient is 0, need not be visited;
+    the band is summed a chunk at a time."""
+    def terms():
+        for p0 in range(0, len(si.u), _BAND_CHUNK):
+            sl = slice(p0, p0 + _BAND_CHUNK)
+            g2 = np.zeros(len(si.u[sl]))
+            for d in range(len(si.grad)):
+                g2 += si.grad[d, sl] ** 2
+            vals = g2[si.grad_valid[sl]] ** (p / 2.0)
+            yield from vals[vals > 0.0].tolist()
+    return math.fsum(terms()) * si.h_eval ** len(si.grad)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from sobex.curves import (
 )
 from sobex.distance import brute_force_d2, distance_transform
 from sobex.domain import VoxelDomain, build_domain
-from sobex.errors import CollarPoint
 from sobex.extension import extend_geometry, select_A_prime, \
     verify_lemma_31, verify_lemma_33
 from sobex.perimeter import (
@@ -115,24 +114,20 @@ def test_criterion_2_partition_of_unity(acceptance_domains):
         pick = cells[rng.choice(len(cells), 10_000, replace=True)]
         pts = (pick + np.asarray(dom.lo_int)
                + rng.uniform(0.05, 0.95, pick.shape)) * dom.h
-        worst = 0.0
-        for x in pts:
-            try:
-                vals = pou.evaluate(x)
-            except CollarPoint:
-                continue
-            worst = max(worst, abs(sum(v for _, v in vals) - 1.0))
+        # collar points are not covered and carry no weights
+        point, _, psi, covered = pou.evaluate_many(pts)
+        sums = np.bincount(point, weights=psi, minlength=len(pts))
+        worst = float(np.abs(sums[covered] - 1.0).max())
         sum_ok = worst <= 1e-9
         # psi_i = 1 exactly at cube centers
         ids = rng.choice(len(dec.cubes), min(len(dec.cubes), 1500),
                          replace=False)
-        center_ok = True
-        for i in ids:
-            q = dec.cubes[int(i)]
-            vals = dict(pou.evaluate(np.array([float(v) for v in q.center()])))
-            if vals != {int(i): 1.0}:
-                center_ok = False
-                break
+        centers = np.array([[float(v) for v in dec.cubes[int(i)].center()]
+                            for i in ids])
+        point, cube, psi, covered = pou.evaluate_many(centers)
+        center_ok = (bool(covered.all())
+                     and np.array_equal(point, np.arange(len(ids)))
+                     and np.array_equal(cube, ids) and bool(np.all(psi == 1.0)))
         cpu = pou.gradient_constant(max_cubes=120)
         cpu_by_dim[dom.n].append(cpu)
         ok &= sum_ok and center_ok

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from sobex.distance import distance_transform
 from sobex.perimeter import VoxelSet, weighted_boundary_integral
 from sobex.whitney import (
     PartitionOfUnity,
+    _bump,
     audit_whitney,
     capacity_check,
     cube_averages,
@@ -19,6 +21,8 @@ from sobex.whitney import (
     smooth_indicator,
     whitney_decompose,
 )
+
+from dense_smoothing import assert_band_matches, dense_energy, dense_smooth
 
 
 def brute_force_whitney(dom, L_max):
@@ -147,35 +151,64 @@ def test_exterior_radial_symmetry(ball_k7):
 # -- partition of unity -----------------------------------------------------
 
 
+def _cube_lookup(dec):
+    """Per-level map from absolute dyadic index to cube id."""
+    lookup = {}
+    for i, q in enumerate(dec.cubes):
+        lookup.setdefault(q.level, {})[q.index] = i
+    return lookup
+
+
+def _evaluate_point_by_point(pou, lookup, x):
+    """The per-point partition-of-unity loop, kept as the reference for the
+    batched evaluation: candidates level by level in the order the cubes
+    list them, the 3^n neighbouring indices each, weights summed in that
+    order.  None for an uncovered point."""
+    n = pou.dec.domain.n
+    vals = []
+    covered = False
+    for level, idx_map in lookup.items():
+        base = [int(np.floor(x[d] / 2.0**-level)) for d in range(n)]
+        for off in itertools.product((-1, 0, 1), repeat=n):
+            i = idx_map.get(tuple(base[d] + off[d] for d in range(n)))
+            if i is None:
+                continue
+            box = pou._boxes[i]
+            phi = float(_bump(box, pou._radii[i], x))
+            covered |= all(box[d] <= x[d] <= box[n + d] for d in range(n))
+            if phi > 0.0:
+                vals.append((i, phi))
+    if not covered:
+        return None
+    total = sum(v for _, v in vals)
+    return [(i, v / total) for i, v in vals]
+
+
 def test_partition_sums_to_one(square_dec):
     pou = PartitionOfUnity(square_dec)
     rng = np.random.default_rng(3)
-    worst = 0.0
-    hits = 0
-    for _ in range(2000):
-        x = rng.uniform(0.02, 0.98, 2)
-        try:
-            vals = pou.evaluate(x)
-        except CollarPoint:
-            continue
-        hits += 1
-        worst = max(worst, abs(sum(v for _, v in vals) - 1.0))
-    assert hits > 1500
-    assert worst <= 1e-9
+    pts = rng.uniform(0.02, 0.98, (2000, 2))
+    point, _, psi, covered = pou.evaluate_many(pts)
+    sums = np.bincount(point, weights=psi, minlength=len(pts))
+    assert covered.sum() > 1500
+    assert np.abs(sums[covered] - 1.0).max() <= 1e-9
 
 
 def test_psi_equals_one_at_cube_centers(square_dec):
     pou = PartitionOfUnity(square_dec)
-    for i, q in enumerate(square_dec.cubes):
-        x = np.array([float(v) for v in q.center()])
-        vals = dict(pou.evaluate(x))
-        assert vals == {i: 1.0}
+    centers = np.array([[float(v) for v in q.center()]
+                        for q in square_dec.cubes])
+    point, ids, psi, covered = pou.evaluate_many(centers)
+    assert covered.all()
+    assert np.array_equal(point, np.arange(len(centers)))
+    assert np.array_equal(ids, np.arange(len(centers)))
+    assert np.all(psi == 1.0)
 
 
 def test_shared_face_symmetry(square_dec):
     # midpoint of the face between two equal-size neighbors: both weights 1/2
     pou = PartitionOfUnity(square_dec)
-    lookup = square_dec.cube_lookup()
+    lookup = _cube_lookup(square_dec)
     for i, q in enumerate(square_dec.cubes):
         j = lookup.get(q.level, {}).get((q.index[0] + 1, q.index[1]))
         if j is None:
@@ -207,6 +240,46 @@ def test_collar_point_raises():
         pou.evaluate(x)
 
 
+@pytest.mark.parametrize("case", ["square", "ball3"])
+def test_batched_partition_matches_point_by_point(case, square_dec):
+    if case == "square":
+        dec = square_dec
+    else:
+        dec = whitney_decompose(build_domain("ball", 4, r=0.5, dim=3), 5)
+    dom = dec.domain
+    pou = PartitionOfUnity(dec)
+    rng = np.random.default_rng(11)
+    cells = np.argwhere(dec.side_mask())
+    pick = cells[rng.choice(len(cells), 1500)]
+    pts = (pick + np.asarray(dom.lo_int) + rng.uniform(0, 1, pick.shape)) * dom.h
+    # cube centers and corners: points where psi is 1 or on support edges
+    pts = np.concatenate([pts] + [
+        np.array([[float(v) for v in f(q)] for q in dec.cubes[:300]])
+        for f in (lambda q: q.center(), lambda q: q.corner_hi())])
+    point, ids, psi, covered = pou.evaluate_many(pts)
+    lookup = _cube_lookup(dec)
+    collar = 0
+    for m, x in enumerate(pts):
+        ref = _evaluate_point_by_point(pou, lookup, x)
+        mine = [(int(i), float(v))
+                for i, v in zip(ids[point == m], psi[point == m])]
+        if ref is None:
+            collar += 1
+            assert not covered[m] and mine == []
+        else:
+            assert covered[m] and mine == ref
+    assert collar > 0
+    for m in range(0, len(pts), 97):
+        ref = _evaluate_point_by_point(pou, lookup, pts[m])
+        if ref is None:
+            with pytest.raises(CollarPoint):
+                pou.evaluate(pts[m])
+        else:
+            assert pou.evaluate(pts[m]) == ref
+    with pytest.raises(PreconditionNotMet, match="outside"):
+        pou.evaluate_many(np.concatenate([pts, [[-5.0] * dom.n]]))
+
+
 def test_gradient_constant_stability(square_dec, ball_k7_dec):
     c1 = PartitionOfUnity(square_dec).gradient_constant(max_cubes=150)
     c2 = PartitionOfUnity(ball_k7_dec).gradient_constant(max_cubes=150)
@@ -219,8 +292,15 @@ def test_gradient_constant_stability(square_dec, ball_k7_dec):
 def test_smooth_indicator_trivial_cases(square_dec):
     dom = square_dec.domain
     full = smooth_indicator(square_dec, dom.mask, eval_level=8)
+    dense = dense_smooth(square_dec, dom.mask, eval_level=8)
+    assert np.all(dense.u[dense.covered] == 1.0)
+    assert_band_matches(full, dense)
     assert np.all(full.u[full.covered] == 1.0)
-    empty = smooth_indicator(square_dec, np.zeros(dom.shape, bool), eval_level=8)
+    zeros = np.zeros(dom.shape, bool)
+    empty = smooth_indicator(square_dec, zeros, eval_level=8)
+    dense = dense_smooth(square_dec, zeros, eval_level=8)
+    assert np.all(dense.u == 0.0)
+    assert_band_matches(empty, dense)
     assert np.all(empty.u == 0.0)
 
 
@@ -242,24 +322,28 @@ def test_smooth_single_cube(square_dec):
     q = square_dec.cubes[i]
     F = _cube_mask(dom, q)
     si = smooth_indicator(square_dec, F, eval_level=9)
+    dense = dense_smooth(square_dec, F, eval_level=9)
+    assert_band_matches(si, dense)
     assert np.all(si.a[i] == 1.0)
+    assert np.all((dense.u >= 0.0) & (dense.u <= 1.0))
     assert np.all((si.u >= 0.0) & (si.u <= 1.0))
     # u = 1 at the cube center, 0 outside the support shell
     gx = int((float(q.center()[0])) / si.h_eval - si.grid_lo[0] / si.h_eval)
     gy = int((float(q.center()[1])) / si.h_eval - si.grid_lo[1] / si.h_eval)
-    assert si.u[gx, gy] == pytest.approx(1.0)
+    assert dense.u[gx, gy] == pytest.approx(1.0)
     # probe three cube sides away, stepping toward the domain center
     ctr = np.array([float(v) for v in q.center()])
     step = 3 * float(q.side) * np.sign(0.5 - ctr)
     far = ctr + step
     fx = int(far[0] / si.h_eval - si.grid_lo[0] / si.h_eval)
     fy = int(far[1] / si.h_eval - si.grid_lo[1] / si.h_eval)
-    assert si.u[fx, fy] == 0.0
+    assert dense.u[fx, fy] == 0.0
     # gradient energy against the interior weighted integral (the smoothing
     # estimate): finite, and controlled by the cube's own boundary weight
     p = 1.5
     dist = distance_transform(dom)
     energy = gradient_energy(si, p)
+    assert energy == dense_energy(dense, p)
     A = VoxelSet.from_domain(dom, F)
     jp, _ = weighted_boundary_integral(A, p, dist, "interior")
     assert energy > 0 and jp > 0
@@ -271,10 +355,12 @@ def test_smoothing_linearity(square_dec):
     rng = np.random.default_rng(5)
     F1 = rng.random(dom.shape) < 0.3
     F2 = (rng.random(dom.shape) < 0.3) & ~F1
-    s1 = smooth_indicator(square_dec, F1, eval_level=8)
-    s2 = smooth_indicator(square_dec, F2, eval_level=8)
-    s12 = smooth_indicator(square_dec, F1 | F2, eval_level=8)
+    s1, s2, s12 = (dense_smooth(square_dec, F, eval_level=8)
+                   for F in (F1, F2, F1 | F2))
     assert np.max(np.abs(s12.u - (s1.u + s2.u))) <= 1e-12
+    for F, dense in ((F1, s1), (F2, s2), (F1 | F2, s12)):
+        assert_band_matches(smooth_indicator(square_dec, F, eval_level=8),
+                            dense)
 
 
 def test_cube_average_indicator_values(square_dec):
@@ -284,12 +370,14 @@ def test_cube_average_indicator_values(square_dec):
     a = cube_averages(square_dec, F)
     assert np.all((a >= 0) & (a <= 1))
     si = smooth_indicator(square_dec, F, eval_level=8)
+    dense = dense_smooth(square_dec, F, eval_level=8)
+    assert_band_matches(si, dense)
     # u equals a_i at cube centers (psi_i = 1 there)
     for i in rng.choice(len(square_dec.cubes), 25, replace=False):
         q = square_dec.cubes[i]
         gx = int(float(q.center()[0]) / si.h_eval - si.grid_lo[0] / si.h_eval)
         gy = int(float(q.center()[1]) / si.h_eval - si.grid_lo[1] / si.h_eval)
-        assert si.u[gx, gy] == pytest.approx(a[i], abs=1e-12)
+        assert dense.u[gx, gy] == pytest.approx(a[i], abs=1e-12)
 
 
 # -- capacity checker --------------------------------------------------------
