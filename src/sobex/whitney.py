@@ -486,11 +486,10 @@ class PartitionOfUnity:
         n = dom.n
         pts = np.asarray(pts, dtype=float).reshape(-1, n)
         m = len(pts)
+        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
         levels, idx = self.dec._cube_arrays()
         first = np.sort(np.unique(levels, return_index=True)[1])
-        covered = np.zeros(m, dtype=bool)
-        total = np.zeros(m)
-        found = []
+        hits = []
         for k in levels[first]:
             ids = np.nonzero(levels == k)[0]
             lo = idx[ids].min(axis=0) - 1
@@ -499,22 +498,21 @@ class PartitionOfUnity:
             order = np.argsort(keys)
             keys, ids = keys[order], ids[order]
             base = np.floor(pts / 2.0**-int(k)).astype(np.int64) - lo
-            for off in itertools.product((-1, 0, 1), repeat=n):
-                cell = base + off
-                ok = np.all((cell >= 0) & (cell < span), axis=1)
-                key = np.ravel_multi_index(tuple(cell[ok].T), span)
-                at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-                hit = keys[at] == key
-                p = np.nonzero(ok)[0][hit]
-                i = ids[at[hit]]
-                box = self._boxes[i].T
-                phi = _bump(box, self._radii[i], pts[p].T)
-                covered[p] |= np.all((box[:n] <= pts[p].T)
-                                     & (pts[p].T <= box[n:]), axis=0)
-                pos = phi > 0.0
-                total[p[pos]] += phi[pos]
-                found.append((p[pos], i[pos], phi[pos]))
-        p, i, phi = (np.concatenate(v) for v in zip(*found))
+            # (point, offset) pairs, point-major: each point's candidates
+            # of this level in offset order
+            cell = (base[:, None, :] + offsets).reshape(-1, n)
+            ok = np.nonzero(np.all((cell >= 0) & (cell < span), axis=1))[0]
+            key = np.ravel_multi_index(tuple(cell[ok].T), span)
+            at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            hit = keys[at] == key
+            hits.append((ok[hit] // len(offsets), ids[at[hit]]))
+        p, i = (np.concatenate(v) for v in zip(*hits))
+        order = np.argsort(p, kind="stable")
+        p, i = p[order], i[order]
+        box = self._boxes[i].T
+        phi = _bump(box, self._radii[i], pts[p].T)
+        inbox = np.all((box[:n] <= pts[p].T) & (pts[p].T <= box[n:]), axis=0)
+        covered = np.bincount(p, weights=inbox, minlength=m) > 0
         lost = np.nonzero(~covered)[0]
         if len(lost):
             cell = np.floor(pts[lost] / dom.h).astype(np.int64) - dom.lo_int
@@ -524,10 +522,14 @@ class PartitionOfUnity:
                 x = pts[lost[~inside][0]]
                 raise PreconditionNotMet(
                     f"point {tuple(x)} is outside the region")
-        order = np.argsort(p, kind="stable")
-        p, i, phi = p[order], i[order], phi[order]
-        keep = covered[p]
+        keep = (phi > 0.0) & covered[p]
         p, i, phi = p[keep], i[keep], phi[keep]
+        # each point's weights summed in candidate order: round r adds
+        # every point's r-th weight
+        rank = np.arange(len(p)) - np.searchsorted(p, p)
+        total = np.zeros(m)
+        for r in range(int(rank.max()) + 1 if len(p) else 0):
+            total[p[rank == r]] += phi[rank == r]
         return p, i, phi / total[p], covered
 
     def gradient_constant(self, max_cubes: int = 400, seed: int = 0) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from sobex.whitney import _bump, _cube_boxes, cube_averages
+from sobex.whitney import _bump, _cube_boxes, cube_averages, gradient_energy
 
 
 @dataclass
@@ -88,6 +88,5 @@ def assert_band_matches(si, ds: DenseSmoothing, ps=(1.25, 1.5, 1.75)):
     off[at] = False
     assert np.all((ds.u[off] == 0.0) | (ds.u[off] == 1.0))
     assert np.all(ds.grad[:, off & ds.grad_valid] == 0.0)
-    from sobex.whitney import gradient_energy
     for p in ps:
         assert gradient_energy(si, p) == dense_energy(ds, p)
