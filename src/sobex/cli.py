@@ -22,7 +22,7 @@ import numpy as np
 
 from . import figio
 from .config import RunManifest, __version__
-from .curves import curve_condition_scan, weighted_geodesic
+from .curves import check_scan_inputs, curve_condition_scan, weighted_geodesic
 from .distance import distance_transform
 from .domain import GENERATORS, GeneratorSpec, VoxelDomain, build_domain
 from .errors import SobexError
@@ -235,6 +235,8 @@ def _extension_rows(spec: GeneratorSpec, K: int, args,
 
 def cmd_curvescan(args) -> tuple[int, list[str]]:
     out = args.out
+    for p in args.p:
+        check_scan_inputs(p, args.pairs, args.scales)
     dom = VoxelDomain.load(args.domain_file)
     if dom.name.tag in GENERATORS and dom.name.tag != "custom":
         dom = build_domain(dom.name, dom.K)  # regenerate so refine can rebuild
@@ -255,6 +257,8 @@ def cmd_curvescan(args) -> tuple[int, list[str]]:
             sups = " ".join(f"{s:.4g}:{v:.4g}"
                             for s, v in zip(rep.scales, rep.sup_ratio))
             print(f"p={p} sup ratios per scale: {sups}")
+            print(f"p={p} searches: {rep.searches}, "
+                  f"settled nodes: {rep.settled_nodes}")
             if rep.drift:
                 print(f"p={p} refinement drift: "
                       + " ".join(f"{v:.3f}" for v in rep.drift))

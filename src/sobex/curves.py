@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as cs_dijkstra
 from scipy.spatial import cKDTree
 
 from .distance import DistanceField, distance_transform
 from .domain import VoxelDomain, build_domain
-from .errors import Unreachable, UnsupportedExponent
+from .errors import PreconditionNotMet, Unreachable, UnsupportedExponent
 
 _OFFSETS_2D = [(1, 0), (0, 1), (1, 1), (1, -1)]
 _OFFSETS_3D = [
@@ -119,9 +120,13 @@ class GeodesicSolver:
         _, i = self._tree.query(np.asarray(z, dtype=float))
         return int(i)
 
-    def distances_from(self, src: int):
+    def distances_from(self, src: int, limit: float = np.inf):
+        """Single-source costs and predecessors.  Nodes whose cost exceeds
+        `limit` are left at inf; every other node gets exactly the value of
+        the unlimited search."""
         dists, pred = cs_dijkstra(
-            self.graph, directed=False, indices=src, return_predecessors=True
+            self.graph, directed=False, indices=src, return_predecessors=True,
+            limit=limit,
         )
         return dists, pred
 
@@ -205,6 +210,8 @@ class CurveConditionReport:
     drift: list[float] | None = None          # same-scale sup at K+1 over K
     sup_ratio_refined: list[float] | None = None   # per-scale sups at K+1
     flags: list[str] = field(default_factory=list)
+    searches: int = 0            # Dijkstra runs, retries and K+1 included
+    settled_nodes: int = 0       # finite costs summed over those runs
 
 
 def boundary_probe_points(dom: VoxelDomain, side: str = "complement") -> np.ndarray:
@@ -216,6 +223,18 @@ def boundary_probe_points(dom: VoxelDomain, side: str = "complement") -> np.ndar
     return (cells + np.asarray(dom.lo_int) + 0.5) * dom.h
 
 
+def check_scan_inputs(p: float, n_pairs: int, scales=None) -> None:
+    """Refuse a scan that would run under the wrong metric or sample
+    meaningless pairs."""
+    if not (1.0 <= p < 2.0):
+        raise UnsupportedExponent(f"p must lie in [1,2), got {p}")
+    if n_pairs < 1:
+        raise PreconditionNotMet(f"need at least one pair, got {n_pairs}")
+    if scales is not None and not all(math.isfinite(s) and s > 0 for s in scales):
+        raise PreconditionNotMet(
+            f"scales must be finite and positive, got {list(scales)}")
+
+
 def curve_condition_scan(dom: VoxelDomain, p: float, n_pairs: int, seed: int,
                          scales=None, focus=None, refine: bool = True,
                          ) -> CurveConditionReport:
@@ -224,6 +243,7 @@ def curve_condition_scan(dom: VoxelDomain, p: float, n_pairs: int, seed: int,
     near that point (needed to see localized degeneracies).  When `refine`
     is on, the domain regenerates at K+1 and the per-scale drift of the sup
     ratio is reported."""
+    check_scan_inputs(p, n_pairs, scales)
     report = _scan_once(dom, p, n_pairs, seed, scales, focus)
     if refine:
         dom2 = build_domain(dom.name, dom.K + 1)
@@ -233,6 +253,8 @@ def curve_condition_scan(dom: VoxelDomain, p: float, n_pairs: int, seed: int,
             f / c if c > 0 else math.nan
             for f, c in zip(fine.sup_ratio, report.sup_ratio)
         ]
+        report.searches += fine.searches
+        report.settled_nodes += fine.settled_nodes
     return report
 
 
@@ -246,8 +268,12 @@ def _scan_once(dom, p, n_pairs, seed, scales, focus) -> CurveConditionReport:
     scales = sorted(scales, reverse=True)
     solver = GeodesicSolver(dom, None, side="complement",
                             weight=("power", p) if p > 1 else "unit")
+    # a target outside its anchor's component stays at inf for every limit
+    _, comp = connected_components(solver.graph, directed=False)
     rows = []
     sups = []
+    running = 0.0     # sup ratio over all rows so far; sizes each search
+    searches = settled = 0
     for s in scales:
         pair_budget = max(2, n_pairs // len(scales))
         anchors = []
@@ -262,23 +288,34 @@ def _scan_once(dom, p, n_pairs, seed, scales, focus) -> CurveConditionReport:
         while len(anchors) < pair_budget:
             anchors.append(int(rng.integers(len(pts))))
         sup = 0.0
-        by_anchor: dict[int, list[int]] = {}
+        by_anchor: dict[int, list[np.ndarray]] = {}
         max_targets = 128
         for a in anchors:
-            cand = tree.query_ball_point(pts[a], 1.5 * s)
-            cand = [c for c in cand
-                    if c != a and np.linalg.norm(pts[c] - pts[a]) >= 0.75 * s]
-            if not cand:
+            cand = np.asarray(tree.query_ball_point(pts[a], 1.5 * s), dtype=np.intp)
+            # probe points are dyadic cell centers, so these norms are exact
+            far = np.linalg.norm(pts[cand] - pts[a], axis=1) >= 0.75 * s
+            cand = cand[(cand != a) & far]
+            if not len(cand):
                 continue
             if len(cand) > max_targets:
-                pick = rng.choice(len(cand), size=max_targets, replace=False)
-                cand = [cand[int(v)] for v in pick]
-            by_anchor.setdefault(a, []).extend(cand)
-        for a, targets in by_anchor.items():
+                cand = cand[rng.choice(len(cand), size=max_targets, replace=False)]
+            by_anchor.setdefault(a, []).append(cand)
+        for a, groups in by_anchor.items():
             src = solver.snap(pts[a])
-            dists, _ = solver.distances_from(src)
-            for b in targets:
-                tgt = solver.snap(pts[b])
+            _, tgts = solver._tree.query(pts[np.concatenate(groups)])
+            reach = tgts[comp[tgts] == comp[src]]
+            # targets with ratio <= running sup cost at most this; double it
+            # until every reachable target is settled
+            seps = np.linalg.norm(solver._centers[tgts] - solver._centers[src], axis=1)
+            limit = max(running, 1.0) * float(seps.max()) ** (2.0 - p)
+            while True:
+                dists, _ = solver.distances_from(src, limit)
+                searches += 1
+                settled += int(np.isfinite(dists).sum())
+                if np.isfinite(dists[reach]).all():
+                    break
+                limit *= 2.0
+            for tgt in tgts.tolist():
                 cost = float(dists[tgt])
                 if not math.isfinite(cost):
                     continue
@@ -294,8 +331,10 @@ def _scan_once(dom, p, n_pairs, seed, scales, focus) -> CurveConditionReport:
                     "scale": s,
                 })
                 sup = max(sup, ratio)
+                running = max(running, ratio)
         sups.append(sup)
-    return CurveConditionReport(dom.K, p, list(scales), sups, rows)
+    return CurveConditionReport(dom.K, p, list(scales), sups, rows,
+                                searches=searches, settled_nodes=settled)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,36 @@ def test_geodesic_command(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "geodesic.svg"))
 
 
+@pytest.mark.parametrize("bad", [
+    ["--p", "0.5"], ["--scales", "-0.1"], ["--scales", "nan"],
+    ["--pairs", "0"], ["--pairs", "-5"],
+], ids=lambda b: " ".join(b))
+def test_curvescan_bad_inputs_exit_2(tmp_path, capsys, bad):
+    out = str(tmp_path)
+    assert run(["--out", out, "gen", "--domain", "ball", "--K", "5"]) == 0
+    capsys.readouterr()
+    code = run(["--out", out, "curvescan",
+                "--domain-file", os.path.join(out, "domain.voxd"),
+                "--no-refine"] + bad)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not os.path.exists(os.path.join(out, "curvescan.csv"))
+
+
+def test_curvescan_prints_search_telemetry(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run(["--out", out, "gen", "--domain", "ball", "--K", "5",
+                "--margin", "1"]) == 0
+    assert run(["--out", out, "curvescan",
+                "--domain-file", os.path.join(out, "domain.voxd"),
+                "--p", "1.25", "1.5", "--pairs", "8", "--no-refine"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for p in ("1.25", "1.5"):
+        tele = [ln for ln in lines if ln.startswith(f"p={p} searches: ")]
+        assert len(tele) == 1 and "settled nodes: " in tele[0]
+
+
 def test_geodesic_records_artifacts(tmp_path):
     out = str(tmp_path)
     assert run(["--out", out, "gen", "--domain", "ball", "--K", "6",

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from full_scan import full_scan_once
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sobex.curves import (
     GeodesicSolver,
@@ -14,7 +17,7 @@ from sobex.curves import (
 )
 from sobex.distance import distance_transform
 from sobex.domain import VoxelDomain, build_domain
-from sobex.errors import Unreachable, UnsupportedExponent
+from sobex.errors import PreconditionNotMet, Unreachable, UnsupportedExponent
 
 
 def test_vertical_segment_closed_form(slab_k9, slab_k9_dist):
@@ -234,3 +237,90 @@ def test_boundary_probe_points_hug_boundary():
     pts = boundary_probe_points(dom)
     r = np.hypot(pts[:, 0] - 0.5, pts[:, 1] - 0.5)
     assert np.all(np.abs(r - 0.5) <= 2 * dom.h)
+
+
+def _random_custom_domain():
+    rng = np.random.default_rng(48)
+    return VoxelDomain(6, (0, 0), rng.random((48, 48)) > 0.5)
+
+
+_CUSP_FOCUS = dict(scales=[0.45, 0.225, 0.1125, 0.05625], focus=(0.5, 0.5))
+
+
+@pytest.mark.parametrize("case", [
+    ("disk K=6", lambda: build_domain("ball", 6, r=0.5, margin=0.5), 1.5, {}),
+    ("disk K=7", lambda: build_domain("ball", 7, r=0.5, margin=0.5), 1.5, {}),
+    ("focused cusp K=10",
+     lambda: build_domain("outward_cusp", 10, alpha=2.0, margin=0), 1.75,
+     _CUSP_FOCUS),
+    ("4-pocket ball", lambda: build_domain("ball", 6, r=0.5), 1.5, {}),
+    ("disk p=1", lambda: build_domain("ball", 6, r=0.5, margin=0.5), 1.0, {}),
+    ("random 48x48", _random_custom_domain, 1.5, {}),
+], ids=lambda c: c[0])
+def test_bounded_scan_equals_full_search(case):
+    _, make, p, kw = case
+    dom = make()
+    rows, sups = full_scan_once(dom, p, 48, 7, **kw)
+    rep = curve_condition_scan(dom, p, 48, seed=7, refine=False, **kw)
+    assert rows  # the comparison covers real pairs
+    assert rep.rows == rows
+    assert rep.sup_ratio == sups
+    # the searches stop short of the whole graph
+    nodes = GeodesicSolver(dom, None, weight=("power", p) if p > 1 else "unit"
+                           ).graph.shape[0]
+    assert 0 < rep.settled_nodes < rep.searches * nodes
+
+
+def test_scan_telemetry_counts_both_grids():
+    dom = build_domain("ball", 6, r=0.5, margin=0.5)
+    coarse = curve_condition_scan(dom, 1.5, 16, seed=5, refine=False)
+    both = curve_condition_scan(dom, 1.5, 16, seed=5, refine=True)
+    fine = curve_condition_scan(build_domain("ball", 7, r=0.5, margin=0.5),
+                                1.5, 16, seed=5, scales=coarse.scales,
+                                refine=False)
+    assert coarse.searches >= 4  # at least one anchor per scale
+    assert both.searches == coarse.searches + fine.searches
+    assert both.settled_nodes == coarse.settled_nodes + fine.settled_nodes
+
+
+@pytest.mark.parametrize("kw, err", [
+    (dict(p=0.5), UnsupportedExponent),
+    (dict(p=2.0), UnsupportedExponent),
+    (dict(n_pairs=0), PreconditionNotMet),
+    (dict(n_pairs=-5), PreconditionNotMet),
+    (dict(scales=[0.25, -0.1]), PreconditionNotMet),
+    (dict(scales=[0.0]), PreconditionNotMet),
+    (dict(scales=[math.nan]), PreconditionNotMet),
+    (dict(scales=[math.inf]), PreconditionNotMet),
+])
+def test_scan_refuses_bad_inputs_before_work(kw, err):
+    args = dict(p=1.5, n_pairs=8, scales=None) | kw
+    # no domain: the refusal comes before any distance or solver work
+    with pytest.raises(err):
+        curve_condition_scan(None, args["p"], args["n_pairs"], seed=0,
+                             scales=args["scales"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24),
+       density=st.floats(0.3, 0.9), p=st.sampled_from([1.0, 1.25, 1.5, 1.75]),
+       frac=st.floats(0.0, 1.5))
+def test_limited_search_is_exact_within_limit(seed, n, density, p, frac):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < density
+    mask[n // 2, n // 2] = True
+    dom = VoxelDomain(5, (0, 0), mask)
+    dist = distance_transform(dom)
+    try:
+        solver = GeodesicSolver(dom, dist, side="interior",
+                                weight="unit" if p == 1.0 else ("power", p))
+    except Unreachable:  # unit weight forbids every cell
+        return
+    src = int(rng.integers(solver.graph.shape[0]))
+    full, _ = solver.distances_from(src)
+    limit = frac * float(full[np.isfinite(full)].max())
+    part, _ = solver.distances_from(src, limit)
+    fin = np.isfinite(part)
+    assert np.array_equal(part[fin], full[fin])  # bit-equal where settled
+    assert fin[full <= limit].all()
+    assert not fin[full > limit].any()
