@@ -235,10 +235,10 @@ def _extension_rows(spec: GeneratorSpec, K: int, args,
 
 def cmd_curvescan(args) -> tuple[int, list[str]]:
     out = args.out
-    for p in args.p:
-        check_scan_inputs(p, args.pairs, args.scales)
     dom = VoxelDomain.load(args.domain_file)
-    if dom.name.tag in GENERATORS and dom.name.tag != "custom":
+    for p in args.p:
+        check_scan_inputs(dom, p, args.pairs, args.scales, not args.no_refine)
+    if dom.name.tag in GENERATORS:
         dom = build_domain(dom.name, dom.K)  # regenerate so refine can rebuild
     csv_path = os.path.join(out, "curvescan.csv")
     with open(csv_path, "w") as f:

@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import dijkstra as cs_dijkstra
 from scipy.spatial import cKDTree
 
 from .distance import DistanceField, distance_transform
-from .domain import VoxelDomain, build_domain
+from .domain import GENERATORS, VoxelDomain, build_domain
 from .errors import PreconditionNotMet, Unreachable, UnsupportedExponent
 
 _OFFSETS_2D = [(1, 0), (0, 1), (1, 1), (1, -1)]
@@ -139,29 +139,26 @@ class GeodesicSolver:
         dists, pred = self.distances_from(s)
         if not np.isfinite(dists[t]):
             raise Unreachable("endpoints lie in different components")
-        chain = [t]
-        while chain[-1] != s:
-            chain.append(int(pred[chain[-1]]))
-        chain.reverse()
-        return self._path_from_chain(chain, float(dists[t]))
+        return self._path_from_chain(_tree_chain(pred, s, t)[::-1],
+                                     float(dists[t]))
 
     def _path_from_chain(self, chain, cost) -> GeodesicPath:
         verts = self._centers[chain]
-        seen = {}
-        simple = []
-        for v_id in chain:  # loop erasure; Dijkstra paths are already simple
-            if v_id in seen:
-                simple = simple[: seen[v_id] + 1]
-            else:
-                seen[v_id] = len(simple)
-                simple.append(v_id)
-        verts = self._centers[simple]
         diffs = np.diff(verts, axis=0)
         lengths = np.sqrt((diffs**2).sum(axis=1))
-        cellw = self._w[tuple(self.cells[simple].T)]
+        cellw = self._w[tuple(self.cells[chain].T)]
         weights = 0.5 * (cellw[:-1] + cellw[1:])
         return GeodesicPath(verts, lengths, weights, cost,
                             float(lengths.sum()))
+
+
+def _tree_chain(pred, src: int, t: int) -> list[int]:
+    """Nodes from t back to src along a shortest-path tree's predecessors;
+    a tree path never repeats a node."""
+    chain = [t]
+    while chain[-1] != src:
+        chain.append(int(pred[chain[-1]]))
+    return chain
 
 
 def weighted_geodesic(dom: VoxelDomain, dist: DistanceField, z1, z2, p: float,
@@ -223,9 +220,10 @@ def boundary_probe_points(dom: VoxelDomain, side: str = "complement") -> np.ndar
     return (cells + np.asarray(dom.lo_int) + 0.5) * dom.h
 
 
-def check_scan_inputs(p: float, n_pairs: int, scales=None) -> None:
-    """Refuse a scan that would run under the wrong metric or sample
-    meaningless pairs."""
+def check_scan_inputs(dom: VoxelDomain, p: float, n_pairs: int, scales=None,
+                      refine: bool = True) -> None:
+    """Refuse a scan that would run under the wrong metric, sample
+    meaningless pairs, or refine a domain no generator can rebuild."""
     if not (1.0 <= p < 2.0):
         raise UnsupportedExponent(f"p must lie in [1,2), got {p}")
     if n_pairs < 1:
@@ -233,6 +231,10 @@ def check_scan_inputs(p: float, n_pairs: int, scales=None) -> None:
     if scales is not None and not all(math.isfinite(s) and s > 0 for s in scales):
         raise PreconditionNotMet(
             f"scales must be finite and positive, got {list(scales)}")
+    if refine and dom.name.tag not in GENERATORS:
+        raise PreconditionNotMet(
+            f"cannot refine: no generator rebuilds a '{dom.name.tag}' domain "
+            "at K+1")
 
 
 def curve_condition_scan(dom: VoxelDomain, p: float, n_pairs: int, seed: int,
@@ -243,7 +245,7 @@ def curve_condition_scan(dom: VoxelDomain, p: float, n_pairs: int, seed: int,
     near that point (needed to see localized degeneracies).  When `refine`
     is on, the domain regenerates at K+1 and the per-scale drift of the sup
     ratio is reported."""
-    check_scan_inputs(p, n_pairs, scales)
+    check_scan_inputs(dom, p, n_pairs, scales, refine)
     report = _scan_once(dom, p, n_pairs, seed, scales, focus)
     if refine:
         dom2 = build_domain(dom.name, dom.K + 1)
@@ -404,10 +406,8 @@ def john_check(dom: VoxelDomain, dist: DistanceField, x0,
         t = solver.snap(z)
         if not np.isfinite(dists[t]):
             continue
-        chain = [t]
-        while chain[-1] != src:
-            chain.append(int(pred[chain[-1]]))
-        path = solver._path_from_chain(chain, float(dists[t]))
+        path = solver._path_from_chain(_tree_chain(pred, src, t),
+                                       float(dists[t]))
         verts = path.vertices
         dvals = _dist_at_vertices(dom, dist, verts)
         cum = np.concatenate([[0.0], np.cumsum(path.edge_lengths)])

@@ -103,7 +103,7 @@ def select_A_prime(A: VoxelSet, W: WhitneyDecomposition):
     dom = W.domain
     P = _integral_image(A.mask)
     Pom = _integral_image(dom.mask)
-    picked = np.zeros(len(W.cubes), dtype=bool)
+    picked = np.zeros(len(W.levels), dtype=bool)
     mask = np.zeros(dom.mask.shape, dtype=bool)
     for collar in (False, True):
         for k, pos, idx in _per_level(W, collar):
@@ -118,25 +118,24 @@ def select_A_prime(A: VoxelSet, W: WhitneyDecomposition):
         np.nonzero(picked)[0].tolist()
 
 
-def select_A0(A_prime: VoxelSet, We: WhitneyDecomposition,
-              c_squared_times: int | None = None):
+def select_A0(A_prime: VoxelSet, We: WhitneyDecomposition):
     """Exterior cubes passing the dilated strict-majority test.
 
-    The dilate factor is c = 20 sqrt(n) by default, entering only through
-    c^2 * l^2 = c_squared_times * l^2.  Synthetic cubes (touching the outer
+    The dilate factor is c = 20 sqrt(n), entering only through
+    c^2 * l^2 = 400 n l^2.  Synthetic cubes (touching the outer
     bbox) are never selected; cubes whose dilate leaves the bbox use the
     clipped dilate and are reported in `clipped`.
     """
     dom = We.domain
     K = dom.K
-    c2x = 400 * dom.n if c_squared_times is None else c_squared_times
+    c2x = 400 * dom.n
     omega_minus = dom.mask & ~A_prime.mask
     Pa = _integral_image(A_prime.mask)
     Po = _integral_image(omega_minus)
     lo_int = np.asarray(dom.lo_int, dtype=np.int64)
     N = np.asarray(dom.mask.shape, dtype=np.int64)
-    picked = np.zeros(len(We.cubes), dtype=bool)
-    clipped = np.zeros(len(We.cubes), dtype=bool)
+    picked = np.zeros(len(We.levels), dtype=bool)
+    clipped = np.zeros(len(We.levels), dtype=bool)
     mask = np.zeros(dom.mask.shape, dtype=bool)
     # the exterior truncation collar joins the test so the extension has no
     # artificial gap along the domain boundary

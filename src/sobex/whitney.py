@@ -10,9 +10,10 @@ automatically for accepted cubes and is asserted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -26,33 +27,74 @@ SUPPORT_SHELL = 16  # support reaches l(Q)/16 beyond the cube
 
 @dataclass
 class WhitneyDecomposition:
+    """The accepted cubes (and the truncation collar) as int64 arrays: cube
+    i is the dyadic cube of level levels[i] and index index[i]."""
     domain: VoxelDomain
     side: str                      # "interior" or "exterior"
-    cubes: list[DyadicCube]
+    levels: np.ndarray             # (m,) cube levels
+    index: np.ndarray              # (m, n) cube indices
     d2: np.ndarray                 # exact squared distances, units 2**-scale_level
     scale_level: int
     truncation_level: int
     synthetic: np.ndarray          # cube touches the artificial outer bbox
-    collar_cubes: list[DyadicCube] = field(default_factory=list)
+    collar_levels: np.ndarray
+    collar_index: np.ndarray
     collar_measure: float = 0.0
-    _nbrs: list[list[int]] | None = None
-    _arrays: dict = field(default_factory=dict)
 
-    @property
-    def levels(self) -> np.ndarray:
-        return self._cube_arrays()[0]
+    @functools.cached_property
+    def cubes(self) -> list[DyadicCube]:
+        return _cube_views(self.levels, self.index)
 
-    def _cube_arrays(self, collar: bool = False):
-        """(levels, indices) int64 arrays of the accepted or collar cubes."""
-        if collar not in self._arrays:
-            cubes = self.collar_cubes if collar else self.cubes
-            n = self.domain.n
-            self._arrays[collar] = (
-                np.array([q.level for q in cubes], dtype=np.int64),
-                np.array([q.index for q in cubes],
-                         dtype=np.int64).reshape(-1, n),
-            )
-        return self._arrays[collar]
+    @functools.cached_property
+    def collar_cubes(self) -> list[DyadicCube]:
+        return _cube_views(self.collar_levels, self.collar_index)
+
+    @functools.cached_property
+    def _tables(self) -> dict:
+        """Per level: the cube ids sorted by their indices raveled in the
+        bounding index box (lo, span) of the level."""
+        tables = {}
+        for k in np.unique(self.levels).tolist():
+            ids = np.nonzero(self.levels == k)[0]
+            lo = self.index[ids].min(axis=0)
+            span = self.index[ids].max(axis=0) - lo + 1
+            keys = np.ravel_multi_index(tuple((self.index[ids] - lo).T), span)
+            order = np.argsort(keys)
+            tables[k] = (lo, span, keys[order], ids[order])
+        return tables
+
+    def _find(self, level: int, idx: np.ndarray) -> np.ndarray:
+        """Ids of the cubes of `level` at the (m, n) indices, -1 where the
+        decomposition has no such cube."""
+        out = np.full(len(idx), -1, dtype=np.int64)
+        if level not in self._tables:
+            return out
+        lo, span, keys, ids = self._tables[level]
+        cell = idx - lo
+        ok = np.nonzero(np.all((cell >= 0) & (cell < span), axis=1))[0]
+        key = np.ravel_multi_index(tuple(cell[ok].T), span)
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        hit = keys[at] == key
+        out[ok[hit]] = ids[at[hit]]
+        return out
+
+    @functools.cached_property
+    def _adjacent(self) -> tuple[np.ndarray, np.ndarray]:
+        """Face-adjacent pairs (i, j), i < j, sorted.  A cube Q of level k
+        meets a cube of level k' <= k across a face iff that cube contains
+        the level-k cell beyond the face and not Q; so each face looks up
+        that cell's ancestor on every coarser level."""
+        n = self.domain.n
+        pairs = [np.empty((0, 2), dtype=np.int64)]
+        for k, pos, idx in _per_level(self):
+            for d, step in itertools.product(range(n), (-1, 1)):
+                beyond = idx + step * np.eye(n, dtype=np.int64)[d]
+                for up in range(k + 1):
+                    rows = np.nonzero((beyond[:, d] >> up) != (idx[:, d] >> up))[0]
+                    j = self._find(k - up, beyond[rows] >> up)
+                    pairs.append(np.stack([pos[rows], j], axis=1)[j >= 0])
+        pairs = np.unique(np.sort(np.concatenate(pairs), axis=1), axis=0)
+        return pairs[:, 0], pairs[:, 1]
 
     def side_mask(self) -> np.ndarray:
         m = self.domain.mask
@@ -60,26 +102,28 @@ class WhitneyDecomposition:
 
     def neighbor_graph(self) -> list[list[int]]:
         """Face-adjacency lists N(Q_i) over the accepted cubes."""
-        if self._nbrs is None:
-            self._nbrs = _build_neighbor_graph(self.cubes, self.scale_level)
-        return self._nbrs
+        i, j = self._adjacent
+        a, b = np.concatenate([i, j]), np.concatenate([j, i])
+        order = np.lexsort((b, a))
+        a, b = a[order], b[order].tolist()
+        at = np.searchsorted(a, np.arange(len(self.levels) + 1)).tolist()
+        return [b[s:e] for s, e in zip(at[:-1], at[1:])]
 
     def min_side_level(self) -> int:
-        return max(q.level for q in self.cubes)
+        return int(self.levels.max())
 
     def to_text(self) -> str:
-        lines = []
-        for q, s, d2 in zip(self.cubes, self.synthetic, self.d2):
-            flags = "s" if s else "-"
-            lines.append(
-                f"{q.level} {' '.join(str(j) for j in q.index)} {flags}"
-            )
-        lines.append("neighbors")
-        for i, nbrs in enumerate(self.neighbor_graph()):
-            for j in nbrs:
-                if j > i:
-                    lines.append(f"{i} {j}")
+        cubes = zip(self.levels.tolist(), self.index.tolist(), self.synthetic)
+        pairs = zip(*(v.tolist() for v in self._adjacent))
+        lines = [f"{k} {' '.join(map(str, row))} {'s' if s else '-'}"
+                 for k, row, s in cubes]
+        lines += ["neighbors"] + [f"{i} {j}" for i, j in pairs]
         return "\n".join(lines) + "\n"
+
+
+def _cube_views(levels: np.ndarray, index: np.ndarray) -> list[DyadicCube]:
+    return [DyadicCube(k, tuple(row))
+            for k, row in zip(levels.tolist(), index.tolist())]
 
 
 def _integral_image(mask: np.ndarray) -> np.ndarray:
@@ -112,7 +156,8 @@ def _box_count_batch(P: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
 
 def _per_level(dec: WhitneyDecomposition, collar: bool = False):
     """Yield (level, cube ids, (m, n) indices) for each level present."""
-    levels, idx = dec._cube_arrays(collar)
+    levels, idx = (dec.collar_levels, dec.collar_index) if collar \
+        else (dec.levels, dec.index)
     for k in np.unique(levels):
         pos = np.nonzero(levels == k)[0]
         yield int(k), pos, idx[pos]
@@ -172,9 +217,10 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
     bbox, with cubes touching the outer bbox flagged synthetic).
 
     Levels are processed in vectorized batches; squared distances to the
-    boundary centroids are exact integers (k-nearest candidates cover the
-    true minimizer whenever the k-th center distance exceeds the certified
-    bound, with a per-cube ball query as the fallback).
+    boundary centroids are exact integers.  Cubes down to level K+1 have
+    their corners on the doubled lattice and take the surface gather of the
+    feature transform; finer cubes take a per-cube ball query around their
+    nearest centroid.
     """
     if L_max < root_tiling_level(dom):
         raise PreconditionNotMet("L_max coarser than the bbox root tiling")
@@ -197,11 +243,13 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
     subcell_tree = None
     coords_S = coords.astype(np.int64) << shift
 
-    accepted_idx: list[np.ndarray] = []
-    accepted_lvl: list[int] = []
-    acc_d2: list[np.ndarray] = []
-    acc_syn: list[np.ndarray] = []
-    collar: list[DyadicCube] = []
+    # the accepted cubes' arrays, one piece per level
+    acc = {"levels": [np.empty(0, dtype=np.int64)],
+           "index": [np.empty((0, n), dtype=np.int64)],
+           "d2": [np.empty(0, dtype=np.int64)],
+           "synthetic": [np.empty(0, dtype=bool)]}
+    collar_lvl = np.empty(0, dtype=np.int64)
+    collar_idx = np.empty((0, n), dtype=np.int64)
     collar_cells = 0.0
 
     root_level = root_tiling_level(dom)
@@ -225,7 +273,7 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
         d2 = np.zeros(len(cur), dtype=np.int64)
         if is_full.any():
             fidx = cur[is_full]
-            if level <= K:
+            if level <= K + 1:
                 d2[is_full] = _surface_gather_d2(fidx, level, dom, field, shift)
             else:
                 if subcell_tree is None:
@@ -239,28 +287,20 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
                     )
                 d2[is_full] = vals
         accept = is_full & (d2 >= ell * ell)
-        if accept.any():
-            assert np.all(d2[accept] <= 16 * n * ell * ell), \
-                "(W3) upper bound violated"
-            sel = cur[accept]
-            accepted_idx.append(sel)
-            accepted_lvl.append(level)
-            acc_d2.append(d2[accept].copy())
-            if side == "exterior":
-                syn = np.zeros(len(sel), dtype=bool)
-                qlo = sel * ell
-                for d in range(n):
-                    syn |= qlo[:, d] == bbox_lo_S[d]
-                    syn |= qlo[:, d] + ell == bbox_hi_S[d]
-                acc_syn.append(syn)
-            else:
-                acc_syn.append(np.zeros(int(accept.sum()), dtype=bool))
+        assert np.all(d2[accept] <= 16 * n * ell * ell), \
+            "(W3) upper bound violated"
+        sel = cur[accept]
+        acc["levels"].append(np.full(len(sel), level, dtype=np.int64))
+        acc["index"].append(sel)
+        acc["d2"].append(d2[accept])
+        acc["synthetic"].append((side == "exterior") & np.any(
+            (sel * ell == bbox_lo_S) | (sel * ell + ell == bbox_hi_S), axis=1))
         rest = ~accept
         if level == L_max:
-            collar = [DyadicCube(level, tuple(int(v) for v in row))
-                      for row in cur[rest]]
+            collar_idx = cur[rest]
+            collar_lvl = np.full(len(collar_idx), level, dtype=np.int64)
             collar_cells = float(cnt[rest].sum()) if level <= K \
-                else len(collar) * 2.0 ** (-(level - K) * n)
+                else len(collar_idx) * 2.0 ** (-(level - K) * n)
             break
         nxt = cur[rest]
         children = []
@@ -270,22 +310,16 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
         cur = np.concatenate(children) if children else np.empty((0, n), int)
         level += 1
 
-    cubes = []
-    for lvl, arr in zip(accepted_lvl, accepted_idx):
-        cubes += [DyadicCube(lvl, tuple(int(v) for v in row)) for row in arr]
-    dec = WhitneyDecomposition(
+    return WhitneyDecomposition(
         domain=dom,
         side=side,
-        cubes=cubes,
-        d2=np.concatenate(acc_d2) if acc_d2 else np.empty(0, dtype=np.int64),
+        **{key: np.concatenate(parts) for key, parts in acc.items()},
         scale_level=S,
         truncation_level=L_max,
-        synthetic=np.concatenate(acc_syn) if acc_syn
-        else np.empty(0, dtype=bool),
-        collar_cubes=collar,
+        collar_levels=collar_lvl,
+        collar_index=collar_idx,
         collar_measure=float(collar_cells) * dom.h**n,
     )
-    return dec
 
 
 def _surface_gather_d2(idx: np.ndarray, level: int, dom, field,
@@ -354,44 +388,6 @@ def _exact_box_dist2(qlo, qhi, tree: cKDTree, coords_S: np.ndarray,
     return int(d2.min())
 
 
-def _build_neighbor_graph(cubes: list[DyadicCube], S: int) -> list[list[int]]:
-    """Face adjacency via dyadic containment: two cube faces on a common
-    plane overlap iff one cross-section contains the other, so each face
-    only needs ancestor lookups on the opposing side."""
-    n = cubes[0].n if cubes else 0
-    # (axis, plane_at_scale_S, side, level, cross_index) -> cube id
-    table: dict[tuple, int] = {}
-    for i, q in enumerate(cubes):
-        k = q.level
-        for d in range(n):
-            cross = tuple(q.index[a] for a in range(n) if a != d)
-            plane_lo = q.index[d] * 2 ** (S - k)
-            plane_hi = (q.index[d] + 1) * 2 ** (S - k)
-            table[(d, plane_lo, -1, k, cross)] = i
-            table[(d, plane_hi, +1, k, cross)] = i
-    nbrs: list[set[int]] = [set() for _ in cubes]
-    max_up = 3  # (W4) neighbors differ by <= 2 levels; search one extra
-    for i, q in enumerate(cubes):
-        k = q.level
-        for d in range(n):
-            cross = tuple(q.index[a] for a in range(n) if a != d)
-            for plane, want_side in (
-                (q.index[d] * 2 ** (S - k), +1),
-                ((q.index[d] + 1) * 2 ** (S - k), -1),
-            ):
-                c = cross
-                for up in range(0, max_up + 1):
-                    kk = k - up
-                    if kk < 0:
-                        break
-                    j = table.get((d, plane, want_side, kk, c))
-                    if j is not None and j != i:
-                        nbrs[i].add(j)
-                        nbrs[j].add(i)
-                    c = tuple(v >> 1 for v in c)
-    return [sorted(s) for s in nbrs]
-
-
 def audit_whitney(dec: WhitneyDecomposition) -> dict:
     """Exact audit of (W1)-(W4); returns per-property pass flags and stats."""
     from fractions import Fraction
@@ -418,14 +414,10 @@ def audit_whitney(dec: WhitneyDecomposition) -> dict:
         vol += len(pos) * Fraction(1, 2 ** (k * n))
     # (W2): no cube is an ancestor of another, and volumes account for the
     # region up to the collar
-    ids = set((q.level, q.index) for q in dec.cubes)
-    for q in dec.cubes:
-        cur = q
-        while cur.level > 0:
-            cur = cur.parent()
-            if (cur.level, cur.index) in ids:
+    for k, pos, idx in _per_level(dec):
+        for up in range(1, k + 1):
+            if np.any(dec._find(k - up, idx >> up) >= 0):
                 w2 = False
-                break
     collar_vol = Fraction(0)
     for k, pos, idx in _per_level(dec, collar=True):
         if k <= dom.K:
@@ -437,19 +429,18 @@ def audit_whitney(dec: WhitneyDecomposition) -> dict:
     if vol + collar_vol != region_vol:
         w2 = False
     # (W4) over the face-adjacency graph
-    for i, nbrs in enumerate(dec.neighbor_graph()):
-        for j in nbrs:
-            if abs(dec.cubes[i].level - dec.cubes[j].level) > 2:
-                w4 = False
+    i, j = dec._adjacent
+    if np.any(np.abs(dec.levels[i] - dec.levels[j]) > 2):
+        w4 = False
     return {
         "W1": w1,
         "W2": w2,
         "W3": w3,
         "W4": w4,
-        "cubes": len(dec.cubes),
+        "cubes": len(dec.levels),
         "collar_measure": dec.collar_measure,
         "levels": dict(zip(*np.unique(dec.levels, return_counts=True)))
-        if dec.cubes else {},
+        if len(dec.levels) else {},
     }
 
 
@@ -487,25 +478,16 @@ class PartitionOfUnity:
         pts = np.asarray(pts, dtype=float).reshape(-1, n)
         m = len(pts)
         offsets = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
-        levels, idx = self.dec._cube_arrays()
+        levels = self.dec.levels
         first = np.sort(np.unique(levels, return_index=True)[1])
         hits = []
-        for k in levels[first]:
-            ids = np.nonzero(levels == k)[0]
-            lo = idx[ids].min(axis=0) - 1
-            span = idx[ids].max(axis=0) - lo + 2
-            keys = np.ravel_multi_index(tuple((idx[ids] - lo).T), span)
-            order = np.argsort(keys)
-            keys, ids = keys[order], ids[order]
-            base = np.floor(pts / 2.0**-int(k)).astype(np.int64) - lo
+        for k in levels[first].tolist():
+            base = np.floor(pts / 2.0**-k).astype(np.int64)
             # (point, offset) pairs, point-major: each point's candidates
             # of this level in offset order
-            cell = (base[:, None, :] + offsets).reshape(-1, n)
-            ok = np.nonzero(np.all((cell >= 0) & (cell < span), axis=1))[0]
-            key = np.ravel_multi_index(tuple(cell[ok].T), span)
-            at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-            hit = keys[at] == key
-            hits.append((ok[hit] // len(offsets), ids[at[hit]]))
+            found = self.dec._find(k, (base[:, None, :] + offsets).reshape(-1, n))
+            at = np.nonzero(found >= 0)[0]
+            hits.append((at // len(offsets), found[at]))
         p, i = (np.concatenate(v) for v in zip(*hits))
         order = np.argsort(p, kind="stable")
         p, i = p[order], i[order]
@@ -536,7 +518,7 @@ class PartitionOfUnity:
         """Measured sup |grad psi_i| * l(Q_i) over structured probe lines
         crossing each cube face; reported, not asserted."""
         rng = np.random.default_rng(seed)
-        ids = np.arange(len(self.dec.cubes))
+        ids = np.arange(len(self.dec.levels))
         if len(ids) > max_cubes:
             ids = rng.choice(ids, size=max_cubes, replace=False)
         n = self.dec.domain.n
@@ -597,10 +579,9 @@ class PartitionOfUnity:
 def _cube_boxes(dec: WhitneyDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Per cube the float box [lo..., hi...] and the support shell width
     l/16; both are exact dyadic floats."""
-    levels, idx = dec._cube_arrays()
-    k = -levels[:, None]
-    boxes = np.hstack([np.ldexp(idx, k), np.ldexp(idx + 1, k)])
-    return boxes, np.ldexp(1.0, -levels) / SUPPORT_SHELL
+    k = -dec.levels[:, None]
+    boxes = np.hstack([np.ldexp(dec.index, k), np.ldexp(dec.index + 1, k)])
+    return boxes, np.ldexp(1.0, -dec.levels) / SUPPORT_SHELL
 
 
 def _bump(box: np.ndarray, r: float, x) -> np.ndarray:
@@ -648,7 +629,7 @@ def cube_averages(dec: WhitneyDecomposition, F_mask: np.ndarray) -> np.ndarray:
     """a_i = |F n Q_i| / |Q_i| for a set given on the domain grid."""
     dom = dec.domain
     P = _integral_image(F_mask)
-    out = np.empty(len(dec.cubes))
+    out = np.empty(len(dec.levels))
     for k, pos, idx in _per_level(dec):
         out[pos] = _level_counts(F_mask, P, dom, k, idx) \
             / 2 ** (max(dom.K - k, 0) * dom.n)

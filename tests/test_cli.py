@@ -2,8 +2,10 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
+import sobex.cli as cli
 from sobex.cli import main, make_set
 from sobex.config import RunManifest
 from sobex.distance import distance_transform
@@ -152,6 +154,24 @@ def test_curvescan_bad_inputs_exit_2(tmp_path, capsys, bad):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not os.path.exists(os.path.join(out, "curvescan.csv"))
+
+
+def test_curvescan_refine_of_custom_domain_exit_2(tmp_path, capsys,
+                                                 monkeypatch):
+    out = str(tmp_path)
+    path = os.path.join(out, "square.voxd")
+    VoxelDomain(6, (-8, -8), np.pad(np.ones((64, 64), bool), 8)).save(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(cli, "curve_condition_scan", refuse)
+    code = run(["--out", out, "curvescan", "--domain-file", path,
+                "--p", "1.5", "--pairs", "8"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "refine" in err
     assert not os.path.exists(os.path.join(out, "curvescan.csv"))
 
 

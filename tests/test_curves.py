@@ -6,6 +6,7 @@ from full_scan import full_scan_once
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sobex.curves as curves
 from sobex.curves import (
     GeodesicSolver,
     bellman_ford_cost,
@@ -299,6 +300,21 @@ def test_scan_refuses_bad_inputs_before_work(kw, err):
     with pytest.raises(err):
         curve_condition_scan(None, args["p"], args["n_pairs"], seed=0,
                              scales=args["scales"])
+
+
+def test_refine_refuses_a_domain_no_generator_rebuilds(monkeypatch):
+    dom = VoxelDomain(6, (-8, -8), np.pad(np.ones((64, 64), bool), 8))
+    assert dom.name.tag == "custom"
+
+    def refuse(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(curves, "distance_transform", refuse)
+    with pytest.raises(PreconditionNotMet, match="refine"):
+        curve_condition_scan(dom, 1.5, 8, seed=0)
+    monkeypatch.undo()
+    rep = curve_condition_scan(dom, 1.5, 8, seed=0, refine=False)
+    assert rep.rows and rep.drift is None
 
 
 @settings(max_examples=40, deadline=None)

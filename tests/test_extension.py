@@ -443,7 +443,7 @@ def _oracle_window(dom, q, c2x):
     return win
 
 
-def _oracle_selections(dom, W, We, F, c2x):
+def _oracle_selections(dom, W, We, F):
     """cube_averages, select_A_prime and select_A0 recomputed cube by cube,
     counting cells by slicing the masks."""
     K, n = dom.K, dom.n
@@ -466,7 +466,7 @@ def _oracle_selections(dom, W, We, F, c2x):
             won = bool(F[_cube_cell(dom, q)])
         if won and i < len(W.cubes):
             ap_ids.append(i)
-    c2x = 400 * n if c2x is None else c2x
+    c2x = 400 * n
     rest = dom.mask & ~F
     a0_mask = np.zeros(dom.shape, bool)
     a0_ids, clipped = [], []
@@ -503,9 +503,8 @@ def _oracle_selections(dom, W, We, F, c2x):
                           ("slit", 5), ("ball3", 3), ("ball3", 4)]),
     seed=st.integers(0, 2**32 - 1),
     density=st.floats(0.05, 0.95),
-    c2x=st.sampled_from([None, 9, 36, 100]),
 )
-def test_cube_kernels_match_slicing_oracle(case, seed, density, c2x):
+def test_cube_kernels_match_slicing_oracle(case, seed, density):
     dom, W, We = _kernel_setup(*case)
     assert W.collar_cubes and We.collar_cubes
     if case[1] > dom.K:
@@ -514,12 +513,12 @@ def test_cube_kernels_match_slicing_oracle(case, seed, density, c2x):
     F = VoxelSet.from_domain(dom, (rng.random(dom.shape) < density)
                              & dom.mask)
     avg, ap_mask, ap_ids, a0_mask, a0_ids, clipped = _oracle_selections(
-        dom, W, We, F.mask, c2x)
+        dom, W, We, F.mask)
     assert np.array_equal(cube_averages(W, F.mask), avg)
     Ap, ids = select_A_prime(F, W)
     assert np.array_equal(Ap.mask, ap_mask)
     assert ids == ap_ids
-    A0, ids0, clip0 = select_A0(F, We, c2x)
+    A0, ids0, clip0 = select_A0(F, We)
     assert np.array_equal(A0.mask, a0_mask)
     assert ids0 == a0_ids
     assert clip0 == clipped

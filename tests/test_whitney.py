@@ -5,6 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scipy.spatial import cKDTree
+
+import sobex.whitney as whitney
 from sobex.domain import VoxelDomain, build_domain
 from sobex.dyadic import DyadicCube
 from sobex.errors import CollarPoint, PreconditionNotMet
@@ -12,7 +15,10 @@ from sobex.distance import distance_transform
 from sobex.perimeter import VoxelSet, weighted_boundary_integral
 from sobex.whitney import (
     PartitionOfUnity,
+    WhitneyDecomposition,
     _bump,
+    _exact_box_dist2,
+    _surface_gather_d2,
     audit_whitney,
     capacity_check,
     cube_averages,
@@ -146,6 +152,121 @@ def test_exterior_radial_symmetry(ball_k7):
         orbit = 4 if a == b or a == 0 or b == 0 else 8
         assert cnt % (orbit // (2 if a == b else 1) if a == b else orbit) == 0 \
             or cnt % 4 == 0
+
+
+_GRAPH_CASES = {
+    "ball2": lambda: build_domain("ball", 5, r=0.5, margin=0.5),
+    "slit2": lambda: build_domain("slit_square", 5, slit_len=0.5, margin=0.5),
+    "ball3": lambda: build_domain("ball", 3, r=0.5, margin=0.5, dim=3),
+}
+
+
+def _brute_force_adjacency(dec):
+    """Neighbour lists from all pairs of integer boxes at the scale level:
+    the closed boxes meet in a piece of positive (n-1)-measure."""
+    f = (2 ** (dec.scale_level - dec.levels))[:, None]
+    lo = dec.index * f
+    hi = lo + f
+    assert np.abs(lo).max() < 2**14 and np.abs(hi).max() < 2**14
+    lo, hi = lo.astype(np.int16), hi.astype(np.int16)
+    out = []
+    for i0 in range(0, len(lo), 256):
+        w = (np.minimum(hi[i0:i0 + 256, None], hi)
+             - np.maximum(lo[i0:i0 + 256, None], lo))
+        # overlapping on every axis but one, where the boxes only touch
+        adj = np.all(w >= 0, axis=2) & ((w == 0).sum(axis=2) == 1)
+        out += [np.nonzero(row)[0].tolist() for row in adj]
+    return out
+
+
+@pytest.mark.parametrize("side", ["interior", "exterior"])
+@pytest.mark.parametrize("case", sorted(_GRAPH_CASES))
+def test_neighbor_graph_matches_brute_force(case, side):
+    dom = _GRAPH_CASES[case]()
+    dec = whitney_decompose(dom, dom.K + 2, side=side)
+    assert len(set(dec.levels.tolist())) >= 3
+    assert dec.neighbor_graph() == _brute_force_adjacency(dec)
+
+
+@pytest.mark.parametrize("side", ["interior", "exterior"])
+@pytest.mark.parametrize("dim, K", [(2, 6), (3, 4)])
+def test_level_k_plus_one_d2_is_exact(dim, K, side):
+    # cubes at level K+1 take the surface gather; it must equal the per-cube
+    # ball query, on accepted cubes and on every full sub-cell cube
+    dom = build_domain("ball", K, r=0.5, margin=0.5, dim=dim)
+    field = distance_transform(dom)
+    _, coords = dom.boundary_faces_doubled()
+    for L_max in (K + 1, K + 2):
+        dec = whitney_decompose(dom, L_max, side=side)
+        shift = dec.scale_level - (K + 1)
+        coords_S = coords.astype(np.int64) << shift
+        tree = cKDTree(coords_S.astype(np.float64))
+        ell = 2 ** (dec.scale_level - K - 1)
+
+        def exact(idx):
+            return [_exact_box_dist2(row * ell, row * ell + ell, tree, coords_S,
+                                     ell * math.sqrt(dim) / 2.0)
+                    for row in idx]
+
+        at = dec.levels == K + 1
+        assert at.sum() > 0
+        assert dec.d2[at].tolist() == exact(dec.index[at])
+        cells = np.argwhere(dec.side_mask()) + np.asarray(dom.lo_int)
+        sub = np.concatenate([2 * cells + np.array(off)
+                              for off in itertools.product((0, 1), repeat=dim)])
+        sub = sub[np.random.default_rng(K).choice(len(sub), 400, replace=False)]
+        got = _surface_gather_d2(sub, K + 1, dom, field, shift)
+        assert got.tolist() == exact(sub)
+
+
+@pytest.mark.parametrize("side", ["interior", "exterior"])
+def test_no_ball_query_down_to_level_k_plus_one(monkeypatch, side):
+    def refuse(*args):
+        raise AssertionError("per-cube ball query at a level <= K+1")
+
+    monkeypatch.setattr(whitney, "_exact_box_dist2", refuse)
+    for dom in (build_domain("ball", 6, r=0.5, margin=0.5),
+                build_domain("ball", 4, r=0.5, margin=0.5, dim=3)):
+        dec = whitney_decompose(dom, dom.K + 1, side=side)
+        assert (dec.levels == dom.K + 1).any()
+
+
+def _hand_built(dom, cubes):
+    """A decomposition of the given (level, index) cubes with no collar;
+    every distance is set positive so only the tested property can fail."""
+    m = len(cubes)
+    return WhitneyDecomposition(
+        domain=dom, side="interior",
+        levels=np.array([k for k, _ in cubes], dtype=np.int64),
+        index=np.array([j for _, j in cubes], dtype=np.int64).reshape(m, 2),
+        d2=np.ones(m, dtype=np.int64), scale_level=dom.K + 1,
+        truncation_level=dom.K, synthetic=np.zeros(m, dtype=bool),
+        collar_levels=np.empty(0, dtype=np.int64),
+        collar_index=np.empty((0, 2), dtype=np.int64))
+
+
+def test_audit_fails_on_cube_next_to_its_ancestor(unit_square_k6):
+    dom = unit_square_k6
+    quarter = [(2, (a, b)) for a in range(4) for b in range(4)
+               if a >= 2 or b >= 2]
+    good = _hand_built(dom, [(1, (0, 0))] + quarter)
+    assert all(audit_whitney(good)[w] for w in ("W1", "W2", "W4"))
+    # the child (2, (0, 0)) of the level-1 cube replaces (2, (3, 3)), so
+    # the volumes still add up and only the ancestor test can fail
+    bad = _hand_built(dom, [(1, (0, 0)), (2, (0, 0))] + quarter[:-1])
+    audit = audit_whitney(bad)
+    assert audit["W1"] and not audit["W2"]
+
+
+def test_audit_fails_on_level_gap_of_four():
+    # a level-1 cube meets level-5 cells along two of its faces
+    dom = VoxelDomain(5, (0, 0), np.ones((32, 32), bool))
+    cells = [(5, (a, b)) for a in range(32) for b in range(32)
+             if a >= 16 or b >= 16]
+    dec = _hand_built(dom, [(1, (0, 0))] + cells)
+    audit = audit_whitney(dec)
+    assert audit["W1"] and audit["W2"] and not audit["W4"]
+    assert len(dec.neighbor_graph()[0]) == 32
 
 
 # -- partition of unity -----------------------------------------------------
