@@ -66,7 +66,7 @@ class GeodesicSolver:
             w = np.ones(mask.shape)
         elif weight == "inverse":
             w = np.zeros(mask.shape)
-            w[mask] = 1.0 / dist.values[mask]
+            w[mask] = 1.0 / dist.values_at(mask)
         else:
             kind, p = weight
             if kind != "power":
@@ -74,7 +74,7 @@ class GeodesicSolver:
             if not (1.0 <= p < 2.0):
                 raise UnsupportedExponent(f"p must lie in [1,2), got {p}")
             w = np.zeros(mask.shape)
-            w[mask] = dist.values[mask] ** (1.0 - p)
+            w[mask] = dist.values_at(mask) ** (1.0 - p)
         self.node_mask = mask
         if not mask.any():
             raise Unreachable(f"no cells on the {side} side")
@@ -423,4 +423,4 @@ def _dist_at_vertices(dom: VoxelDomain, dist: DistanceField,
     cells = np.floor(verts / dom.h).astype(np.int64) - np.asarray(dom.lo_int)
     for d in range(dom.n):
         cells[:, d] = np.clip(cells[:, d], 0, dom.mask.shape[d] - 1)
-    return dist.values[tuple(cells.T)]
+    return dist.values_at(tuple(cells.T))

@@ -8,10 +8,17 @@ runs once on that doubled grid; squared distances are exact integers in
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import ndimage
 
 from .domain import VoxelDomain
+from .errors import PreconditionNotMet
+
+# Lattices whose transform would peak above this are refused before any
+# allocation (the same 4 GiB as whitney.SMOOTH_BUDGET_BYTES).
+EDT_BUDGET_BYTES = 4 * 2**30
 
 
 class DistanceField:
@@ -19,9 +26,10 @@ class DistanceField:
                  feature: np.ndarray | None = None):
         self.K = K
         self.lo_int = tuple(lo_int)
-        self.d2_doubled = d2_doubled  # int64, over the (2N+1)^n doubled grid
+        self.d2_doubled = d2_doubled  # int32, over the (2N+1)^n doubled grid
         # feature[d] holds the d-coordinate (grid offset) of the nearest
-        # boundary centroid per doubled-grid node
+        # boundary centroid per doubled-grid node: int16 when every lattice
+        # axis has fewer than 2^15 nodes, int32 otherwise
         self.feature = feature
 
     @property
@@ -41,7 +49,13 @@ class DistanceField:
     @property
     def values(self) -> np.ndarray:
         """Distances at cell centers in absolute units."""
-        return np.sqrt(self.d2_int.astype(np.float64)) * (self.h / 2.0)
+        return self.values_at(...)
+
+    def values_at(self, index) -> np.ndarray:
+        """Distances in absolute units at the cell centers that `index` (a
+        bool mask or index arrays into the cell grid) selects; equal to
+        `values[index]` bit for bit, without the full-grid square root."""
+        return np.sqrt(self.d2_int[index].astype(np.float64)) * (self.h / 2.0)
 
     def d2_at_doubled(self, coords: np.ndarray) -> np.ndarray:
         """Exact squared distances at doubled-grid points (e.g. centroids)."""
@@ -51,42 +65,65 @@ class DistanceField:
         return self.d2_doubled[tuple(offs[:, d] for d in range(self.n))]
 
 
+def _peak_bytes_per_node(n: int, narrow: bool) -> int:
+    """Peak bytes per lattice node held by `distance_transform`, the
+    largest over its phases; `narrow` means int16 features."""
+    # inside scipy: the site mask, np.where's int64 copy of it and the int8
+    # cast of that, then the site mask, the int8 input and the int32 indices
+    scipy = max(1 + 8 + 1, 2 + 4 * n)
+    # then the int32 indices and their int16 cast (narrow), or the int32
+    # indices kept as features, d2 and at most 4 B of slab temporaries
+    return max(scipy, 6 * n if narrow else 4 * n + 8)
+
+
+def _check_lattice(shape2: tuple[int, ...], narrow: bool) -> None:
+    need = math.prod(shape2) * _peak_bytes_per_node(len(shape2), narrow)
+    if need > EDT_BUDGET_BYTES:
+        raise PreconditionNotMet(
+            f"distance lattice {shape2} needs {need / 2**30:.3g} GiB, over "
+            f"the {EDT_BUDGET_BYTES / 2**30:g} GiB budget")
+    # the largest squared distance two lattice nodes can have
+    if sum((s - 1) ** 2 for s in shape2) >= 2**31:
+        raise PreconditionNotMet(
+            f"distance lattice {shape2} is too long for int32 squared "
+            "distances")
+
+
 def distance_transform(dom: VoxelDomain) -> DistanceField:
-    """Exact squared-distance field of a domain's discrete boundary."""
+    """Exact squared-distance field of a domain's discrete boundary.
+
+    Lattices over EDT_BUDGET_BYTES, or too long for int32 squared
+    distances, raise PreconditionNotMet before anything is allocated."""
     if dom._dist is not None:
         return dom._dist
-    _, coords = dom.boundary_faces_doubled()
     n = dom.n
     shape2 = tuple(2 * s + 1 for s in dom.mask.shape)
+    narrow = max(shape2) < 2**15
+    _check_lattice(shape2, narrow)
+    _, coords = dom.boundary_faces_doubled()
     sites = np.ones(shape2, dtype=bool)
     offs = coords - 2 * np.asarray(dom.lo_int, dtype=np.int64)
     sites[tuple(offs[:, d] for d in range(n))] = False
-    nearest = ndimage.distance_transform_edt(
+    feature = ndimage.distance_transform_edt(
         sites, return_distances=False, return_indices=True
     )
-    d2 = np.zeros(shape2, dtype=np.int64)
-    for d in range(n):
-        ax = np.arange(shape2[d], dtype=np.int64).reshape(
-            tuple(-1 if a == d else 1 for a in range(n))
-        )
-        diff = ax - nearest[d].astype(np.int64)
-        d2 += diff * diff
-    field = DistanceField(dom.K, dom.lo_int, d2,
-                          feature=nearest.astype(np.int32, copy=False))
+    del sites
+    if narrow:
+        feature = feature.astype(np.int16)
+    # square and add per axis a slab of about 2^18 nodes at a time: no int64
+    # and no full-size temporaries
+    d2 = np.empty(shape2, dtype=np.int32)
+    axes = [np.arange(s, dtype=np.int32).reshape(
+        tuple(-1 if a == d else 1 for a in range(n)))
+        for d, s in enumerate(shape2)]
+    step = max(1, 2**18 * shape2[0] // d2.size)
+    for i in range(0, shape2[0], step):
+        rows = slice(i, i + step)
+        gap = axes[0][rows] - feature[0][rows]
+        np.multiply(gap, gap, out=d2[rows])
+        for d in range(1, n):
+            gap = axes[d] - feature[d][rows]
+            d2[rows] += gap * gap
+    field = DistanceField(dom.K, dom.lo_int, d2, feature=feature)
     dom._dist = field
     return field
-
-
-def brute_force_d2(dom: VoxelDomain) -> np.ndarray:
-    """O(cells * faces) oracle for cell-center squared distances."""
-    _, coords = dom.boundary_faces_doubled()
-    n = dom.n
-    axes = [
-        2 * (np.arange(s) + dom.lo_int[d]) + 1 for d, s in enumerate(dom.mask.shape)
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    best = None
-    for row in coords:
-        d2 = sum((g - int(c)) ** 2 for g, c in zip(grids, row))
-        best = d2 if best is None else np.minimum(best, d2)
-    return best.astype(np.int64)

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from distance_oracle import brute_force_d2
 from scipy import ndimage
 
 from sobex.cantor import build_cantor_tube, seg_seg_dist2
@@ -19,7 +20,7 @@ from sobex.curves import (
     curve_condition_scan,
     weighted_geodesic,
 )
-from sobex.distance import brute_force_d2, distance_transform
+from sobex.distance import distance_transform
 from sobex.domain import VoxelDomain, build_domain
 from sobex.extension import extend_geometry, select_A_prime, \
     verify_lemma_31, verify_lemma_33

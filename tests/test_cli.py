@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sobex.cli as cli
+import sobex.distance
 from sobex.cli import main, make_set
 from sobex.config import RunManifest
 from sobex.distance import distance_transform
@@ -312,3 +313,18 @@ def test_old_string_config_hash_is_replaced(tmp_path):
     payload = _manifest(out)
     assert set(payload["config_hash"]) == {"cantor"}
     assert set(payload["timings"]) == {"cantor"}
+
+
+def test_oversize_distance_lattice_exit_2(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path)
+    assert run(["--out", out, "gen", "--domain", "ball", "--K", "5"]) == 0
+    monkeypatch.setattr(sobex.distance, "EDT_BUDGET_BYTES", 1024)
+    capsys.readouterr()
+    code = run(["--out", out, "geodesic",
+                "--domain-file", os.path.join(out, "domain.voxd"),
+                "--p", "1.5", "--src", "0.1", "0.9", "--dst", "0.9", "0.1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: distance lattice") and "budget" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "geodesic.csv").exists()

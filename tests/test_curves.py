@@ -340,3 +340,29 @@ def test_limited_search_is_exact_within_limit(seed, n, density, p, frac):
     assert np.array_equal(part[fin], full[fin])  # bit-equal where settled
     assert fin[full <= limit].all()
     assert not fin[full > limit].any()
+
+
+def _full_grid_values(dist):
+    """Cell-center distances over the whole grid, square root first."""
+    return np.sqrt(dist.d2_int.astype(np.float64)) * (dist.h / 2.0)
+
+
+@pytest.mark.parametrize("weight", ["inverse", ("power", 1.5)])
+def test_solver_weights_equal_full_grid_distances(weight):
+    dom = build_domain("outward_cusp", 6, margin=0.25)
+    dist = distance_transform(dom)
+    solver = GeodesicSolver(dom, dist, side="complement", weight=weight)
+    full = _full_grid_values(dist)[solver.node_mask]
+    expect = 1.0 / full if weight == "inverse" else full ** (1.0 - 1.5)
+    assert np.array_equal(solver._w[solver.node_mask], expect)
+    assert not solver._w[~solver.node_mask].any()
+
+
+def test_vertex_distances_equal_full_grid_distances():
+    dom = build_domain("ball", 6, r=0.5, margin=0.25)
+    dist = distance_transform(dom)
+    verts = np.random.default_rng(5).uniform(-0.5, 1.5, size=(200, 2))
+    cells = np.floor(verts / dom.h).astype(np.int64) - np.asarray(dom.lo_int)
+    cells = np.clip(cells, 0, np.asarray(dom.mask.shape) - 1)
+    assert np.array_equal(curves._dist_at_vertices(dom, dist, verts),
+                          _full_grid_values(dist)[tuple(cells.T)])

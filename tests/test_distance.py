@@ -1,8 +1,18 @@
+import math
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from distance_oracle import brute_force_d2, brute_force_d2_doubled, \
+    reference_field
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sobex.distance import brute_force_d2, distance_transform
+import sobex.distance as distance
+from sobex.distance import _peak_bytes_per_node, distance_transform
 from sobex.domain import VoxelDomain, build_domain
+from sobex.errors import PreconditionNotMet
 
 
 def test_unit_square_center_value():
@@ -59,3 +69,129 @@ def test_face_centroid_lookup():
     df = distance_transform(dom)
     _, coords = dom.boundary_faces_doubled()
     assert np.all(df.d2_at_doubled(coords) == 0)
+
+
+def _cantor_window():
+    w = Fraction(1, 2**8)
+    window = ((Fraction(1, 2) - w, Fraction(1, 2) - w, Fraction(1) - w / 2),
+              (Fraction(1, 2) + w, Fraction(1, 2) + w, Fraction(1)))
+    return build_domain("cantor_tube", 14, depth=1, window=window)
+
+
+REFERENCE_DOMAINS = {
+    "ball": lambda: build_domain("ball", 8, r=0.5, margin=0.5),
+    "slit_square": lambda: build_domain("slit_square", 8, margin=0.25),
+    "outward_cusp": lambda: build_domain("outward_cusp", 8, margin=0.25),
+    "snowflake": lambda: build_domain("snowflake_approx", 7, iterations=3,
+                                      margin=0.25),
+    "cantor_window": _cantor_window,
+    "ball3": lambda: build_domain("ball", 5, dim=3, r=0.5, margin=0.5),
+    "cube3": lambda: build_domain("cube", 5, dim=3, margin=0.25),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DOMAINS))
+def test_field_equals_int64_reference(name):
+    dom = REFERENCE_DOMAINS[name]()
+    assert name == "cantor_window" or min(dom.lo_int) < 0
+    field = distance_transform(dom)
+    assert field.d2_doubled.dtype == np.int32
+    assert field.feature.dtype == np.int16
+    d2_ref, feature_ref = reference_field(dom)
+    assert np.array_equal(field.d2_doubled, d2_ref)
+    assert np.array_equal(field.feature, feature_ref)
+
+
+def _assert_nodes_exact(dom, field):
+    """Every lattice node's d2 is the brute-force minimum, and its feature
+    names a boundary centroid at exactly that squared distance."""
+    d2 = field.d2_doubled
+    assert np.array_equal(d2, brute_force_d2_doubled(dom))
+    feature = field.feature.astype(np.int64)
+    assert dom.boundary_face_lookup()[tuple(feature)].all()
+    gap2 = sum((np.arange(s).reshape(tuple(-1 if a == d else 1
+                                           for a in range(dom.n)))
+                - feature[d]) ** 2 for d, s in enumerate(d2.shape))
+    assert np.array_equal(gap2, d2)
+
+
+@st.composite
+def random_domains(draw):
+    n = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.integers(1, 14 if n == 2 else 6)) for _ in range(n))
+    bits = draw(st.lists(st.booleans(), min_size=math.prod(shape),
+                         max_size=math.prod(shape)))
+    mask = np.array(bits, dtype=bool).reshape(shape)
+    if not mask.any():
+        mask.flat[0] = True
+    lo_int = tuple(draw(st.integers(-9, 9)) for _ in range(n))
+    return VoxelDomain(draw(st.integers(0, 6)), lo_int, mask)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_domains())
+def test_every_node_matches_brute_force(dom):
+    _assert_nodes_exact(dom, distance_transform(dom))
+
+
+@pytest.mark.parametrize("cells, dtype", [(16383, np.int16),
+                                          (16384, np.int32),
+                                          (16400, np.int32)])
+def test_feature_dtype_follows_the_longest_axis(cells, dtype):
+    # two blocks at the far ends, so far-end features pass 2^15 - 1
+    mask = np.zeros((cells, 2), dtype=bool)
+    mask[:2] = mask[-2:] = True
+    dom = VoxelDomain(4, (-3, 5), mask)
+    field = distance_transform(dom)
+    assert field.feature.dtype == dtype
+    assert field.d2_doubled.dtype == np.int32
+    _assert_nodes_exact(dom, field)
+    assert int(field.feature[0].max()) == 2 * cells
+
+
+@pytest.mark.parametrize("args, bound", [
+    (("ball", 8, dict(r=0.5, margin=0.5)), 17),
+    (("ball", 5, dict(dim=3, r=0.5, margin=0.5)), 23),
+])
+def test_peak_memory_per_node(args, bound):
+    dom = build_domain(args[0], args[1], **args[2])
+    dom.boundary_faces_doubled()
+    tracemalloc.start()
+    try:
+        field = distance_transform(dom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nodes = field.d2_doubled.size
+    assert peak <= bound * nodes
+    # the budget's per-node model holds, up to the O(faces) centroid arrays
+    assert peak <= (_peak_bytes_per_node(dom.n, True) + 0.25) * nodes
+    kept = field.d2_doubled.nbytes + field.feature.nbytes
+    assert kept <= (4 + 2 * dom.n) * nodes
+
+
+def _refuse_scipy(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("scipy was called")
+    monkeypatch.setattr(distance.ndimage, "distance_transform_edt", fail)
+
+
+def test_oversize_lattice_refused_before_allocation(monkeypatch):
+    dom = build_domain("ball", 5, r=0.5)
+    need = 65**2 * _peak_bytes_per_node(2, True)
+    monkeypatch.setattr(distance, "EDT_BUDGET_BYTES", need)
+    assert distance_transform(VoxelDomain(5, dom.lo_int, dom.mask)) is not None
+    monkeypatch.setattr(distance, "EDT_BUDGET_BYTES", need - 1)
+    _refuse_scipy(monkeypatch)
+    with pytest.raises(PreconditionNotMet, match="budget") as e:
+        distance_transform(dom)
+    assert "\n" not in str(e.value)
+    assert dom._dist is None
+
+
+def test_int32_overflow_refused(monkeypatch):
+    _refuse_scipy(monkeypatch)
+    # 46401 lattice nodes along x: 46400^2 + 2^2 > 2^31 - 1
+    dom = VoxelDomain(4, (0, 0), np.ones((23200, 1), dtype=bool))
+    with pytest.raises(PreconditionNotMet, match="int32"):
+        distance_transform(dom)
