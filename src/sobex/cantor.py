@@ -99,10 +99,17 @@ class CantorTubeSpec:
     # -- serialization: structured text with exact rationals ---------------
 
     def to_text(self) -> str:
-        out = ["CANTOR1", f"depth {self.depth}"]
+        return "".join(self.text_chunks())
+
+    def text_chunks(self):
+        """Yield the CANTOR1 text: the header (constants and cubes), then one
+        chunk per curve (its anchor, chain and split pieces), each ending
+        with a newline, so a writer never holds the whole text."""
         # split pieces share coordinates and their end vertices with their
         # neighbours; the spec keeps those objects alive, so each token and
-        # vertex line is formatted once, keyed by the object's id
+        # vertex line is formatted once, keyed by the object's id.  Vertices
+        # are shared only within a curve, so the vertex lines live for one
+        # curve's chunk; coordinates recur across curves
         tokens: dict[int, str] = {}
         vlines: dict[int, str] = {}
 
@@ -118,6 +125,7 @@ class CantorTubeSpec:
                 t = vlines[id(v)] = "v " + " ".join(map(f, v))
             return t
 
+        out = ["CANTOR1", f"depth {self.depth}"]
         out.append("lambda " + " ".join(f(x) for x in self.lambdas))
         out.append("l " + " ".join(f(x) for x in self.l))
         out.append("e " + " ".join(f(x) for x in self.e))
@@ -125,23 +133,25 @@ class CantorTubeSpec:
         for n in range(self.depth + 1):
             for i, lo in enumerate(self.cubes[n]):
                 out.append(f"cube {n} {i} " + " ".join(f(v) for v in lo))
+        yield "\n".join(out) + "\n"
         for n in range(1, self.depth + 1):
             for i in range(len(self.curves[n])):
+                vlines.clear()
                 ax = self.anchors_x[n][i]
                 ay = self.anchors_y[n][i]
-                out.append(
+                out = [
                     f"anchor {n} {i} "
                     + " ".join(f(v) for v in ax)
                     + " "
                     + " ".join(f(v) for v in ay)
-                )
+                ]
                 verts = self.curves[n][i]
                 out.append(f"curve {n} {i} {len(verts)}")
                 out.extend(map(vline, verts))
                 for j, piece in enumerate(self.splits[n][i]):
                     out.append(f"split {n} {i} {j} {len(piece)}")
                     out.extend(map(vline, piece))
-        return "\n".join(out) + "\n"
+                yield "\n".join(out) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "CantorTubeSpec":

@@ -290,8 +290,17 @@ def cmd_cantor(args) -> tuple[int, list[str]]:
     from .cantor import build_cantor_tube
 
     spec = build_cantor_tube(args.depth)
-    with open(os.path.join(args.out, "cantor_spec.txt"), "w") as f:
-        f.write(spec.to_text())
+    # stream the text chunk by chunk into a side file and move it into place
+    # only when complete, so a failed write leaves no truncated spec
+    path = os.path.join(args.out, "cantor_spec.txt")
+    partial = path + ".partial"
+    try:
+        with open(partial, "w") as f:
+            f.writelines(spec.text_chunks())
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
     ntubes = sum(len(spec.curves[n]) for n in range(1, spec.depth + 1))
     print(f"depth={spec.depth} tubes={ntubes} "
           f"c_m={float(spec.c[spec.depth])!r} "

@@ -19,10 +19,12 @@ class RunManifest:
     timings: dict = field(default_factory=dict)
 
     def add_file(self, path, root=None) -> None:
+        digest = hashlib.sha256()
         with open(path, "rb") as f:
-            digest = hashlib.sha256(f.read()).hexdigest()
+            for block in iter(lambda: f.read(1 << 20), b""):
+                digest.update(block)
         rel = os.path.relpath(path, root) if root else str(path)
-        self.artifacts.append({"path": rel, "sha256": digest})
+        self.artifacts.append({"path": rel, "sha256": digest.hexdigest()})
 
     def time_block(self, name: str):
         return _Timer(self, name)

@@ -172,26 +172,6 @@ def weighted_geodesic(dom: VoxelDomain, dist: DistanceField, z1, z2, p: float,
     return solver.path(z1, z2)
 
 
-def bellman_ford_cost(solver: GeodesicSolver, z1, z2) -> float:
-    """Independent relaxation oracle (dense iteration to a fixed point)."""
-    s = solver.snap(z1)
-    t = solver.snap(z2)
-    m = solver.graph.shape[0]
-    coo = solver.graph.tocoo()
-    edges = np.stack([coo.row, coo.col]).T
-    w = coo.data
-    dist = np.full(m, np.inf)
-    dist[s] = 0.0
-    for _ in range(m):
-        nd = dist.copy()
-        np.minimum.at(nd, edges[:, 1], dist[edges[:, 0]] + w)
-        np.minimum.at(nd, edges[:, 0], dist[edges[:, 1]] + w)
-        if np.array_equal(nd, dist):
-            break
-        dist = nd
-    return float(dist[t])
-
-
 # ---------------------------------------------------------------------------
 # curve-condition scan
 # ---------------------------------------------------------------------------

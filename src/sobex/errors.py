@@ -32,7 +32,3 @@ class UnsupportedExponent(SobexError):
 
 class Unreachable(SobexError):
     """Endpoints lie in different connected components of the search region."""
-
-
-class CollarPoint(SobexError):
-    """Query point falls in the truncation collar not covered by cubes."""

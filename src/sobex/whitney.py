@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 
 from .domain import VoxelDomain, root_tiling_level
 from .dyadic import DyadicCube, box_point_dist2_int
-from .errors import CollarPoint, InvalidDomain, PreconditionNotMet
+from .errors import InvalidDomain, PreconditionNotMet
 
 SUPPORT_SHELL = 16  # support reaches l(Q)/16 beyond the cube
 
@@ -456,15 +456,6 @@ class PartitionOfUnity:
     def __init__(self, dec: WhitneyDecomposition):
         self.dec = dec
         self._boxes, self._radii = _cube_boxes(dec)
-
-    def evaluate(self, x) -> list[tuple[int, float]]:
-        """Nonzero (cube id, psi_i(x)) pairs; raises CollarPoint when x lies
-        in the domain but outside the covered region."""
-        x = np.asarray(x, dtype=float)
-        _, ids, psi, covered = self.evaluate_many(x[None, :])
-        if not covered[0]:
-            raise CollarPoint(f"point {tuple(x)} lies in the truncation collar")
-        return [(int(i), float(v)) for i, v in zip(ids, psi)]
 
     def evaluate_many(self, pts):
         """psi at an (m, n) array of points: (point, cube id, psi) arrays of

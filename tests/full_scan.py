@@ -1,8 +1,10 @@
-"""The full-search curve-condition scan, kept as the oracle for the bounded one.
+"""Search oracles for `sobex.curves`: the full-search curve-condition scan,
+kept as the oracle for the bounded one, and a Bellman-Ford relaxation for
+single-pair geodesic costs.
 
-It samples anchors and targets exactly as `curves._scan_once` does and runs
-one unlimited single-source Dijkstra over the whole graph per anchor, as the
-scan did before its searches were bounded by the running sup ratio.
+The scan samples anchors and targets exactly as `curves._scan_once` does and
+runs one unlimited single-source Dijkstra over the whole graph per anchor, as
+the scan did before its searches were bounded by the running sup ratio.
 """
 
 from __future__ import annotations
@@ -74,3 +76,23 @@ def full_scan_once(dom, p, n_pairs, seed, scales=None, focus=None):
                 sup = max(sup, ratio)
         sups.append(sup)
     return rows, sups
+
+
+def bellman_ford_cost(solver: GeodesicSolver, z1, z2) -> float:
+    """Independent relaxation oracle (dense iteration to a fixed point)."""
+    s = solver.snap(z1)
+    t = solver.snap(z2)
+    m = solver.graph.shape[0]
+    coo = solver.graph.tocoo()
+    edges = np.stack([coo.row, coo.col]).T
+    w = coo.data
+    dist = np.full(m, np.inf)
+    dist[s] = 0.0
+    for _ in range(m):
+        nd = dist.copy()
+        np.minimum.at(nd, edges[:, 1], dist[edges[:, 0]] + w)
+        np.minimum.at(nd, edges[:, 0], dist[edges[:, 1]] + w)
+        if np.array_equal(nd, dist):
+            break
+        dist = nd
+    return float(dist[t])

@@ -11,12 +11,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from distance_oracle import brute_force_d2
+from full_scan import bellman_ford_cost
 from scipy import ndimage
 
 from sobex.cantor import build_cantor_tube, seg_seg_dist2
 from sobex.curves import (
     GeodesicSolver,
-    bellman_ford_cost,
     curve_condition_scan,
     weighted_geodesic,
 )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from memory import traced_peak
 
 from sobex.cantor import (
     CantorTubeSpec,
@@ -13,6 +14,7 @@ from sobex.cantor import (
     polyline_length,
     seg_seg_dist2,
 )
+from sobex.cli import main
 from sobex.errors import ConstructionError, PreconditionNotMet
 
 
@@ -257,3 +259,113 @@ def test_from_text_shares_parsed_vertices(depth1):
 def test_oversize_depth_refused_before_splitting():
     with pytest.raises(PreconditionNotMet, match="55339960 tube pieces"):
         build_cantor_tube(3)
+
+
+def _oracle_to_text(spec):
+    """The CANTOR1 text built as one list of lines for the whole spec, with
+    id-keyed token and vertex-line memos over the whole spec."""
+    out = ["CANTOR1", f"depth {spec.depth}"]
+    tokens = {}
+    vlines = {}
+
+    def f(x):
+        t = tokens.get(id(x))
+        if t is None:
+            t = tokens[id(x)] = f"{x.numerator}/{x.denominator}"
+        return t
+
+    def vline(v):
+        t = vlines.get(id(v))
+        if t is None:
+            t = vlines[id(v)] = "v " + " ".join(map(f, v))
+        return t
+
+    out.append("lambda " + " ".join(f(x) for x in spec.lambdas))
+    out.append("l " + " ".join(f(x) for x in spec.l))
+    out.append("e " + " ".join(f(x) for x in spec.e))
+    out.append("c " + " ".join(f(x) for x in spec.c))
+    for n in range(spec.depth + 1):
+        for i, lo in enumerate(spec.cubes[n]):
+            out.append(f"cube {n} {i} " + " ".join(f(v) for v in lo))
+    for n in range(1, spec.depth + 1):
+        for i in range(len(spec.curves[n])):
+            ax = spec.anchors_x[n][i]
+            ay = spec.anchors_y[n][i]
+            out.append(
+                f"anchor {n} {i} "
+                + " ".join(f(v) for v in ax)
+                + " "
+                + " ".join(f(v) for v in ay)
+            )
+            verts = spec.curves[n][i]
+            out.append(f"curve {n} {i} {len(verts)}")
+            out.extend(map(vline, verts))
+            for j, piece in enumerate(spec.splits[n][i]):
+                out.append(f"split {n} {i} {j} {len(piece)}")
+                out.extend(map(vline, piece))
+    return "\n".join(out) + "\n"
+
+
+def _fresh(x):
+    """A copy of nested lists and tuples of Fractions sharing no object."""
+    if isinstance(x, Fraction):
+        return Fraction(x.numerator, x.denominator)
+    return type(x)(map(_fresh, x))
+
+
+def _check_chunks(spec):
+    chunks = list(spec.text_chunks())
+    assert len(chunks) == 1 + sum(len(spec.curves[n])
+                                  for n in range(1, spec.depth + 1))
+    assert chunks[0].startswith("CANTOR1\n")
+    assert all(c.startswith("anchor ") for c in chunks[1:])
+    assert all(c.endswith("\n") for c in chunks)
+    return chunks
+
+
+def test_text_matches_single_list_oracle_depth1(depth1):
+    text = depth1.to_text()
+    assert text == _oracle_to_text(depth1)
+    assert "".join(_check_chunks(depth1)) == text
+
+
+def test_text_matches_single_list_oracle_depth2(depth2):
+    oracle = _oracle_to_text(depth2)
+    assert len(oracle) == 119_047_038
+    assert depth2.to_text() == oracle
+    assert "".join(_check_chunks(depth2)) == oracle
+
+
+@settings(max_examples=10, deadline=None)
+@given(lam=st.one_of(_lambda_n, _lambda_any))
+def test_text_matches_single_list_oracle_drawn_lambdas(lam):
+    spec = build_cantor_tube(1, lambda_override=[lam])
+    assert spec.to_text() == _oracle_to_text(spec)
+
+
+def test_text_of_unshared_objects_matches(depth1):
+    # the id-keyed memos only cache: a spec whose vertices and Fractions are
+    # all distinct objects gives the same text
+    fresh = CantorTubeSpec(
+        depth1.depth, _fresh(depth1.lambdas), _fresh(depth1.l),
+        _fresh(depth1.e), _fresh(depth1.c), _fresh(depth1.cubes),
+        _fresh(depth1.anchors_x), _fresh(depth1.anchors_y),
+        _fresh(depth1.curves), _fresh(depth1.splits))
+    pieces = fresh.splits[1][5]
+    assert pieces[0][-1] == pieces[1][0]
+    assert pieces[0][-1] is not pieces[1][0]
+    assert pieces[0][-1][0] is not pieces[1][0][0]
+    assert fresh.to_text() == _oracle_to_text(fresh) == depth1.to_text()
+
+
+def test_text_peak_memory_per_byte(depth1):
+    # the chunks and their join, not a line list and a second full copy
+    text, peak = traced_peak(depth1.to_text)
+    assert peak <= 2.8 * len(text)
+
+
+def test_cli_writes_the_spec_text(depth1, tmp_path):
+    assert main(["--out", str(tmp_path), "cantor", "--depth", "1"]) == 0
+    spec_file = tmp_path / "cantor_spec.txt"
+    assert spec_file.read_bytes() == depth1.to_text().encode()
+    assert not (tmp_path / "cantor_spec.txt.partial").exists()

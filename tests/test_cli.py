@@ -7,6 +7,7 @@ import pytest
 
 import sobex.cli as cli
 import sobex.distance
+from sobex.cantor import CantorTubeSpec
 from sobex.cli import main, make_set
 from sobex.config import RunManifest
 from sobex.distance import distance_transform
@@ -250,6 +251,22 @@ def test_cantor_oversize_depth_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "cantor_spec.txt").exists()
+
+
+def test_cantor_failed_write_leaves_no_spec(tmp_path, monkeypatch, capsys):
+    real = CantorTubeSpec.text_chunks
+
+    def broken(spec):
+        chunks = real(spec)
+        yield next(chunks)
+        yield next(chunks)
+        raise RuntimeError("write cut short")
+
+    monkeypatch.setattr(CantorTubeSpec, "text_chunks", broken)
+    assert run(["--out", str(tmp_path), "cantor", "--depth", "1"]) != 0
+    assert "write cut short" in capsys.readouterr().err
+    assert not (tmp_path / "cantor_spec.txt").exists()
+    assert not (tmp_path / "cantor_spec.txt.partial").exists()
 
 
 def test_unknown_args_quietly_error():

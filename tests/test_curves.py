@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from full_scan import full_scan_once
+from full_scan import bellman_ford_cost, full_scan_once
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sobex.curves as curves
 from sobex.curves import (
     GeodesicSolver,
-    bellman_ford_cost,
     boundary_probe_points,
     cig_check,
     curve_condition_scan,

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +7,7 @@ from distance_oracle import brute_force_d2, brute_force_d2_doubled, \
     reference_field
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from memory import traced_peak
 
 import sobex.distance as distance
 from sobex.distance import _peak_bytes_per_node, distance_transform
@@ -156,12 +156,7 @@ def test_feature_dtype_follows_the_longest_axis(cells, dtype):
 def test_peak_memory_per_node(args, bound):
     dom = build_domain(args[0], args[1], **args[2])
     dom.boundary_faces_doubled()
-    tracemalloc.start()
-    try:
-        field = distance_transform(dom)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    field, peak = traced_peak(distance_transform, dom)
     nodes = field.d2_doubled.size
     assert peak <= bound * nodes
     # the budget's per-node model holds, up to the O(faces) centroid arrays
