@@ -1,11 +1,12 @@
 """Command-line front end: domain generation, Whitney audits, extension and
 curve-condition experiments, and consolidated reports.
 
-Exit codes: 0 ok, 1 internal error, 2 usage/precondition error.  All CSV
-numbers use repr() so values round-trip exactly; reruns with the same
-arguments and version produce identical numeric content.  Every command but
-`report` records, in <out>/manifest.json, the sha256 of its parsed arguments,
-its wall time and the hashes of the artifacts it wrote.
+Exit codes: 0 ok, 1 internal error or a failed `whitney` audit, 2
+usage/precondition error.  All CSV numbers use repr() of Python floats and
+ints so values round-trip exactly; reruns with the same arguments and
+version produce identical numeric content.  Every command but `report`
+records, in <out>/manifest.json, the sha256 of its parsed arguments, its
+wall time and the hashes of the artifacts it wrote.
 """
 
 from __future__ import annotations
@@ -238,11 +239,10 @@ def cmd_curvescan(args) -> tuple[int, list[str]]:
     dom = VoxelDomain.load(args.domain_file)
     for p in args.p:
         check_scan_inputs(dom, p, args.pairs, args.scales, not args.no_refine)
-    if dom.name.tag in GENERATORS:
-        dom = build_domain(dom.name, dom.K)  # regenerate so refine can rebuild
+    ends = ",".join(f"z{e}{a}" for e in "12" for a in "xyz"[:dom.n])
     csv_path = os.path.join(out, "curvescan.csv")
     with open(csv_path, "w") as f:
-        f.write("p,K,scale,z1x,z1y,z2x,z2y,separation,cost,ratio\n")
+        f.write(f"p,K,scale,{ends},separation,cost,ratio\n")
         for p in args.p:
             rep = curve_condition_scan(
                 dom, p, args.pairs, args.seed, scales=args.scales,
@@ -250,9 +250,9 @@ def cmd_curvescan(args) -> tuple[int, list[str]]:
             )
             for row in rep.rows:
                 f.write(",".join(repr(v) for v in (
-                    p, rep.K, row["scale"], row["z1"][0], row["z1"][1],
-                    row["z2"][0], row["z2"][1], row["separation"],
-                    row["cost"], row["ratio"],
+                    p, rep.K, row["scale"],
+                    *(float(c) for c in row["z1"] + row["z2"]),
+                    row["separation"], row["cost"], row["ratio"],
                 )) + "\n")
             sups = " ".join(f"{s:.4g}:{v:.4g}"
                             for s, v in zip(rep.scales, rep.sup_ratio))

@@ -11,7 +11,7 @@ Riemann sums converge to the continuum line integrals as the grid refines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -55,32 +55,25 @@ class GeodesicSolver:
     def __init__(self, dom: VoxelDomain, dist: DistanceField | None = None,
                  side: str = "complement", weight="unit"):
         self.dom = dom
-        self.side = side
-        self.weight_spec = weight
         dist = dist if dist is not None else distance_transform(dom)
-        self.dist = dist
         mask = (~dom.mask) if side == "complement" else dom.mask
-        d2 = dist.d2_int
+        # one weight per node, in `cells` order
         if weight == "unit":
-            mask = mask & (d2 > 1)  # forbid cells hugging the boundary
-            w = np.ones(mask.shape)
+            mask = mask & (dist.d2_int > 1)  # forbid cells hugging the boundary
+            w = np.ones(int(mask.sum()))
         elif weight == "inverse":
-            w = np.zeros(mask.shape)
-            w[mask] = 1.0 / dist.values_at(mask)
+            w = 1.0 / dist.values_at(mask)
         else:
             kind, p = weight
             if kind != "power":
                 raise ValueError(f"unknown weight {weight!r}")
             if not (1.0 <= p < 2.0):
                 raise UnsupportedExponent(f"p must lie in [1,2), got {p}")
-            w = np.zeros(mask.shape)
-            w[mask] = dist.values_at(mask) ** (1.0 - p)
+            w = dist.values_at(mask) ** (1.0 - p)
         self.node_mask = mask
         if not mask.any():
             raise Unreachable(f"no cells on the {side} side")
-        self.ids = np.full(mask.shape, -1, dtype=np.int64)
         self.cells = np.argwhere(mask)
-        self.ids[mask] = np.arange(len(self.cells))
         self._w = w
         self._build_graph()
         h = dom.h
@@ -92,6 +85,9 @@ class GeodesicSolver:
         n = self.dom.n
         h = self.dom.h
         mask = self.node_mask
+        ids = np.full(mask.shape, -1, dtype=np.int64)
+        ids[mask] = np.arange(len(self.cells))
+        w = self._w
         offsets = _OFFSETS_2D if n == 2 else _OFFSETS_3D
         rows, cols, data = [], [], []
         for off in offsets:
@@ -102,9 +98,9 @@ class GeodesicSolver:
                 slice(max(0, o), mask.shape[d] + min(0, o)) for d, o in enumerate(off)
             )
             ok = mask[sl_from] & mask[sl_to]
-            a = self.ids[sl_from][ok]
-            b = self.ids[sl_to][ok]
-            wmean = 0.5 * (self._w[sl_from][ok] + self._w[sl_to][ok])
+            a = ids[sl_from][ok]
+            b = ids[sl_to][ok]
+            wmean = 0.5 * (w[a] + w[b])
             length = math.sqrt(sum(o * o for o in off)) * h
             rows.append(a)
             cols.append(b)
@@ -146,7 +142,7 @@ class GeodesicSolver:
         verts = self._centers[chain]
         diffs = np.diff(verts, axis=0)
         lengths = np.sqrt((diffs**2).sum(axis=1))
-        cellw = self._w[tuple(self.cells[chain].T)]
+        cellw = self._w[chain]
         weights = 0.5 * (cellw[:-1] + cellw[1:])
         return GeodesicPath(verts, lengths, weights, cost,
                             float(lengths.sum()))
@@ -186,7 +182,6 @@ class CurveConditionReport:
     rows: list[dict]             # z1, z2, separation, cost, ratio, scale
     drift: list[float] | None = None          # same-scale sup at K+1 over K
     sup_ratio_refined: list[float] | None = None   # per-scale sups at K+1
-    flags: list[str] = field(default_factory=list)
     searches: int = 0            # Dijkstra runs, retries and K+1 included
     settled_nodes: int = 0       # finite costs summed over those runs
 

@@ -23,7 +23,7 @@ EDT_BUDGET_BYTES = 4 * 2**30
 
 class DistanceField:
     def __init__(self, K: int, lo_int, d2_doubled: np.ndarray,
-                 feature: np.ndarray | None = None):
+                 feature: np.ndarray):
         self.K = K
         self.lo_int = tuple(lo_int)
         self.d2_doubled = d2_doubled  # int32, over the (2N+1)^n doubled grid
@@ -124,6 +124,6 @@ def distance_transform(dom: VoxelDomain) -> DistanceField:
         for d in range(1, n):
             gap = axes[d] - feature[d][rows]
             d2[rows] += gap * gap
-    field = DistanceField(dom.K, dom.lo_int, d2, feature=feature)
+    field = DistanceField(dom.K, dom.lo_int, d2, feature)
     dom._dist = field
     return field

@@ -29,8 +29,12 @@ class GeneratorSpec:
     params: dict = field(default_factory=dict)
 
     def describe(self) -> str:
-        items = ",".join(f"{k}={self.params[k]}" for k in sorted(self.params)
-                         if k not in ("window", "spec"))
+        """`tag(k=v,...)` with the params sorted by name, in a form `parse`
+        reads back.  A sequence is written as exact rationals joined by ';'
+        (a one-item sequence ends in ';'), a sequence of sequences as those
+        joined by '|'."""
+        items = ",".join(f"{k}={_format_value(self.params[k])}"
+                         for k in sorted(self.params))
         return f"{self.tag}({items})"
 
     @classmethod
@@ -43,12 +47,30 @@ class GeneratorSpec:
         params = {}
         for item in filter(None, rest.split(",")):
             k, v = item.split("=", 1)
-            params[k.strip()] = _parse_scalar(v)
+            params[k.strip()] = _parse_value(v.strip())
         return cls(tag.strip(), params)
+
+
+def _format_value(v) -> str:
+    if not isinstance(v, (tuple, list)):
+        return str(v)
+    nested = any(isinstance(x, (tuple, list)) for x in v)
+    sep = "|" if nested else ";"
+    parts = [_format_value(x) if nested else str(Fraction(x)) for x in v]
+    return sep.join(parts) + (sep if len(v) == 1 else "")
+
+
+def _parse_value(v: str):
+    for sep, item in (("|", _parse_value), (";", _parse_scalar)):
+        if sep in v:
+            return tuple(item(x) for x in v.split(sep) if x)
+    return _parse_scalar(v)
 
 
 def _parse_scalar(v: str):
     v = v.strip()
+    if v in ("True", "False"):
+        return v == "True"
     try:
         return int(v)
     except ValueError:
@@ -83,7 +105,6 @@ class VoxelDomain:
         self.name = name or GeneratorSpec("custom")
         self._faces = None
         self._dist = None
-        self._face_grid = None
         structure = ndimage.generate_binary_structure(mask.ndim, 1)
         _, ncomp = ndimage.label(mask, structure=structure)
         self.connected = ncomp == 1
@@ -130,17 +151,6 @@ class VoxelDomain:
             self._faces = interface_faces_doubled(self.mask, self.lo_int)
         return self._faces
 
-    def boundary_face_lookup(self) -> np.ndarray:
-        """Bool array over the doubled grid marking boundary face centroids."""
-        if self._face_grid is None:
-            _, coords = self.boundary_faces_doubled()
-            shape2 = tuple(2 * s + 1 for s in self.mask.shape)
-            grid = np.zeros(shape2, dtype=bool)
-            offs = coords - 2 * np.asarray(self.lo_int, dtype=np.int64)
-            grid[tuple(offs[:, d] for d in range(self.n))] = True
-            self._face_grid = grid
-        return self._face_grid
-
     def cell_in_domain(self, cells: np.ndarray) -> np.ndarray:
         """Occupancy lookup for absolute cell indices; out-of-bbox is False."""
         cells = np.asarray(cells)
@@ -152,11 +162,6 @@ class VoxelDomain:
         sel = tuple(rel[ok, d] for d in range(self.n))
         out[ok] = self.mask[sel]
         return out
-
-    def boundary_centroids(self) -> np.ndarray:
-        """Boundary face centroids as float coordinates."""
-        _, coords = self.boundary_faces_doubled()
-        return coords * (self.h / 2.0)
 
     def boundary_area(self) -> float:
         axes, _ = self.boundary_faces_doubled()
@@ -331,8 +336,9 @@ def build_domain(spec: GeneratorSpec | str, K: int, **params) -> VoxelDomain:
     margin = Fraction(p.pop("margin", 0))
     if tag == "cantor_tube":
         dom = _build_cantor_domain(K, margin, p)
-        dom_name = GeneratorSpec(tag, dict(spec.params))
-        dom.name = dom_name
+        # depth and lambdas rebuild the spec, so the name leaves it out
+        dom.name = GeneratorSpec(tag, {k: v for k, v in spec.params.items()
+                                       if k != "cantor_spec"})
         return dom
 
     ndim = int(p.pop("dim", 2))

@@ -119,7 +119,9 @@ def select_A_prime(A: VoxelSet, W: WhitneyDecomposition):
 
 
 def select_A0(A_prime: VoxelSet, We: WhitneyDecomposition):
-    """Exterior cubes passing the dilated strict-majority test.
+    """Exterior cubes passing the dilated strict-majority test: the dilate
+    D sees more of A' than of the rest of the domain.  A' lies in Omega, so
+    that is 2 |A' n D| > |Omega n D|, the count select_A_prime uses.
 
     The dilate factor is c = 20 sqrt(n), entering only through
     c^2 * l^2 = 400 n l^2.  Synthetic cubes (touching the outer
@@ -129,9 +131,8 @@ def select_A0(A_prime: VoxelSet, We: WhitneyDecomposition):
     dom = We.domain
     K = dom.K
     c2x = 400 * dom.n
-    omega_minus = dom.mask & ~A_prime.mask
     Pa = _integral_image(A_prime.mask)
-    Po = _integral_image(omega_minus)
+    Pom = _integral_image(dom.mask)
     lo_int = np.asarray(dom.lo_int, dtype=np.int64)
     N = np.asarray(dom.mask.shape, dtype=np.int64)
     picked = np.zeros(len(We.levels), dtype=bool)
@@ -155,7 +156,7 @@ def select_A0(A_prime: VoxelSet, We: WhitneyDecomposition):
             o_hi = c1 - 1 + c1 % 2
             i0 = (o_lo - 1) // 2 - lo_int
             i1 = (o_hi - 1) // 2 - lo_int + 1
-            won = _box_count_batch(Pa, i0, i1) > _box_count_batch(Po, i0, i1)
+            won = 2 * _box_count_batch(Pa, i0, i1) > _box_count_batch(Pom, i0, i1)
             if not collar:
                 won &= ~We.synthetic[pos]
                 picked[pos[won]] = True

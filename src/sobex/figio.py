@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .whitney import _cube_boxes
+
 LEVEL_COLORS = [
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
@@ -69,40 +71,30 @@ def domain_svg(dom, px: int = 800) -> SvgCanvas:
     lo, hi = dom.bbox()
     cv = SvgCanvas([float(v) for v in lo][:2], [float(v) for v in hi][:2], px)
     if dom.n == 2:
-        h = dom.h
-        # draw the occupancy as row runs to keep files small
-        for j in range(dom.mask.shape[1]):
-            col = dom.mask[:, j]
-            runs = _runs(col)
-            for a, b in runs:
-                x0 = (dom.lo_int[0] + a) * h
-                x1 = (dom.lo_int[0] + b) * h
-                y0 = (dom.lo_int[1] + j) * h
-                cv.rect((x0, y0), (x1, y0 + h), fill="#cfe2f3", stroke="none")
+        _mask_rects(cv, dom, dom.mask, fill="#cfe2f3", stroke="none")
     return cv
 
 
-def _runs(col):
-    out = []
-    start = None
-    for i, v in enumerate(col):
-        if v and start is None:
-            start = i
-        elif not v and start is not None:
-            out.append((start, i))
-            start = None
-    if start is not None:
-        out.append((start, len(col)))
-    return out
+def _mask_rects(cv: SvgCanvas, dom, mask: np.ndarray, **style) -> None:
+    """Draw a 2D mask on the domain grid as one rect per run of cells along
+    x, row by row, to keep files small."""
+    h = dom.h
+    x0, y0 = dom.lo_int[:2]
+    edges = np.diff(np.pad(mask.T.astype(np.int8), ((0, 0), (1, 1))), axis=1)
+    rows, starts = np.nonzero(edges == 1)
+    ends = np.nonzero(edges == -1)[1]
+    for j, a, b in zip(rows.tolist(), starts.tolist(), ends.tolist()):
+        y = (y0 + j) * h
+        cv.rect(((x0 + a) * h, y), ((x0 + b) * h, y + h), **style)
 
 
 def whitney_svg(dec, px: int = 900) -> SvgCanvas:
     cv = domain_svg(dec.domain, px)
-    for q in dec.cubes:
-        lo = [float(v) for v in q.corner_lo()]
-        hi = [float(v) for v in q.corner_hi()]
-        cv.rect(lo[:2], hi[:2],
-                stroke=LEVEL_COLORS[q.level % len(LEVEL_COLORS)], width=0.6)
+    boxes, _ = _cube_boxes(dec)
+    n = dec.domain.n
+    for box, level in zip(boxes.tolist(), dec.levels.tolist()):
+        cv.rect(box[:2], box[n:n + 2],
+                stroke=LEVEL_COLORS[level % len(LEVEL_COLORS)], width=0.6)
     return cv
 
 
@@ -110,15 +102,8 @@ def sets_svg(dom, layers: list[tuple[np.ndarray, str]], px: int = 800) -> SvgCan
     """Overlay masks (on the domain grid) in the given colors."""
     lo, hi = dom.bbox()
     cv = SvgCanvas([float(v) for v in lo][:2], [float(v) for v in hi][:2], px)
-    h = dom.h
     for mask, color in [(dom.mask, "#eeeeee")] + layers:
-        for j in range(mask.shape[1]):
-            for a, b in _runs(mask[:, j]):
-                x0 = (dom.lo_int[0] + a) * h
-                x1 = (dom.lo_int[0] + b) * h
-                y0 = (dom.lo_int[1] + j) * h
-                cv.rect((x0, y0), (x1, y0 + h), fill=color, stroke="none",
-                        opacity=0.55)
+        _mask_rects(cv, dom, mask, fill=color, stroke="none", opacity=0.55)
     return cv
 
 

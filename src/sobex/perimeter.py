@@ -98,17 +98,14 @@ def boundary_faces(A: VoxelSet) -> BoundaryFaceSet:
     if A.parent is None:
         cls = np.full(len(axes), UNCLASSIFIED, dtype=np.int8)
     else:
-        dom = A.parent
-        on_grid = dom.boundary_face_lookup()
-        offs = coords - 2 * np.asarray(dom.lo_int, dtype=np.int64)
-        on = on_grid[tuple(offs[:, d] for d in range(A.n))]
-        # a face not on the domain boundary has both adjacent cells on the
-        # same side of the domain
-        lo_cells = coords.copy() // 2
-        for d in range(A.n):
-            sel = axes == d
-            lo_cells[sel, d] = coords[sel, d] // 2 - 1
-        inside = dom.cell_in_domain(lo_cells)
+        # the two cells beside each face; it lies on the domain boundary iff
+        # exactly one of them is in the domain (out of the bbox is out),
+        # and otherwise on the side of both
+        hi_cells = coords // 2
+        lo_cells = hi_cells.copy()
+        lo_cells[np.arange(len(axes)), axes] -= 1
+        inside = A.parent.cell_in_domain(lo_cells)
+        on = inside != A.parent.cell_in_domain(hi_cells)
         cls = np.where(on, ON_BOUNDARY, np.where(inside, INTERIOR, EXTERIOR))
         cls = cls.astype(np.int8)
     out = BoundaryFaceSet(A.K, axes, coords, cls)

@@ -515,10 +515,10 @@ class PartitionOfUnity:
         n = self.dec.domain.n
         best = 0.0
         for i in ids:
-            q = self.dec.cubes[i]
-            ell = float(q.side)
-            r = ell / SUPPORT_SHELL
-            ctr = np.array([float(v) for v in q.center()])
+            box = self._boxes[i]
+            r = float(self._radii[i])
+            ell = r * SUPPORT_SHELL
+            ctr = (box[:n] + box[n:]) / 2
             step = ell / 512.0
             pts = []
             ts = np.linspace(-ell / 3.0, 1.5 * r, 25)

@@ -1,0 +1,221 @@
+"""Oracles for the values the package now derives from data it already
+keeps, in the forms that held a second copy of that data:
+
+- face classes read from a (2N+1)^n bool grid of the domain's boundary face
+  centroids (`face_classes_by_lookup`);
+- the geodesic graph built from full-grid weight and id arrays
+  (`full_grid_graph`);
+- the A0 test counted against a summed-area table of Omega minus A'
+  (`select_A0_omega_minus`);
+- the Whitney figure and the gradient constant read from `DyadicCube` views
+  (`whitney_svg_from_views`, `gradient_constant_from_views`), and the mask
+  figures drawn from a per-cell run loop (`domain_svg_by_runs`,
+  `sets_svg_by_runs`).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.sparse import csr_matrix
+
+from sobex.curves import _OFFSETS_2D, _OFFSETS_3D
+from sobex.domain import interface_faces_doubled
+from sobex.figio import LEVEL_COLORS, SvgCanvas
+from sobex.perimeter import EXTERIOR, INTERIOR, ON_BOUNDARY, VoxelSet
+from sobex.whitney import (
+    SUPPORT_SHELL,
+    _box_count_batch,
+    _integral_image,
+    _paint_level,
+    _per_level,
+)
+
+
+def face_classes_by_lookup(A: VoxelSet) -> np.ndarray:
+    """Classes of A's interface faces: ON_BOUNDARY where the centroid is
+    marked in the domain's lattice grid, else by the lower cell."""
+    dom = A.parent
+    axes, coords = interface_faces_doubled(A.mask, A.lo_int)
+    _, bcoords = dom.boundary_faces_doubled()
+    lo2 = 2 * np.asarray(dom.lo_int, dtype=np.int64)
+    grid = np.zeros(tuple(2 * s + 1 for s in dom.mask.shape), dtype=bool)
+    grid[tuple((bcoords - lo2).T)] = True
+    on = grid[tuple((coords - lo2).T)]
+    lo_cells = coords.copy() // 2
+    for d in range(A.n):
+        sel = axes == d
+        lo_cells[sel, d] = coords[sel, d] // 2 - 1
+    inside = dom.cell_in_domain(lo_cells)
+    return np.where(on, ON_BOUNDARY,
+                    np.where(inside, INTERIOR, EXTERIOR)).astype(np.int8)
+
+
+def full_grid_graph(dom, dist, side, weight):
+    """(graph, weight grid, node mask) with the weights and node ids held
+    over the whole cell grid (0 weight and id -1 off the nodes)."""
+    mask = (~dom.mask) if side == "complement" else dom.mask
+    if weight == "unit":
+        mask = mask & (dist.d2_int > 1)
+        w = np.ones(mask.shape)
+    elif weight == "inverse":
+        w = np.zeros(mask.shape)
+        w[mask] = 1.0 / dist.values_at(mask)
+    else:
+        _, p = weight
+        w = np.zeros(mask.shape)
+        w[mask] = dist.values_at(mask) ** (1.0 - p)
+    ids = np.full(mask.shape, -1, dtype=np.int64)
+    m = int(mask.sum())
+    ids[mask] = np.arange(m)
+    rows, cols, data = [], [], []
+    for off in _OFFSETS_2D if dom.n == 2 else _OFFSETS_3D:
+        sl_from = tuple(slice(max(0, -o), mask.shape[d] - max(0, o))
+                        for d, o in enumerate(off))
+        sl_to = tuple(slice(max(0, o), mask.shape[d] + min(0, o))
+                      for d, o in enumerate(off))
+        ok = mask[sl_from] & mask[sl_to]
+        rows.append(ids[sl_from][ok])
+        cols.append(ids[sl_to][ok])
+        wmean = 0.5 * (w[sl_from][ok] + w[sl_to][ok])
+        data.append(math.sqrt(sum(o * o for o in off)) * dom.h * wmean)
+    graph = csr_matrix((np.concatenate(data),
+                        (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(m, m))
+    return graph, w, mask
+
+
+def select_A0_omega_minus(A_prime: VoxelSet, We):
+    """select_A0 with the dilate test |A' n D| > |(Omega \\ A') n D| counted
+    on a table of the mask Omega minus A'."""
+    dom = We.domain
+    K = dom.K
+    c2x = 400 * dom.n
+    omega_minus = dom.mask & ~A_prime.mask
+    Pa = _integral_image(A_prime.mask)
+    Po = _integral_image(omega_minus)
+    lo_int = np.asarray(dom.lo_int, dtype=np.int64)
+    N = np.asarray(dom.mask.shape, dtype=np.int64)
+    picked = np.zeros(len(We.levels), dtype=bool)
+    clipped = np.zeros(len(We.levels), dtype=bool)
+    mask = np.zeros(dom.mask.shape, dtype=bool)
+    for collar in (False, True):
+        for k, pos, idx in _per_level(We, collar):
+            S = max(k + 1, K + 1)
+            u = 2 ** (S - K - 1)
+            ell = 2 ** (S - k)
+            R = math.isqrt(c2x * (ell // 2) ** 2)
+            ctr = (2 * idx + 1) * 2 ** (S - k - 1)
+            c0 = -((R - ctr) // u)
+            o_lo = c0 + 1 - c0 % 2
+            c1 = (ctr + R) // u
+            o_hi = c1 - 1 + c1 % 2
+            i0 = (o_lo - 1) // 2 - lo_int
+            i1 = (o_hi - 1) // 2 - lo_int + 1
+            won = _box_count_batch(Pa, i0, i1) > _box_count_batch(Po, i0, i1)
+            if not collar:
+                won &= ~We.synthetic[pos]
+                picked[pos[won]] = True
+                out = np.any((i0 < 0) | (i1 > N), axis=1)
+                clipped[pos[won & out]] = True
+            _paint_level(mask, dom, k, idx[won])
+    mask &= ~dom.mask
+    return VoxelSet(dom.K, dom.lo_int, mask, parent=dom, require_subset=False), \
+        np.nonzero(picked)[0].tolist(), np.nonzero(clipped)[0].tolist()
+
+
+def _runs(col):
+    out = []
+    start = None
+    for i, v in enumerate(col):
+        if v and start is None:
+            start = i
+        elif not v and start is not None:
+            out.append((start, i))
+            start = None
+    if start is not None:
+        out.append((start, len(col)))
+    return out
+
+
+def _canvas(dom, px):
+    lo, hi = dom.bbox()
+    return SvgCanvas([float(v) for v in lo][:2], [float(v) for v in hi][:2], px)
+
+
+def domain_svg_by_runs(dom, px: int = 800) -> SvgCanvas:
+    cv = _canvas(dom, px)
+    if dom.n == 2:
+        h = dom.h
+        for j in range(dom.mask.shape[1]):
+            for a, b in _runs(dom.mask[:, j]):
+                x0 = (dom.lo_int[0] + a) * h
+                x1 = (dom.lo_int[0] + b) * h
+                y0 = (dom.lo_int[1] + j) * h
+                cv.rect((x0, y0), (x1, y0 + h), fill="#cfe2f3", stroke="none")
+    return cv
+
+
+def sets_svg_by_runs(dom, layers, px: int = 800) -> SvgCanvas:
+    cv = _canvas(dom, px)
+    h = dom.h
+    for mask, color in [(dom.mask, "#eeeeee")] + layers:
+        for j in range(mask.shape[1]):
+            for a, b in _runs(mask[:, j]):
+                x0 = (dom.lo_int[0] + a) * h
+                x1 = (dom.lo_int[0] + b) * h
+                y0 = (dom.lo_int[1] + j) * h
+                cv.rect((x0, y0), (x1, y0 + h), fill=color, stroke="none",
+                        opacity=0.55)
+    return cv
+
+
+def whitney_svg_from_views(dec, px: int = 900) -> SvgCanvas:
+    cv = domain_svg_by_runs(dec.domain, px)
+    for q in dec.cubes:
+        lo = [float(v) for v in q.corner_lo()]
+        hi = [float(v) for v in q.corner_hi()]
+        cv.rect(lo[:2], hi[:2],
+                stroke=LEVEL_COLORS[q.level % len(LEVEL_COLORS)], width=0.6)
+    return cv
+
+
+def gradient_constant_from_views(pu, max_cubes: int = 400, seed: int = 0) -> float:
+    """PartitionOfUnity.gradient_constant with each cube's side and centre
+    read from its `DyadicCube` view."""
+    rng = np.random.default_rng(seed)
+    ids = np.arange(len(pu.dec.levels))
+    if len(ids) > max_cubes:
+        ids = rng.choice(ids, size=max_cubes, replace=False)
+    n = pu.dec.domain.n
+    best = 0.0
+    for i in ids:
+        q = pu.dec.cubes[i]
+        ell = float(q.side)
+        r = ell / SUPPORT_SHELL
+        ctr = np.array([float(v) for v in q.center()])
+        step = ell / 512.0
+        pts = []
+        ts = np.linspace(-ell / 3.0, 1.5 * r, 25)
+        for d in range(n):
+            for sgn in (-1.0, 1.0):
+                line = np.repeat(ctr[None, :], len(ts), axis=0)
+                line[:, d] += sgn * (ell / 2.0 + ts)
+                pts.append(line)
+        pts = np.concatenate(pts, axis=0)
+        stencil = [pts]
+        for d in range(n):
+            for sgn in (1.0, -1.0):
+                shifted = pts.copy()
+                shifted[:, d] += sgn * step
+                stencil.append(shifted)
+        psi = pu._psi_on_points(i, np.concatenate(stencil, axis=0))
+        m = len(pts)
+        g2 = np.zeros(m)
+        for d in range(n):
+            vp = psi[(1 + 2 * d) * m:(2 + 2 * d) * m]
+            vm = psi[(2 + 2 * d) * m:(3 + 2 * d) * m]
+            g2 += ((vp - vm) / (2 * step)) ** 2
+        best = max(best, float(np.sqrt(g2.max())) * ell)
+    return best

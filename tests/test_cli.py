@@ -1,11 +1,13 @@
 import hashlib
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import sobex.cli as cli
+import sobex.curves
 import sobex.distance
 from sobex.cantor import CantorTubeSpec
 from sobex.cli import main, make_set
@@ -13,7 +15,7 @@ from sobex.config import RunManifest
 from sobex.distance import distance_transform
 from sobex.domain import VoxelDomain, build_domain
 from sobex.extension import ExtensionParams, InequalityReport, extend_set
-from sobex.whitney import exterior_whitney, whitney_decompose
+from sobex.whitney import WhitneyDecomposition, exterior_whitney, whitney_decompose
 
 
 def run(args):
@@ -345,3 +347,85 @@ def test_oversize_distance_lattice_exit_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: distance lattice") and "budget" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "geodesic.csv").exists()
+
+
+def test_whitney_and_extend_read_no_cube_views(tmp_path, monkeypatch):
+    """No command path materialises the DyadicCube views."""
+
+    def refuse(self):
+        raise AssertionError("a DyadicCube view was read")
+
+    for name in ("cubes", "collar_cubes"):
+        monkeypatch.setattr(WhitneyDecomposition, name, property(refuse))
+    out = str(tmp_path)
+    dom = os.path.join(out, "domain.voxd")
+    assert run(["--out", out, "gen", "--domain", "ball", "--K", "6",
+                "--margin", "2"]) == 0
+    for extra in ([], ["--exterior"]):
+        assert run(["--out", out, "whitney", "--domain-file", dom,
+                    "--L-max", "7", *extra]) == 0
+    assert run(["--out", out, "extend", "--domain-file", dom,
+                "--p", "1.5", "--refine", "1"]) == 0
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_curvescan_builds_only_the_refined_domain(tmp_path, monkeypatch,
+                                                  refine):
+    out = str(tmp_path)
+    dom = os.path.join(out, "domain.voxd")
+    assert run(["--out", out, "gen", "--domain", "ball", "--K", "5",
+                "--margin", "1"]) == 0
+    built = []
+
+    def counting(spec, K, **params):
+        built.append(K)
+        return build_domain(spec, K, **params)
+
+    monkeypatch.setattr(cli, "build_domain", counting)
+    monkeypatch.setattr(sobex.curves, "build_domain", counting)
+    assert run(["--out", out, "curvescan", "--domain-file", dom, "--p", "1.5",
+                "--pairs", "4"] + ([] if refine else ["--no-refine"])) == 0
+    assert built == ([6] if refine else [])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_curvescan_csv_cells_are_numbers(tmp_path, dim):
+    out = str(tmp_path)
+    assert run(["--out", out, "gen", "--domain", "ball", "--dim", str(dim),
+                "--K", "5" if dim == 2 else "4", "--margin", "0.5"]) == 0
+    assert run(["--out", out, "curvescan",
+                "--domain-file", os.path.join(out, "domain.voxd"),
+                "--p", "1.5", "--pairs", "4", "--no-refine"]) == 0
+    with open(os.path.join(out, "curvescan.csv")) as f:
+        header, *rows = f.read().splitlines()
+    axes = "xyz"[:dim]
+    assert header.split(",") == ["p", "K", "scale"] + [
+        f"z{e}{a}" for e in "12" for a in axes] + [
+        "separation", "cost", "ratio"]
+    assert rows
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == 6 + 2 * dim
+        for cell in cells:
+            float(cell)
+
+
+def test_extend_on_saved_cantor_window(tmp_path):
+    """A saved window domain rebuilds from its generator line, at its own K
+    and at K+1."""
+    out = str(tmp_path)
+    window = ((Fraction(1, 4), Fraction(1, 4), Fraction(3, 4)),
+              (Fraction(3, 4), Fraction(3, 4), Fraction(1)))
+    dom = build_domain("cantor_tube", 5, depth=1, window=window,
+                       allow_coarse=True, margin=Fraction(1, 8))
+    path = os.path.join(out, "window.voxd")
+    dom.save(path)
+    assert run(["--out", out, "extend", "--domain-file", path,
+                "--p", "1.5", "--refine", "1"]) == 0
+    with open(os.path.join(out, "inequality.csv")) as f:
+        rows = f.read().splitlines()
+    res = extend_set(make_set(dom, "half"), whitney_decompose(dom, 5),
+                     exterior_whitney(dom, 5), distance_transform(dom),
+                     ExtensionParams(p=1.5))
+    assert rows[1] == res.report.csv_row()
+    assert len(rows) == 3 and rows[2].startswith("6,1.5,")

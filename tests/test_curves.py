@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from copy_oracles import full_grid_graph
 from full_scan import bellman_ford_cost, full_scan_once
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -353,8 +354,7 @@ def test_solver_weights_equal_full_grid_distances(weight):
     solver = GeodesicSolver(dom, dist, side="complement", weight=weight)
     full = _full_grid_values(dist)[solver.node_mask]
     expect = 1.0 / full if weight == "inverse" else full ** (1.0 - 1.5)
-    assert np.array_equal(solver._w[solver.node_mask], expect)
-    assert not solver._w[~solver.node_mask].any()
+    assert np.array_equal(solver._w, expect)
 
 
 def test_vertex_distances_equal_full_grid_distances():
@@ -365,3 +365,33 @@ def test_vertex_distances_equal_full_grid_distances():
     cells = np.clip(cells, 0, np.asarray(dom.mask.shape) - 1)
     assert np.array_equal(curves._dist_at_vertices(dom, dist, verts),
                           _full_grid_values(dist)[tuple(cells.T)])
+
+
+@pytest.mark.parametrize("side", ["complement", "interior"])
+@pytest.mark.parametrize("weight", ["unit", "inverse", ("power", 1.5)],
+                         ids=["unit", "inverse", "power"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_solver_equals_full_grid_build(dim, weight, side):
+    """Per-node weights give the graph and path weights of the full-grid
+    weight and id arrays bit for bit; only node_mask is grid-shaped."""
+    if dim == 2:
+        dom = build_domain("outward_cusp", 6, margin=0.25)
+    else:
+        dom = build_domain("ball", 4, dim=3, r=0.5, margin=0.5)
+    dist = distance_transform(dom)
+    solver = GeodesicSolver(dom, dist, side=side, weight=weight)
+    graph, w, mask = full_grid_graph(dom, dist, side, weight)
+    assert np.array_equal(solver.node_mask, mask)
+    for a in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(solver.graph, a), getattr(graph, a))
+    assert np.array_equal(solver._w, w[mask])
+    grid_shaped = [k for k, v in vars(solver).items()
+                   if isinstance(v, np.ndarray) and v.shape == dom.shape]
+    assert grid_shaped == ["node_mask"]
+    dists, _ = solver.distances_from(0)
+    far = int(np.argmax(np.where(np.isfinite(dists), dists, -1.0)))
+    path = solver.path(solver._centers[0], solver._centers[far])
+    nodes = [solver.snap(v) for v in path.vertices]
+    cellw = w[tuple(solver.cells[nodes].T)]
+    assert len(nodes) > 2
+    assert np.array_equal(path.edge_weights, 0.5 * (cellw[:-1] + cellw[1:]))

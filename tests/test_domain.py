@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sobex.cantor import build_cantor_tube, default_lambdas
 from sobex.domain import GeneratorSpec, VoxelDomain, build_domain
 from sobex.errors import InvalidDomain, ResolutionTooCoarse
 from sobex.perimeter import VoxelSet, perimeter
@@ -103,3 +105,53 @@ def test_connectivity_flag_on_disconnected_mask():
     mask[7, 7] = True
     dom = VoxelDomain(3, (0, 0), mask)
     assert not dom.connected
+
+
+def _small_cantor_window():
+    w = Fraction(1, 2**9)
+    return ((Fraction(1, 2) - w, Fraction(1, 2) - w, Fraction(1) - w / 2),
+            (Fraction(1, 2) + w, Fraction(1, 2) + w, Fraction(1)))
+
+
+def _cantor_cases():
+    win = _small_cantor_window()
+    coarse = ((Fraction(1, 4), Fraction(1, 4), Fraction(3, 4)),
+              (Fraction(3, 4), Fraction(3, 4), Fraction(1)))
+    return {
+        "window": (14, dict(depth=1, window=win)),
+        "lambda_override": (14, dict(depth=1, window=win,
+                                     lambda_override=default_lambdas(1))),
+        "allow_coarse=False": (14, dict(depth=1, window=win,
+                                        allow_coarse=False)),
+        "allow_coarse=True": (5, dict(depth=1, window=coarse,
+                                      allow_coarse=True, margin=Fraction(1, 8))),
+        "cantor_spec": (14, dict(depth=1, window=win,
+                                 cantor_spec=build_cantor_tube(1))),
+    }
+
+
+@pytest.mark.parametrize("case", ["window", "lambda_override",
+                                  "allow_coarse=False", "allow_coarse=True",
+                                  "cantor_spec"])
+def test_cantor_generator_line_roundtrip(case):
+    """The VOXD generator line reads back to the same name, and that name
+    rebuilds the same mask."""
+    K, params = _cantor_cases()[case]
+    dom = build_domain("cantor_tube", K, **params)
+    assert "cantor_spec" not in dom.name.params
+    loaded = VoxelDomain.from_voxd(dom.to_voxd())
+    assert loaded.name == dom.name
+    assert loaded.name.describe() == dom.name.describe()
+    assert np.array_equal(build_domain(loaded.name, K).mask, dom.mask)
+
+
+def test_generator_values_parse_back():
+    spec = GeneratorSpec("t", {"a": True, "b": False, "c": (Fraction(1, 3),),
+                               "d": (1, Fraction(-1, 2)), "e": ((0, 1),),
+                               "f": ((1, 2), (Fraction(3, 4), 5)),
+                               "g": Fraction(1, 8), "h": 0.1})
+    text = spec.describe()
+    assert "Fraction" not in text and " " not in text
+    back = GeneratorSpec.parse(text)
+    assert back == spec
+    assert back.params["a"] is True and back.params["b"] is False

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from copy_oracles import select_A0_omega_minus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -522,3 +523,28 @@ def test_cube_kernels_match_slicing_oracle(case, seed, density):
     assert np.array_equal(A0.mask, a0_mask)
     assert ids0 == a0_ids
     assert clip0 == clipped
+
+
+@pytest.mark.parametrize("name", ["ball", "slit", "ball3"])
+def test_select_A0_equals_omega_minus_table(name):
+    """2 |A' n D| > |Omega n D| selects, paints and clips exactly what the
+    count against the Omega-minus-A' table did."""
+    dom = {"ball": lambda: build_domain("ball", 6, r=0.5, margin=1),
+           "slit": lambda: build_domain("slit_square", 6, margin=0.25),
+           "ball3": lambda: build_domain("ball", 4, dim=3, r=0.5,
+                                         margin=0.5)}[name]()
+    W = whitney_decompose(dom, dom.K)
+    We = exterior_whitney(dom, dom.K)
+    cen = dom.cell_centers()
+    half = np.broadcast_to(
+        cen[0].reshape((-1,) + (1,) * (dom.n - 1)) < 0.5, dom.shape)
+    rng = np.random.default_rng(4)
+    picked = 0
+    for mask in (half, rng.random(dom.shape) < 0.5, dom.mask):
+        A_prime, _ = select_A_prime(VoxelSet.from_domain(dom, mask & dom.mask), W)
+        A0, ids, clipped = select_A0(A_prime, We)
+        ref, ref_ids, ref_clipped = select_A0_omega_minus(A_prime, We)
+        assert np.array_equal(A0.mask, ref.mask)
+        assert ids == ref_ids and clipped == ref_clipped
+        picked += len(ids)
+    assert picked

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from copy_oracles import face_classes_by_lookup
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from sobex.distance import distance_transform
 from sobex.domain import VoxelDomain, build_domain
 from sobex.dyadic import DyadicCube
 from sobex.errors import PreconditionNotMet, UnsupportedExponent
+from sobex.extension import select_A0, select_A_prime
 from sobex.perimeter import (
     EXTERIOR,
     INTERIOR,
@@ -21,7 +23,7 @@ from sobex.perimeter import (
     perimeter,
     weighted_boundary_integral,
 )
-from sobex.whitney import whitney_decompose
+from sobex.whitney import exterior_whitney, whitney_decompose
 
 
 def half_square_set(dom):
@@ -411,3 +413,46 @@ def test_boundary_faces_complement_symmetry(unit_square_k6):
     fa = interface_keys(boundary_faces(A), unit_square_k6)
     fb = interface_keys(boundary_faces(B), unit_square_k6)
     assert fa == fb
+
+
+def _classified_sets():
+    """(name, set) pairs over A, A', A0 and A~ of random sets and of the
+    full domain, on the 2D ball, slit and cusp and the 3D ball."""
+    doms = {
+        "ball": build_domain("ball", 6, r=0.5, margin=0.5),
+        "slit": build_domain("slit_square", 6, margin=0.25),
+        "cusp": build_domain("outward_cusp", 6, margin=0.25),
+        "ball3": build_domain("ball", 4, dim=3, r=0.5, margin=0.5),
+    }
+    rng = np.random.default_rng(11)
+    for name, dom in doms.items():
+        W = whitney_decompose(dom, dom.K)
+        We = exterior_whitney(dom, dom.K)
+        blocks = rng.random(tuple(-(-s // 4) for s in dom.shape)) < 0.5
+        for reps in (1, 4):
+            coarse = blocks if reps == 4 else rng.random(dom.shape) < 0.5
+            for d in range(dom.n):
+                coarse = coarse.repeat(reps, axis=d)
+            mask = coarse[tuple(slice(0, s) for s in dom.shape)] & dom.mask
+            for kind, A in ((f"random{reps}", VoxelSet.from_domain(dom, mask)),
+                            ("full", VoxelSet.from_domain(dom, dom.mask))):
+                A_prime, _ = select_A_prime(A, W)
+                A0, _, _ = select_A0(A_prime, We)
+                A_tilde = VoxelSet.from_domain(dom, A.mask | A0.mask,
+                                               require_subset=False)
+                for tag, S in (("A", A), ("A'", A_prime), ("A0", A0),
+                               ("A~", A_tilde)):
+                    yield f"{name} {kind} {tag}", S
+
+
+def test_face_classes_equal_lattice_lookup():
+    """Classes from the two cells beside each face equal those read from
+    the lattice grid of the domain's boundary centroids."""
+    seen, a0_faces = set(), 0
+    for name, S in _classified_sets():
+        got = boundary_faces(S).classification
+        assert got.dtype == np.int8
+        assert np.array_equal(got, face_classes_by_lookup(S)), name
+        seen.update(np.unique(got).tolist())
+        a0_faces += len(got) if name.endswith("A0") else 0
+    assert seen == {INTERIOR, EXTERIOR, ON_BOUNDARY} and a0_faces

@@ -4,10 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-
+from copy_oracles import (
+    domain_svg_by_runs,
+    gradient_constant_from_views,
+    sets_svg_by_runs,
+    whitney_svg_from_views,
+)
 from scipy.spatial import cKDTree
 
 import sobex.whitney as whitney
+from sobex import figio
 from sobex.domain import VoxelDomain, build_domain
 from sobex.dyadic import DyadicCube
 from sobex.errors import PreconditionNotMet
@@ -562,3 +568,31 @@ def test_capacity_monte_carlo_floor():
         trials += 1
     assert trials >= 50
     assert worst > 0.05
+
+
+def test_figures_equal_view_and_run_loop_forms(ball_k7, ball_k7_dec):
+    """whitney_svg from the cube boxes, and the mask figures from run edges,
+    are byte-identical to the DyadicCube-view and per-cell-run forms."""
+    slit = build_domain("slit_square", 6, margin=0.25)
+    for dec in (ball_k7_dec, exterior_whitney(ball_k7, 8),
+                whitney_decompose(slit, 7)):
+        assert any(dec.levels > dec.domain.K)
+        assert figio.whitney_svg(dec).tostring() == \
+            whitney_svg_from_views(dec).tostring()
+    rng = np.random.default_rng(2)
+    for dom in (ball_k7, slit, build_domain("snowflake_approx", 6, margin=0.25)):
+        assert figio.domain_svg(dom).tostring() == \
+            domain_svg_by_runs(dom).tostring()
+        layers = [(rng.random(dom.shape) < 0.5, "#1f77b4"),
+                  (np.ones(dom.shape, bool), "#2ca02c"),
+                  (np.zeros(dom.shape, bool), "#ff7f0e")]
+        assert figio.sets_svg(dom, layers).tostring() == \
+            sets_svg_by_runs(dom, layers).tostring()
+
+
+def test_gradient_constant_equals_view_form(square_dec, ball_k7_dec):
+    for dec in (square_dec, ball_k7_dec):
+        pu = PartitionOfUnity(dec)
+        got = pu.gradient_constant(max_cubes=80, seed=3)
+        assert type(got) is float and got > 0.0
+        assert got == gradient_constant_from_views(pu, max_cubes=80, seed=3)
