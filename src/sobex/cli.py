@@ -26,8 +26,8 @@ from .config import RunManifest, __version__
 from .curves import check_scan_inputs, curve_condition_scan, weighted_geodesic
 from .distance import distance_transform
 from .domain import GENERATORS, GeneratorSpec, VoxelDomain, build_domain
-from .errors import SobexError
-from .extension import InequalityReport, extend_geometry
+from .errors import PreconditionNotMet, SobexError
+from .extension import ExtensionParams, InequalityReport, extend_geometry
 from .perimeter import VoxelSet
 from .whitney import audit_whitney, exterior_whitney, whitney_decompose
 
@@ -204,6 +204,11 @@ def make_set(dom: VoxelDomain, kind: str, seed: int = 7,
 
 
 def cmd_extend(args) -> tuple[int, list[str]]:
+    # refuse bad exponents and refinements before any geometry is built
+    for p in args.p:
+        ExtensionParams(p)
+    if args.refine < 0:
+        raise PreconditionNotMet(f"--refine must be >= 0, got {args.refine}")
     dom0 = VoxelDomain.load(args.domain_file)
     rows = [InequalityReport.CSV_HEADER]
     for K in range(dom0.K, dom0.K + args.refine + 1):

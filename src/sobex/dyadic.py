@@ -106,17 +106,6 @@ class DyadicCube:
         return tuple(x - half for x in ctr), tuple(x + half for x in ctr)
 
 
-def box_point_dist2_int(lo, hi, p) -> int:
-    """Squared distance between an integer box [lo,hi] and integer point p."""
-    d2 = 0
-    for a, b, x in zip(lo, hi, p):
-        if x < a:
-            d2 += (a - x) ** 2
-        elif x > b:
-            d2 += (x - b) ** 2
-    return d2
-
-
 def box_box_dist2_int(alo, ahi, blo, bhi) -> int:
     """Squared distance between two integer boxes; plain arithmetic, so it
     is exact on Fraction boxes too."""

@@ -107,8 +107,8 @@ def select_A_prime(A: VoxelSet, W: WhitneyDecomposition):
     mask = np.zeros(dom.mask.shape, dtype=bool)
     for collar in (False, True):
         for k, pos, idx in _per_level(W, collar):
-            won = 2 * _level_counts(A.mask, P, dom, k, idx) \
-                > _level_counts(dom.mask, Pom, dom, k, idx)
+            won = 2 * _level_counts(P, dom, k, idx) \
+                > _level_counts(Pom, dom, k, idx)
             if k <= dom.K:
                 # a sub-cell cube is too small to flip its grid cell
                 _paint_level(mask, dom, k, idx[won])

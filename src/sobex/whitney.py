@@ -5,7 +5,11 @@ The decomposition is built top-down: a dyadic cube is accepted as soon as
 l(Q) <= dist(Q, boundary) (checked in exact integer arithmetic against the
 boundary-face centroid set), subdivided otherwise, and truncated into the
 collar at L_max.  The upper bound dist <= 4 sqrt(n) l(Q) then holds
-automatically for accepted cubes and is asserted.
+automatically for accepted cubes and is asserted.  Both questions asked of
+a cube, how many region cells it holds and how far it is from the
+boundary, are answered a level at a time over arrays: the first by box
+counts on a summed-area table, the second by one batched KD-tree candidate
+query with an exact integer box-to-point kernel.
 """
 
 from __future__ import annotations
@@ -19,10 +23,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .domain import VoxelDomain, root_tiling_level
-from .dyadic import DyadicCube, box_point_dist2_int
+from .dyadic import DyadicCube
 from .errors import InvalidDomain, PreconditionNotMet
 
 SUPPORT_SHELL = 16  # support reaches l(Q)/16 beyond the cube
+# A summed-area table may take at most this many bytes; its int32 counts
+# then stay below 2^31.
+TABLE_BUDGET_BYTES = 4 * 2**30
+# (box, centroid) pairs the exact distance query holds at a time
+_BALL_PAIRS = 2**18
 
 
 @dataclass
@@ -127,10 +136,19 @@ def _cube_views(levels: np.ndarray, index: np.ndarray) -> list[DyadicCube]:
 
 
 def _integral_image(mask: np.ndarray) -> np.ndarray:
-    P = mask.astype(np.int64)
+    """Summed-area table of a mask as int32, padded by a zero row on the
+    low side of every axis.  Tables over TABLE_BUDGET_BYTES are refused
+    before allocation."""
+    shape = tuple(s + 1 for s in mask.shape)
+    need = 4 * math.prod(shape)
+    if need > TABLE_BUDGET_BYTES:
+        raise PreconditionNotMet(
+            f"summed-area table of {shape} needs {need / 2**30:.1f} GiB, over "
+            f"the {TABLE_BUDGET_BYTES / 2**30:g} GiB budget")
+    P = np.zeros(shape, dtype=np.int32)
+    P[(slice(1, None),) * mask.ndim] = mask
     for d in range(mask.ndim):
-        P = P.cumsum(axis=d)
-    P = np.pad(P, [(1, 0)] * mask.ndim)
+        np.cumsum(P, axis=d, out=P)
     return P
 
 
@@ -163,26 +181,21 @@ def _per_level(dec: WhitneyDecomposition, collar: bool = False):
         yield int(k), pos, idx[pos]
 
 
-def _level_counts(region: np.ndarray, P: np.ndarray, dom: VoxelDomain,
-                  level: int, idx: np.ndarray) -> np.ndarray:
-    """Cells of `region` inside each cube of one level: a box count on its
-    summed table P down to the grid level K, and below it the region value
-    of the one cell containing the cube (0 outside the grid).
+def _level_counts(P: np.ndarray, dom: VoxelDomain, level: int,
+                  idx: np.ndarray) -> np.ndarray:
+    """Cells counted by the summed table P in each cube of one level: a box
+    count over the cube's cell box, which is its block of cells down to the
+    grid level K and below it the one cell containing it (0 outside the
+    grid).
 
     Cubes at levels <= K lie on that level's block grid inside the bbox,
     which the root tiling level guarantees.
     """
     K = dom.K
     lo_int = np.asarray(dom.lo_int, dtype=np.int64)
-    if level <= K:
-        f = 2 ** (K - level)
-        clo = idx * f - lo_int
-        return _box_count_batch(P, clo, clo + f)
-    cell = (idx >> (level - K)) - lo_int
-    ok = np.all((cell >= 0) & (cell < region.shape), axis=1)
-    cnt = np.zeros(len(idx), dtype=np.int64)
-    cnt[ok] = region[tuple(cell[ok].T)]
-    return cnt
+    f = 2 ** max(K - level, 0)
+    clo = (idx >> max(level - K, 0)) * f - lo_int
+    return _box_count_batch(P, clo, clo + f)
 
 
 def _paint_level(mask: np.ndarray, dom: VoxelDomain, level: int,
@@ -216,32 +229,29 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
     """Whitney decomposition of the domain (or of its complement within the
     bbox, with cubes touching the outer bbox flagged synthetic).
 
-    Levels are processed in vectorized batches; squared distances to the
-    boundary centroids are exact integers.  Cubes down to level K+1 have
-    their corners on the doubled lattice and take the surface gather of the
-    feature transform; finer cubes take a per-cube ball query around their
-    nearest centroid.
+    Levels are processed in vectorized batches.  At every level the full
+    cubes take one exact distance path, `_ball_query_d2`: squared distances
+    to the boundary centroids, exact integers in units of 2**-S with
+    S = max(L_max, K + 1).  No distance lattice is built; the largest
+    array is the region's summed-area table, which TABLE_BUDGET_BYTES
+    bounds.
     """
     if L_max < root_tiling_level(dom):
         raise PreconditionNotMet("L_max coarser than the bbox root tiling")
     n = dom.n
     K = dom.K
-    axes_f, coords = dom.boundary_faces_doubled()
-    if len(axes_f) == 0:
+    _, coords = dom.boundary_faces_doubled()
+    if len(coords) == 0:
         raise InvalidDomain("domain has no boundary")
-    from .distance import distance_transform
-
-    field = distance_transform(dom)
     S = max(L_max, K + 1)
-    shift = S - (K + 1)
+    pts = coords << (S - K - 1)    # the centroids in units of 2**-S
+    tree = cKDTree(pts.astype(np.float64))
     region = dom.mask if side == "interior" else ~dom.mask
     P = _integral_image(region)
     lo_int = np.asarray(dom.lo_int, dtype=np.int64)
     shape = np.asarray(dom.mask.shape, dtype=np.int64)
     bbox_lo_S = lo_int * 2 ** (S - K)
     bbox_hi_S = (lo_int + shape) * 2 ** (S - K)
-    subcell_tree = None
-    coords_S = coords.astype(np.int64) << shift
 
     # the accepted cubes' arrays, one piece per level
     acc = {"levels": [np.empty(0, dtype=np.int64)],
@@ -261,7 +271,7 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
     level = root_level
 
     while len(cur) and level <= L_max:
-        cnt = _level_counts(region, P, dom, level, cur)
+        cnt = _level_counts(P, dom, level, cur)
         full = 2 ** (max(K - level, 0) * n)
         keep = cnt > 0
         cur = cur[keep]
@@ -272,20 +282,8 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
         is_full = cnt == full
         d2 = np.zeros(len(cur), dtype=np.int64)
         if is_full.any():
-            fidx = cur[is_full]
-            if level <= K + 1:
-                d2[is_full] = _surface_gather_d2(fidx, level, dom, field, shift)
-            else:
-                if subcell_tree is None:
-                    subcell_tree = cKDTree(coords_S.astype(np.float64))
-                vals = np.empty(len(fidx), dtype=np.int64)
-                for m, row in enumerate(fidx):
-                    qlo = row * ell
-                    vals[m] = _exact_box_dist2(
-                        qlo, qlo + ell, subcell_tree, coords_S,
-                        ell * math.sqrt(n) / 2.0,
-                    )
-                d2[is_full] = vals
+            d2[is_full] = _ball_query_d2(cur[is_full] * ell, ell, pts, tree,
+                                         2 ** (S - K - 1))
         accept = is_full & (d2 >= ell * ell)
         assert np.all(d2[accept] <= 16 * n * ell * ell), \
             "(W3) upper bound violated"
@@ -322,70 +320,53 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
     )
 
 
-def _surface_gather_d2(idx: np.ndarray, level: int, dom, field,
-                       shift: int) -> np.ndarray:
-    """Exact squared distances from cell-aligned cubes to the boundary
-    centroid set, in units of 2**-S with S = K + 1 + shift.
+def _box_point_d2(lo: np.ndarray, ell: int, pts: np.ndarray) -> np.ndarray:
+    """Squared distances between the integer boxes [lo, lo + ell] and the
+    integer points pts, row by row."""
+    gap = np.maximum(lo - pts, 0) + np.maximum(pts - (lo + ell), 0)
+    return (gap * gap).sum(axis=1)
 
-    The nearest centroid to a box is the feature-transform winner at the
-    lattice node where the box clamps it, and that node lies on the box
-    surface; minimizing the exact integer box-to-winner distance over the
-    surface nodes therefore yields the true minimum.
+
+def _ball_query_d2(lo: np.ndarray, ell: int, pts: np.ndarray, tree: cKDTree,
+                   spacing: int) -> np.ndarray:
+    """Exact min squared distance from each integer box [lo, lo + ell] to
+    the points pts, using the KD-tree only to prune candidates.
+
+    The point nearest a box's centre bounds the box's distance, and any
+    point as near the box lies within that distance plus the box's half
+    diagonal of the centre.  The boxes go through the ball query in
+    chunks.  The points lie on a lattice of the given spacing, so a ball of
+    radius r holds at most (ceil(2 r / spacing) + 1)^n of them, and a chunk
+    holds at most _BALL_PAIRS by that count (a box over it goes alone).
     """
-    n = dom.n
-    m = len(idx)
-    lo2 = 2 * np.asarray(dom.lo_int, dtype=np.int64)
-    side = 2 ** (dom.K + 1 - level)          # cube side in doubled units
-    corner_abs = idx.astype(np.int64) * side  # absolute doubled coordinates
-    base = corner_abs - lo2                   # lattice array offsets
-    out = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
-    rng = np.arange(side + 1, dtype=np.int64)
-    grids = np.meshgrid(*[rng] * (n - 1), indexing="ij") if n > 1 else []
-    face_pts = np.stack([g.ravel() for g in grids], axis=-1)
-    npts = len(face_pts)
-    cube_ids = np.repeat(np.arange(m), npts)
-    lo_abs = corner_abs[cube_ids]
-    hi_abs = lo_abs + side
-    for d in range(n):
-        others = [a for a in range(n) if a != d]
-        for offset in (0, side):
-            nodes = np.empty((m * npts, n), dtype=np.int64)
-            nodes[:, d] = np.repeat(base[:, d] + offset, npts)
-            for j, a in enumerate(others):
-                nodes[:, a] = (base[:, a][:, None] + face_pts[:, j]).ravel()
-            winners = np.stack(
-                [field.feature[a][tuple(nodes.T)].astype(np.int64) + lo2[a]
-                 for a in range(n)], axis=-1
-            )
-            gap = np.maximum(lo_abs - winners, 0) + np.maximum(
-                winners - hi_abs, 0
-            )
-            d2 = (gap * gap).sum(axis=1)
-            np.minimum.at(out, cube_ids, d2)
-    return out << (2 * shift)
+    ctr = lo + ell / 2.0
+    _, j = tree.query(ctr)
+    best = _box_point_d2(lo, ell, pts[j])
+    r = (np.sqrt(best) + ell * math.sqrt(lo.shape[1]) / 2.0) * (1.0 + 1e-12) \
+        + 1e-9
+    est = np.minimum((np.ceil(2.0 * r / spacing) + 1.0) ** lo.shape[1],
+                     len(pts)).astype(np.int64)
+    ends = np.cumsum(est)
+    out = np.empty(len(lo), dtype=np.int64)
+    a = 0
+    while a < len(lo):
+        b = max(int(np.searchsorted(ends, ends[a] - est[a] + _BALL_PAIRS,
+                                    side="right")), a + 1)
+        cand = tree.query_ball_point(ctr[a:b], r[a:b], return_sorted=False)
+        # every box has a candidate: its nearest point
+        cnt = np.fromiter(map(len, cand), dtype=np.int64, count=b - a)
+        which = np.fromiter(itertools.chain.from_iterable(cand),
+                            dtype=np.int64, count=int(cnt.sum()))
+        d2 = _box_point_d2(lo[a:b].repeat(cnt, axis=0), ell, pts[which])
+        out[a:b] = np.minimum.reduceat(d2, np.cumsum(cnt) - cnt)
+        a = b
+    return out
 
 
 def exterior_whitney(dom: VoxelDomain, L_max: int) -> WhitneyDecomposition:
     """Whitney decomposition of bbox-minus-closure; the margin built into the
     domain bbox should be at least diam(support) for the dilation logic."""
     return whitney_decompose(dom, L_max, side="exterior")
-
-
-def _exact_box_dist2(qlo, qhi, tree: cKDTree, coords_S: np.ndarray,
-                     half_diag: float) -> int:
-    """Exact min squared distance from an integer box to the centroid set,
-    using the KD-tree only to prune candidates."""
-    ctr = [(a + b) / 2.0 for a, b in zip(qlo, qhi)]
-    _, j = tree.query(ctr)
-    best = box_point_dist2_int(qlo, qhi, coords_S[j].tolist())
-    r = math.sqrt(best) + half_diag
-    cand = tree.query_ball_point(ctr, r * (1.0 + 1e-12) + 1e-9)
-    pts = coords_S[cand]
-    d2 = np.zeros(len(pts), dtype=np.int64)
-    for d in range(len(qlo)):
-        gap = np.maximum(qlo[d] - pts[:, d], 0) + np.maximum(pts[:, d] - qhi[d], 0)
-        d2 += gap * gap
-    return int(d2.min())
 
 
 def audit_whitney(dec: WhitneyDecomposition) -> dict:
@@ -402,7 +383,7 @@ def audit_whitney(dec: WhitneyDecomposition) -> dict:
     # positive distance to the boundary centroids.  (W3) in exact integers.
     vol = Fraction(0)
     for k, pos, idx in _per_level(dec):
-        cnt = _level_counts(region, P, dom, k, idx)
+        cnt = _level_counts(P, dom, k, idx)
         if not np.all(cnt == 2 ** (max(dom.K - k, 0) * n)):
             w1 = False
         ell = 2 ** (S - k)
@@ -421,7 +402,7 @@ def audit_whitney(dec: WhitneyDecomposition) -> dict:
     collar_vol = Fraction(0)
     for k, pos, idx in _per_level(dec, collar=True):
         if k <= dom.K:
-            cells = int(_level_counts(region, P, dom, k, idx).sum())
+            cells = int(_level_counts(P, dom, k, idx).sum())
             collar_vol += Fraction(cells, 2 ** (dom.K * n))
         else:
             collar_vol += Fraction(len(pos), 2 ** (k * n))
@@ -622,7 +603,7 @@ def cube_averages(dec: WhitneyDecomposition, F_mask: np.ndarray) -> np.ndarray:
     P = _integral_image(F_mask)
     out = np.empty(len(dec.levels))
     for k, pos, idx in _per_level(dec):
-        out[pos] = _level_counts(F_mask, P, dom, k, idx) \
+        out[pos] = _level_counts(P, dom, k, idx) \
             / 2 ** (max(dom.K - k, 0) * dom.n)
     return out
 

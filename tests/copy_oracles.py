@@ -10,7 +10,12 @@ keeps, in the forms that held a second copy of that data:
 - the Whitney figure and the gradient constant read from `DyadicCube` views
   (`whitney_svg_from_views`, `gradient_constant_from_views`), and the mask
   figures drawn from a per-cell run loop (`domain_svg_by_runs`,
-  `sets_svg_by_runs`).
+  `sets_svg_by_runs`);
+- exact cube-to-boundary distances from the two paths Whitney took before
+  its one batched ball query: the surface gather over the distance
+  transform's feature field, for cell-aligned cubes down to level K+1
+  (`surface_gather_d2`), and a KD-tree ball query run one cube at a time
+  (`exact_box_dist2`).
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.spatial import cKDTree
 
 from sobex.curves import _OFFSETS_2D, _OFFSETS_3D
 from sobex.domain import interface_faces_doubled
@@ -219,3 +225,64 @@ def gradient_constant_from_views(pu, max_cubes: int = 400, seed: int = 0) -> flo
             g2 += ((vp - vm) / (2 * step)) ** 2
         best = max(best, float(np.sqrt(g2.max())) * ell)
     return best
+
+
+def surface_gather_d2(idx: np.ndarray, level: int, dom, field,
+                      shift: int) -> np.ndarray:
+    """Exact squared distances from cell-aligned cubes (level <= K+1) to the
+    boundary centroid set, in units of 2**-S with S = K + 1 + shift.
+
+    The nearest centroid to a box is the feature-transform winner at the
+    lattice node where the box clamps it, and that node lies on the box
+    surface; minimizing the exact integer box-to-winner distance over the
+    surface nodes therefore yields the true minimum.
+    """
+    n = dom.n
+    m = len(idx)
+    lo2 = 2 * np.asarray(dom.lo_int, dtype=np.int64)
+    side = 2 ** (dom.K + 1 - level)          # cube side in doubled units
+    corner_abs = idx.astype(np.int64) * side  # absolute doubled coordinates
+    base = corner_abs - lo2                   # lattice array offsets
+    out = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
+    rng = np.arange(side + 1, dtype=np.int64)
+    grids = np.meshgrid(*[rng] * (n - 1), indexing="ij") if n > 1 else []
+    face_pts = np.stack([g.ravel() for g in grids], axis=-1)
+    npts = len(face_pts)
+    cube_ids = np.repeat(np.arange(m), npts)
+    lo_abs = corner_abs[cube_ids]
+    hi_abs = lo_abs + side
+    for d in range(n):
+        others = [a for a in range(n) if a != d]
+        for offset in (0, side):
+            nodes = np.empty((m * npts, n), dtype=np.int64)
+            nodes[:, d] = np.repeat(base[:, d] + offset, npts)
+            for j, a in enumerate(others):
+                nodes[:, a] = (base[:, a][:, None] + face_pts[:, j]).ravel()
+            winners = np.stack(
+                [field.feature[a][tuple(nodes.T)].astype(np.int64) + lo2[a]
+                 for a in range(n)], axis=-1
+            )
+            gap = np.maximum(lo_abs - winners, 0) + np.maximum(
+                winners - hi_abs, 0
+            )
+            d2 = (gap * gap).sum(axis=1)
+            np.minimum.at(out, cube_ids, d2)
+    return out << (2 * shift)
+
+
+def exact_box_dist2(qlo, qhi, tree: cKDTree, coords_S: np.ndarray,
+                    half_diag: float) -> int:
+    """Exact min squared distance from one integer box to the centroid set,
+    using the KD-tree only to prune candidates."""
+    ctr = [(a + b) / 2.0 for a, b in zip(qlo, qhi)]
+    _, j = tree.query(ctr)
+    best = sum(max(a - x, 0, x - b) ** 2
+               for a, b, x in zip(qlo, qhi, coords_S[j].tolist()))
+    r = math.sqrt(best) + half_diag
+    cand = tree.query_ball_point(ctr, r * (1.0 + 1e-12) + 1e-9)
+    pts = coords_S[cand]
+    d2 = np.zeros(len(pts), dtype=np.int64)
+    for d in range(len(qlo)):
+        gap = np.maximum(qlo[d] - pts[:, d], 0) + np.maximum(pts[:, d] - qhi[d], 0)
+        d2 += gap * gap
+    return int(d2.min())

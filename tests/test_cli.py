@@ -161,6 +161,25 @@ def test_curvescan_bad_inputs_exit_2(tmp_path, capsys, bad):
     assert not os.path.exists(os.path.join(out, "curvescan.csv"))
 
 
+@pytest.mark.parametrize("bad", [["--p", "1.5", "2.5"], ["--refine", "-1"]],
+                         ids=lambda b: " ".join(b))
+def test_extend_bad_inputs_exit_2_before_any_build(tmp_path, capsys,
+                                                   monkeypatch, bad):
+    out = str(tmp_path)
+    path = os.path.join(out, "domain.voxd")
+    build_domain("ball", 6, r=0.5, margin=2).save(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a domain was built")
+
+    monkeypatch.setattr(cli, "build_domain", refuse)
+    code = run(["--out", out, "extend", "--domain-file", path] + bad)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(os.listdir(out)) == ["domain.voxd"]
+
+
 def test_curvescan_refine_of_custom_domain_exit_2(tmp_path, capsys,
                                                  monkeypatch):
     out = str(tmp_path)

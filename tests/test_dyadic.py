@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sobex.dyadic import DyadicCube, box_box_dist2_int, box_point_dist2_int
+from sobex.dyadic import DyadicCube, box_box_dist2_int
 
 
 def test_side_and_corners_exact():
@@ -67,8 +67,6 @@ def test_dilate_exact_rational():
 
 
 def test_box_distances_integer():
-    assert box_point_dist2_int((0, 0), (2, 2), (5, 1)) == 9
-    assert box_point_dist2_int((0, 0), (2, 2), (1, 1)) == 0
     assert box_box_dist2_int((0, 0), (1, 1), (3, 4), (5, 6)) == 4 + 9
 
 

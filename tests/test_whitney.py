@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -6,12 +7,18 @@ import numpy as np
 import pytest
 from copy_oracles import (
     domain_svg_by_runs,
+    exact_box_dist2,
     gradient_constant_from_views,
     sets_svg_by_runs,
+    surface_gather_d2,
     whitney_svg_from_views,
 )
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+import sobex.cli as cli
+import sobex.distance
 import sobex.whitney as whitney
 from sobex import figio
 from sobex.domain import VoxelDomain, build_domain
@@ -22,9 +29,8 @@ from sobex.perimeter import VoxelSet, weighted_boundary_integral
 from sobex.whitney import (
     PartitionOfUnity,
     WhitneyDecomposition,
+    _ball_query_d2,
     _bump,
-    _exact_box_dist2,
-    _surface_gather_d2,
     audit_whitney,
     capacity_check,
     cube_averages,
@@ -197,44 +203,205 @@ def test_neighbor_graph_matches_brute_force(case, side):
 @pytest.mark.parametrize("side", ["interior", "exterior"])
 @pytest.mark.parametrize("dim, K", [(2, 6), (3, 4)])
 def test_level_k_plus_one_d2_is_exact(dim, K, side):
-    # cubes at level K+1 take the surface gather; it must equal the per-cube
-    # ball query, on accepted cubes and on every full sub-cell cube
+    # the one distance path equals the surface gather down to level K+1
+    # and the per-cube ball query at every level, on accepted cubes and on
+    # random full cubes below the grid, accepted or not
     dom = build_domain("ball", K, r=0.5, margin=0.5, dim=dim)
     field = distance_transform(dom)
     _, coords = dom.boundary_faces_doubled()
+    rng = np.random.default_rng(K)
     for L_max in (K + 1, K + 2):
         dec = whitney_decompose(dom, L_max, side=side)
-        shift = dec.scale_level - (K + 1)
+        S = dec.scale_level
+        shift = S - (K + 1)
         coords_S = coords.astype(np.int64) << shift
         tree = cKDTree(coords_S.astype(np.float64))
-        ell = 2 ** (dec.scale_level - K - 1)
 
-        def exact(idx):
-            return [_exact_box_dist2(row * ell, row * ell + ell, tree, coords_S,
-                                     ell * math.sqrt(dim) / 2.0)
+        def per_cube(level, idx):
+            ell = 2 ** (S - level)
+            return [exact_box_dist2(row * ell, row * ell + ell, tree, coords_S,
+                                    ell * math.sqrt(dim) / 2.0)
                     for row in idx]
 
-        at = dec.levels == K + 1
-        assert at.sum() > 0
-        assert dec.d2[at].tolist() == exact(dec.index[at])
+        assert (dec.levels == L_max).any()
+        for k in np.unique(dec.levels).tolist():
+            at = np.nonzero(dec.levels == k)[0]
+            if k <= K + 1:
+                assert np.array_equal(dec.d2[at], surface_gather_d2(
+                    dec.index[at], k, dom, field, shift))
+            at = at[rng.choice(len(at), min(len(at), 200), replace=False)]
+            assert dec.d2[at].tolist() == per_cube(k, dec.index[at])
         cells = np.argwhere(dec.side_mask()) + np.asarray(dom.lo_int)
-        sub = np.concatenate([2 * cells + np.array(off)
-                              for off in itertools.product((0, 1), repeat=dim)])
-        sub = sub[np.random.default_rng(K).choice(len(sub), 400, replace=False)]
-        got = _surface_gather_d2(sub, K + 1, dom, field, shift)
-        assert got.tolist() == exact(sub)
+        for k in range(K + 1, L_max + 1):
+            up = k - K
+            sub = np.concatenate([(cells << up) + np.array(off) for off in
+                                  itertools.product(range(2**up), repeat=dim)])
+            sub = sub[rng.choice(len(sub), 400, replace=False)]
+            ell = 2 ** (S - k)
+            got = _ball_query_d2(sub * ell, ell, coords_S, tree, 2**shift)
+            assert got.tolist() == per_cube(k, sub)
+            if k == K + 1:
+                assert np.array_equal(got, surface_gather_d2(sub, k, dom, field,
+                                                             shift))
 
 
-@pytest.mark.parametrize("side", ["interior", "exterior"])
-def test_no_ball_query_down_to_level_k_plus_one(monkeypatch, side):
-    def refuse(*args):
-        raise AssertionError("per-cube ball query at a level <= K+1")
+def _brute_force_d2(dec):
+    """Min over every boundary centroid of the squared distance to each
+    accepted cube, in units of 2**-S."""
+    dom = dec.domain
+    S = dec.scale_level
+    _, coords = dom.boundary_faces_doubled()
+    pts = coords.astype(np.int64) << (S - dom.K - 1)
+    ell = (2 ** (S - dec.levels))[:, None]
+    lo = dec.index * ell
+    out = np.empty(len(lo), dtype=np.int64)
+    for a in range(0, len(lo), 64):
+        gap = (np.maximum(lo[a:a + 64, None] - pts, 0)
+               + np.maximum(pts - (lo + ell)[a:a + 64, None], 0))
+        out[a:a + 64] = (gap * gap).sum(axis=2).min(axis=1)
+    return out
 
-    monkeypatch.setattr(whitney, "_exact_box_dist2", refuse)
+
+@st.composite
+def _random_domains(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    K = draw(st.integers(2, 4 if dim == 2 else 3))
+    shape = tuple(draw(st.integers(1, 2**K + 2)) for _ in range(dim))
+    lo_int = tuple(draw(st.integers(-3, 3)) for _ in range(dim))
+    density = draw(st.sampled_from([0.3, 0.7, 0.95]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    mask = rng.random(shape) < density
+    assume(mask.any())
+    return VoxelDomain(K, lo_int, mask), K + draw(st.integers(0, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_domains(), st.sampled_from(["interior", "exterior"]))
+def test_accepted_d2_is_min_over_all_centroids(case, side):
+    dom, L_max = case
+    dec = whitney_decompose(dom, L_max, side=side)
+    assert np.array_equal(dec.d2, _brute_force_d2(dec))
+
+
+@pytest.mark.parametrize("pairs", [1, 9, 60])
+def test_chunk_edges_leave_arrays_unchanged(monkeypatch, pairs):
+    doms = [build_domain("ball", 5, r=0.5, margin=0.5),
+            build_domain("slit_square", 5, slit_len=0.5, margin=0.5),
+            build_domain("ball", 3, r=0.5, margin=0.5, dim=3)]
+    ref = [whitney_decompose(dom, dom.K + 2, side=side)
+           for dom in doms for side in ("interior", "exterior")]
+    calls = []
+
+    class Recording(cKDTree):
+        def query_ball_point(self, x, r, **kwargs):
+            cand = super().query_ball_point(x, r, **kwargs)
+            calls.append((len(x), sum(map(len, cand))))
+            return cand
+
+    monkeypatch.setattr(whitney, "cKDTree", Recording)
+    monkeypatch.setattr(whitney, "_BALL_PAIRS", pairs)
+    got = [whitney_decompose(dom, dom.K + 2, side=side)
+           for dom in doms for side in ("interior", "exterior")]
+    for a, b in zip(ref, got):
+        for key in ("levels", "index", "d2", "synthetic", "collar_levels",
+                    "collar_index"):
+            assert np.array_equal(getattr(a, key), getattr(b, key))
+    # chunks of several boxes stay within the bound; single boxes over it
+    # go alone
+    assert all(held <= pairs for boxes, held in calls if boxes > 1)
+    assert any(held > pairs for boxes, held in calls if boxes == 1)
+    if pairs > 1:
+        assert any(boxes > 1 for boxes, _ in calls)
+
+
+def test_whitney_builds_no_distance_lattice(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the distance lattice was built")
+
+    monkeypatch.setattr(sobex.distance, "distance_transform", refuse)
+    monkeypatch.setattr(cli, "distance_transform", refuse)
     for dom in (build_domain("ball", 6, r=0.5, margin=0.5),
                 build_domain("ball", 4, r=0.5, margin=0.5, dim=3)):
-        dec = whitney_decompose(dom, dom.K + 1, side=side)
-        assert (dec.levels == dom.K + 1).any()
+        for side in ("interior", "exterior"):
+            audit = audit_whitney(whitney_decompose(dom, dom.K + 2, side=side))
+            assert all(audit[w] for w in ("W1", "W2", "W3", "W4"))
+    path = str(tmp_path / "domain.voxd")
+    build_domain("ball", 6, r=0.5, margin=2).save(path)
+    for extra in ([], ["--exterior"]):
+        assert cli.main(["--out", str(tmp_path), "whitney", "--domain-file",
+                         path, "--L-max", "8", *extra]) == 0
+
+
+# sha256 of to_text() and the d2, collar level and collar index arrays
+# (int64 bytes), taken before the distance paths were merged
+_PINNED = {
+    ("ball2", 0, "interior"): "d254db6bf75adcef893f4251b0713de9274904a5e971ce69201caae058547c25",
+    ("ball2", 0, "exterior"): "c1b94646ec9fa7c339596f5d024f2397977fadf4cad850a06deb7b6cf2c093fd",
+    ("ball2", 1, "interior"): "7573b4823ba56fe3c616733e5dae00f2eb97f548e080dfa72623f319325c635f",
+    ("ball2", 1, "exterior"): "882c3e636115c56b7abae9b31fb19dccb68abe7a1ca9e98a065eb1a77400fbbe",
+    ("ball2", 2, "interior"): "eb5ac77259df3ab4f08a09d4de8da0671aab1e703075af9f8ce80d9945fc3a37",
+    ("ball2", 2, "exterior"): "ac222c2d600390fd2c5c9b00d13ad1bb8c2b1281e1a6215db9c811b4fd370ed4",
+    ("ball2", 3, "interior"): "bcc17c64cbe1f25063a5d6fd7ea3d196b337617b3df9b592a38e4b433998adb7",
+    ("ball2", 3, "exterior"): "e5e4e90c0e91a68c2d3a7989554f70de69a80b8ee7352dc3f1d619672cec1df7",
+    ("slit2", 0, "interior"): "c0bc80ea66fbc02071b41b06d7bfc54d5fdac8204d233be214b4a6ab2c76a9ac",
+    ("slit2", 0, "exterior"): "fc534b42272ec529704d5493e2f80b17067ec385bd47c3d8bb917a90cbc6ee6d",
+    ("slit2", 1, "interior"): "a1f4eb76d954b97fec93f86a103312418f007db826212c34305b8daef2c19d19",
+    ("slit2", 1, "exterior"): "7513fd91132dc6342c3d0ddf652265864a21e5253d5c6b120a89682b0fd6aed3",
+    ("slit2", 2, "interior"): "850c353d706a2777f8d5e7e3c1fad2dd1752a2bccb82898a855d601fca6ec078",
+    ("slit2", 2, "exterior"): "f4710c6523fb17c9bd5d68a71e47bcc7ef5b8636f34df1efa5da5cb9947b7e10",
+    ("slit2", 3, "interior"): "b2e41348d036b362d49239b04d079b395e9467978bb8b6e55f0fb778126d8936",
+    ("slit2", 3, "exterior"): "2e977964515d651a20856f908987822d5c88fb256f8599a9b3882ffb0ea608e3",
+    ("ball3", 2, "interior"): "11308fdadfccb76ff2ec23e8c995dca64d5fffcbaf4a882caa4f6281540ca3d9",
+    ("ball3", 2, "exterior"): "4a8b1c8c89c205b4e88886969958f481575cc344b4d7ae03309c254e6db40bac",
+}
+_PIN_DOMAINS = {
+    "ball2": lambda: build_domain("ball", 6, r=0.5, margin=0.5),
+    "slit2": lambda: build_domain("slit_square", 6, slit_len=0.5, margin=0.5),
+    "ball3": lambda: build_domain("ball", 4, r=0.5, margin=0.5, dim=3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PIN_DOMAINS))
+def test_decompositions_match_pinned_digests(case):
+    dom = _PIN_DOMAINS[case]()
+    for (name, below, side), want in _PINNED.items():
+        if name != case:
+            continue
+        dec = whitney_decompose(dom, dom.K + below, side=side)
+        h = hashlib.sha256(dec.to_text().encode())
+        for a in (dec.d2, dec.collar_levels, dec.collar_index):
+            h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+        assert h.hexdigest() == want, (name, below, side)
+        if dom.n == 3:
+            audit = audit_whitney(dec)
+            assert all(audit[w] for w in ("W1", "W2", "W3", "W4"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=2, max_size=3),
+       st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2**16))
+def test_integral_image_equals_int64_construction(shape, density, seed):
+    mask = np.random.default_rng(seed).random(shape) < density
+    ref = mask.astype(np.int64)
+    for d in range(mask.ndim):
+        ref = ref.cumsum(axis=d)
+    ref = np.pad(ref, [(1, 0)] * mask.ndim)
+    P = whitney._integral_image(mask)
+    assert P.dtype == np.int32 and np.array_equal(P, ref)
+    lo = np.zeros((1, mask.ndim), dtype=np.int64)
+    assert whitney._box_count_batch(P, lo, lo + shape).tolist() == [mask.sum()]
+
+
+def test_integral_image_refused_over_budget(monkeypatch):
+    dom = build_domain("ball", 6, r=0.5, margin=0.5)
+    need = 4 * math.prod(s + 1 for s in dom.shape)
+    monkeypatch.setattr(whitney, "TABLE_BUDGET_BYTES", need)
+    assert whitney._integral_image(dom.mask).nbytes == need
+    monkeypatch.setattr(whitney, "TABLE_BUDGET_BYTES", need - 1)
+    with pytest.raises(PreconditionNotMet, match="budget"):
+        whitney._integral_image(dom.mask)
+    with pytest.raises(PreconditionNotMet, match="summed-area table"):
+        whitney_decompose(dom, 7)
 
 
 def _hand_built(dom, cubes):
