@@ -245,28 +245,28 @@ def cmd_curvescan(args) -> tuple[int, list[str]]:
     for p in args.p:
         check_scan_inputs(dom, p, args.pairs, args.scales, not args.no_refine)
     ends = ",".join(f"z{e}{a}" for e in "12" for a in "xyz"[:dom.n])
-    csv_path = os.path.join(out, "curvescan.csv")
-    with open(csv_path, "w") as f:
-        f.write(f"p,K,scale,{ends},separation,cost,ratio\n")
-        for p in args.p:
-            rep = curve_condition_scan(
-                dom, p, args.pairs, args.seed, scales=args.scales,
-                focus=args.focus, refine=not args.no_refine,
-            )
-            for row in rep.rows:
-                f.write(",".join(repr(v) for v in (
-                    p, rep.K, row["scale"],
-                    *(float(c) for c in row["z1"] + row["z2"]),
-                    row["separation"], row["cost"], row["ratio"],
-                )) + "\n")
-            sups = " ".join(f"{s:.4g}:{v:.4g}"
-                            for s, v in zip(rep.scales, rep.sup_ratio))
-            print(f"p={p} sup ratios per scale: {sups}")
-            print(f"p={p} searches: {rep.searches}, "
-                  f"settled nodes: {rep.settled_nodes}")
-            if rep.drift:
-                print(f"p={p} refinement drift: "
-                      + " ".join(f"{v:.3f}" for v in rep.drift))
+    rows = [f"p,K,scale,{ends},separation,cost,ratio"]
+    for p in args.p:
+        rep = curve_condition_scan(
+            dom, p, args.pairs, args.seed, scales=args.scales,
+            focus=args.focus, refine=not args.no_refine,
+        )
+        rows += [",".join(repr(v) for v in (
+            p, rep.K, row["scale"],
+            *(float(c) for c in row["z1"] + row["z2"]),
+            row["separation"], row["cost"], row["ratio"],
+        )) for row in rep.rows]
+        sups = " ".join(f"{s:.4g}:{v:.4g}"
+                        for s, v in zip(rep.scales, rep.sup_ratio))
+        print(f"p={p} sup ratios per scale: {sups}")
+        print(f"p={p} searches: {rep.searches}, "
+              f"settled nodes: {rep.settled_nodes}")
+        if rep.drift:
+            print(f"p={p} refinement drift: "
+                  + " ".join(f"{v:.3f}" for v in rep.drift))
+    # written once every scan has returned, so a refused scan leaves no CSV
+    with open(os.path.join(out, "curvescan.csv"), "w") as f:
+        f.write("\n".join(rows) + "\n")
     return 0, ["curvescan.csv"]
 
 

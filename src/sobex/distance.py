@@ -1,17 +1,23 @@
-"""Exact Euclidean distance transform to the discrete boundary.
+"""Exact Euclidean distances to the discrete boundary.
 
 Distances are measured to boundary-face centroids.  Cell centers and face
-centroids all live on the half-step lattice (units of h/2), so the transform
-runs once on that doubled grid; squared distances are exact integers in
-(h/2)^2 units and are kept for both cell centers and arbitrary face queries.
+centroids all live on the half-step lattice (units of h/2), so squared
+distances are exact integers in (h/2)^2 units.  Sparse reads (face
+centroids, Whitney boxes) take candidates from one KD-tree of the centroids
+and recompute distances in integers; dense reads (the geodesics) use the
+transform over the doubled lattice, built on the first of them.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import weakref
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from .domain import VoxelDomain
 from .errors import PreconditionNotMet
@@ -19,26 +25,36 @@ from .errors import PreconditionNotMet
 # Lattices whose transform would peak above this are refused before any
 # allocation (the same 4 GiB as whitney.SMOOTH_BUDGET_BYTES).
 EDT_BUDGET_BYTES = 4 * 2**30
+# float64 compares integer squared distances exactly only below this
+EXACT_FLOAT_BOUND = 2**53
+# (box, centroid) pairs the box query holds at a time
+_BALL_PAIRS = 2**18
 
 
 class DistanceField:
-    def __init__(self, K: int, lo_int, d2_doubled: np.ndarray,
-                 feature: np.ndarray):
+    """Exact boundary distances of one domain.  It keeps the domain's grid
+    and boundary centroids, not the domain, which caches the field."""
+
+    def __init__(self, K: int, lo_int, shape, coords: np.ndarray):
         self.K = K
         self.lo_int = tuple(lo_int)
-        self.d2_doubled = d2_doubled  # int32, over the (2N+1)^n doubled grid
-        # feature[d] holds the d-coordinate (grid offset) of the nearest
-        # boundary centroid per doubled-grid node: int16 when every lattice
-        # axis has fewer than 2^15 nodes, int32 otherwise
-        self.feature = feature
+        self.shape = tuple(shape)
+        self.coords = coords  # (m, n) int64 boundary centroids, units h/2
+        self._tree = cKDTree(coords.astype(np.float64))
+        self._face_d2 = weakref.WeakKeyDictionary()  # face set -> its d2
 
     @property
     def n(self) -> int:
-        return self.d2_doubled.ndim
+        return len(self.shape)
 
     @property
     def h(self) -> float:
         return 2.0**-self.K
+
+    @functools.cached_property
+    def d2_doubled(self) -> np.ndarray:
+        """int32 squared distances over the (2N+1)^n doubled grid."""
+        return _build_lattice(self.lo_int, self.shape, self.coords)
 
     @property
     def d2_int(self) -> np.ndarray:
@@ -46,84 +62,129 @@ class DistanceField:
         centers = tuple(slice(1, None, 2) for _ in range(self.n))
         return self.d2_doubled[centers]
 
-    @property
-    def values(self) -> np.ndarray:
-        """Distances at cell centers in absolute units."""
-        return self.values_at(...)
-
     def values_at(self, index) -> np.ndarray:
         """Distances in absolute units at the cell centers that `index` (a
-        bool mask or index arrays into the cell grid) selects; equal to
-        `values[index]` bit for bit, without the full-grid square root."""
+        bool mask, index arrays or `...`) selects, without a full-grid
+        square root."""
         return np.sqrt(self.d2_int[index].astype(np.float64)) * (self.h / 2.0)
 
     def d2_at_doubled(self, coords: np.ndarray) -> np.ndarray:
-        """Exact squared distances at doubled-grid points (e.g. centroids)."""
-        offs = np.asarray(coords, dtype=np.int64) - 2 * np.asarray(
-            self.lo_int, dtype=np.int64
-        )
-        return self.d2_doubled[tuple(offs[:, d] for d in range(self.n))]
+        """Exact int64 squared distances at doubled-grid points: float64
+        compares integer sums exactly, so the nearest centroid minimises."""
+        coords = np.asarray(coords, dtype=np.int64)
+        _, j = self._tree.query(coords)
+        gap = coords - self.coords[j]
+        return (gap * gap).sum(axis=1)
+
+    def d2_at_faces(self, faces) -> np.ndarray:
+        """`d2_at_doubled` at a face set's centroids, read once per set."""
+        if faces not in self._face_d2:
+            self._face_d2[faces] = self.d2_at_doubled(faces.coords)
+        return self._face_d2[faces]
+
+    def box_d2(self, lo: np.ndarray, ell: int, shift: int) -> np.ndarray:
+        """Exact min squared distance from each integer box [lo, lo + ell]
+        to the centroids, in units of 2**-(K + 1 + shift); the tree, queried
+        at coordinates scaled exactly by 2**-shift, only prunes candidates.
+
+        The centroid nearest a box's centre bounds its distance, and any as
+        near lies within that plus the half diagonal of the centre.  The
+        centroids lie on a lattice of spacing 2**shift, so a ball of radius
+        r holds at most (ceil(2 r / spacing) + 1)^n of them, and a chunk of
+        boxes holds at most _BALL_PAIRS by that count (or one box)."""
+        spacing = 2**shift
+        ctr = lo + ell / 2.0
+        _, j = self._tree.query(ctr / spacing)
+        best = _box_point_d2(lo, ell, self.coords[j] << shift)
+        r = (np.sqrt(best) + ell * math.sqrt(lo.shape[1]) / 2.0) \
+            * (1.0 + 1e-12) + 1e-9
+        est = np.minimum((np.ceil(2.0 * r / spacing) + 1.0) ** lo.shape[1],
+                         len(self.coords)).astype(np.int64)
+        ends = np.cumsum(est)
+        out = np.empty(len(lo), dtype=np.int64)
+        a = 0
+        while a < len(lo):
+            b = max(int(np.searchsorted(ends, ends[a] - est[a] + _BALL_PAIRS,
+                                        side="right")), a + 1)
+            cand = self._tree.query_ball_point(ctr[a:b] / spacing,
+                                               r[a:b] / spacing,
+                                               return_sorted=False)
+            # every box has a candidate: its nearest centroid
+            cnt = np.fromiter(map(len, cand), dtype=np.int64, count=b - a)
+            which = np.fromiter(itertools.chain.from_iterable(cand),
+                                dtype=np.int64, count=int(cnt.sum()))
+            d2 = _box_point_d2(lo[a:b].repeat(cnt, axis=0), ell,
+                               self.coords[which] << shift)
+            out[a:b] = np.minimum.reduceat(d2, np.cumsum(cnt) - cnt)
+            a = b
+        return out
 
 
-def _peak_bytes_per_node(n: int, narrow: bool) -> int:
-    """Peak bytes per lattice node held by `distance_transform`, the
-    largest over its phases; `narrow` means int16 features."""
+def _box_point_d2(lo: np.ndarray, ell: int, pts: np.ndarray) -> np.ndarray:
+    """Squared distances between the integer boxes [lo, lo + ell] and the
+    integer points pts, row by row."""
+    gap = np.maximum(lo - pts, 0) + np.maximum(pts - (lo + ell), 0)
+    return (gap * gap).sum(axis=1)
+
+
+def _peak_bytes_per_node(n: int) -> int:
+    """Peak bytes per lattice node held by `_build_lattice`, the largest
+    over its phases."""
     # inside scipy: the site mask, np.where's int64 copy of it and the int8
     # cast of that, then the site mask, the int8 input and the int32 indices
     scipy = max(1 + 8 + 1, 2 + 4 * n)
-    # then the int32 indices and their int16 cast (narrow), or the int32
-    # indices kept as features, d2 and at most 4 B of slab temporaries
-    return max(scipy, 6 * n if narrow else 4 * n + 8)
+    # then the int32 indices, summed in place, and the copy of the sum kept
+    return max(scipy, 4 * n + 4)
 
 
-def _check_lattice(shape2: tuple[int, ...], narrow: bool) -> None:
-    need = math.prod(shape2) * _peak_bytes_per_node(len(shape2), narrow)
+def _check_extent(shape2: tuple[int, ...], bound: int, what: str) -> None:
+    # the largest squared distance two lattice nodes can have
+    if sum((s - 1) ** 2 for s in shape2) >= bound:
+        raise PreconditionNotMet(
+            f"distance lattice {shape2} is too long for {what}")
+
+
+def _build_lattice(lo_int, shape, coords: np.ndarray) -> np.ndarray:
+    """int32 squared distances over the doubled lattice.  Lattices over
+    EDT_BUDGET_BYTES, or too long for int32 squared distances, raise
+    PreconditionNotMet before anything is allocated."""
+    n = len(shape)
+    shape2 = tuple(2 * s + 1 for s in shape)
+    need = math.prod(shape2) * _peak_bytes_per_node(n)
     if need > EDT_BUDGET_BYTES:
         raise PreconditionNotMet(
             f"distance lattice {shape2} needs {need / 2**30:.3g} GiB, over "
             f"the {EDT_BUDGET_BYTES / 2**30:g} GiB budget")
-    # the largest squared distance two lattice nodes can have
-    if sum((s - 1) ** 2 for s in shape2) >= 2**31:
-        raise PreconditionNotMet(
-            f"distance lattice {shape2} is too long for int32 squared "
-            "distances")
-
-
-def distance_transform(dom: VoxelDomain) -> DistanceField:
-    """Exact squared-distance field of a domain's discrete boundary.
-
-    Lattices over EDT_BUDGET_BYTES, or too long for int32 squared
-    distances, raise PreconditionNotMet before anything is allocated."""
-    if dom._dist is not None:
-        return dom._dist
-    n = dom.n
-    shape2 = tuple(2 * s + 1 for s in dom.mask.shape)
-    narrow = max(shape2) < 2**15
-    _check_lattice(shape2, narrow)
-    _, coords = dom.boundary_faces_doubled()
+    _check_extent(shape2, 2**31, "int32 squared distances")
     sites = np.ones(shape2, dtype=bool)
-    offs = coords - 2 * np.asarray(dom.lo_int, dtype=np.int64)
+    offs = coords - 2 * np.asarray(lo_int, dtype=np.int64)
     sites[tuple(offs[:, d] for d in range(n))] = False
     feature = ndimage.distance_transform_edt(
         sites, return_distances=False, return_indices=True
     )
     del sites
-    if narrow:
-        feature = feature.astype(np.int16)
-    # square and add per axis a slab of about 2^18 nodes at a time: no int64
-    # and no full-size temporaries
-    d2 = np.empty(shape2, dtype=np.int32)
+    # square and add into feature[0] in place, about 2^18 nodes at a time
+    # (no int64, no full-size temporaries), then keep a copy of the sum only
+    d2 = feature[0]
     axes = [np.arange(s, dtype=np.int32).reshape(
         tuple(-1 if a == d else 1 for a in range(n)))
         for d, s in enumerate(shape2)]
     step = max(1, 2**18 * shape2[0] // d2.size)
     for i in range(0, shape2[0], step):
         rows = slice(i, i + step)
-        gap = axes[0][rows] - feature[0][rows]
-        np.multiply(gap, gap, out=d2[rows])
+        d2[rows] -= axes[0][rows]
+        d2[rows] *= d2[rows]
         for d in range(1, n):
-            gap = axes[d] - feature[d][rows]
-            d2[rows] += gap * gap
-    field = DistanceField(dom.K, dom.lo_int, d2, feature)
-    dom._dist = field
-    return field
+            d2[rows] += (axes[d] - feature[d][rows]) ** 2
+    return d2.copy()
+
+
+def distance_transform(dom: VoxelDomain) -> DistanceField:
+    """The domain's exact boundary-distance field, made once and cached on
+    it.  Grids too long for exact float64 reads raise PreconditionNotMet."""
+    if dom._dist is None:
+        _check_extent(tuple(2 * s + 1 for s in dom.shape), EXACT_FLOAT_BOUND,
+                      "exact float64 reads")
+        dom._dist = DistanceField(dom.K, dom.lo_int, dom.shape,
+                                  dom.boundary_faces_doubled()[1])
+    return dom._dist

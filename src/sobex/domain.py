@@ -270,7 +270,7 @@ def root_tiling_level(dom: VoxelDomain) -> int:
 def _grid_centers(K, lo_int, shape):
     h = 2.0**-K
     axes = [(np.arange(n) + lo_int[d] + 0.5) * h for d, n in enumerate(shape)]
-    return np.meshgrid(*axes, indexing="ij")
+    return np.meshgrid(*axes, indexing="ij", sparse=True)
 
 
 def _bbox_cells(K, lo: Fraction, hi: Fraction):
@@ -308,8 +308,8 @@ def koch_snowflake(iterations: int) -> np.ndarray:
 
 
 def _points_in_polygon(px, py, poly):
-    """Crossing-number inclusion test, vectorized over points."""
-    inside = np.zeros(px.shape, dtype=bool)
+    """Crossing-number inclusion test, vectorized over (broadcast) points."""
+    inside = np.zeros(np.broadcast_shapes(px.shape, py.shape), dtype=bool)
     x0, y0 = poly[:, 0], poly[:, 1]
     x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
     for ax, ay, bx, by in zip(x0, y0, x1, y1):

@@ -228,8 +228,7 @@ def extend_geometry(A: VoxelSet, W: WhitneyDecomposition,
     # the finiteness hypothesis on the interior integral: interior-classified
     # faces at zero distance would make the continuum integral infinite
     afaces = boundary_faces(A)
-    inner = afaces.coords[afaces.classification == INTERIOR]
-    if (dist.d2_at_doubled(inner) <= 1).any():
+    if (dist.d2_at_faces(afaces)[afaces.classification == INTERIOR] <= 1).any():
         empty = VoxelSet.from_domain(dom, np.zeros(dom.shape, bool))
         return ExtensionGeometry(A, empty, empty, A, [], [], [], dist,
                                  *_touching_masses(A, A, dist),
@@ -254,7 +253,7 @@ def _touching_masses(A, A_tilde, dist) -> tuple[float, float]:
     touch = []
     for S in (A_tilde, A):
         faces = boundary_faces(S)
-        d2 = dist.d2_at_doubled(faces.coords)
+        d2 = dist.d2_at_faces(faces)
         touch.append(faces.coords[(faces.classification == ON_BOUNDARY)
                                   | (d2 <= 1)])
     # faces are unique per set, so |T u O| - |O| counts T \ O

@@ -58,7 +58,7 @@ class VoxelSet:
         return float(self.mask.sum()) * self.h**self.n
 
 
-@dataclass
+@dataclass(eq=False)
 class BoundaryFaceSet:
     K: int
     axes: np.ndarray          # (m,) perpendicular axis per face
@@ -150,11 +150,10 @@ def weighted_boundary_integral(
         sel = np.isin(faces.classification, (EXTERIOR, ON_BOUNDARY))
     else:
         raise ValueError(f"side must be interior or exterior, got {side!r}")
-    coords = faces.coords[sel]
     cls = faces.classification[sel]
-    if len(coords) == 0:
+    if len(cls) == 0:
         return 0.0, 0.0
-    d2 = dist.d2_at_doubled(coords)
+    d2 = dist.d2_at_faces(faces)[sel]
     # touching threshold dist <= h/2 is d2 <= 1 in (h/2)^2 units
     touching = (cls == ON_BOUNDARY) | (d2 <= 1)
     dvals = np.sqrt(d2[~touching].astype(np.float64)) * (dist.h / 2.0)

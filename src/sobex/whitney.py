@@ -8,8 +8,8 @@ collar at L_max.  The upper bound dist <= 4 sqrt(n) l(Q) then holds
 automatically for accepted cubes and is asserted.  Both questions asked of
 a cube, how many region cells it holds and how far it is from the
 boundary, are answered a level at a time over arrays: the first by box
-counts on a summed-area table, the second by one batched KD-tree candidate
-query with an exact integer box-to-point kernel.
+counts on a summed-area table, the second by `DistanceField.box_d2`, whose
+KD-tree of the boundary centroids the extension's face reads share.
 """
 
 from __future__ import annotations
@@ -22,16 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .distance import distance_transform
 from .domain import VoxelDomain, root_tiling_level
 from .dyadic import DyadicCube
-from .errors import InvalidDomain, PreconditionNotMet
+from .errors import PreconditionNotMet
 
 SUPPORT_SHELL = 16  # support reaches l(Q)/16 beyond the cube
 # A summed-area table may take at most this many bytes; its int32 counts
 # then stay below 2^31.
 TABLE_BUDGET_BYTES = 4 * 2**30
-# (box, centroid) pairs the exact distance query holds at a time
-_BALL_PAIRS = 2**18
 
 
 @dataclass
@@ -230,9 +229,9 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
     bbox, with cubes touching the outer bbox flagged synthetic).
 
     Levels are processed in vectorized batches.  At every level the full
-    cubes take one exact distance path, `_ball_query_d2`: squared distances
-    to the boundary centroids, exact integers in units of 2**-S with
-    S = max(L_max, K + 1).  No distance lattice is built; the largest
+    cubes take one exact distance path, `DistanceField.box_d2`: squared
+    distances to the boundary centroids, exact integers in units of 2**-S
+    with S = max(L_max, K + 1).  No distance lattice is built; the largest
     array is the region's summed-area table, which TABLE_BUDGET_BYTES
     bounds.
     """
@@ -240,12 +239,8 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
         raise PreconditionNotMet("L_max coarser than the bbox root tiling")
     n = dom.n
     K = dom.K
-    _, coords = dom.boundary_faces_doubled()
-    if len(coords) == 0:
-        raise InvalidDomain("domain has no boundary")
+    field = distance_transform(dom)
     S = max(L_max, K + 1)
-    pts = coords << (S - K - 1)    # the centroids in units of 2**-S
-    tree = cKDTree(pts.astype(np.float64))
     region = dom.mask if side == "interior" else ~dom.mask
     P = _integral_image(region)
     lo_int = np.asarray(dom.lo_int, dtype=np.int64)
@@ -282,8 +277,7 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
         is_full = cnt == full
         d2 = np.zeros(len(cur), dtype=np.int64)
         if is_full.any():
-            d2[is_full] = _ball_query_d2(cur[is_full] * ell, ell, pts, tree,
-                                         2 ** (S - K - 1))
+            d2[is_full] = field.box_d2(cur[is_full] * ell, ell, S - K - 1)
         accept = is_full & (d2 >= ell * ell)
         assert np.all(d2[accept] <= 16 * n * ell * ell), \
             "(W3) upper bound violated"
@@ -318,49 +312,6 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
         collar_index=collar_idx,
         collar_measure=float(collar_cells) * dom.h**n,
     )
-
-
-def _box_point_d2(lo: np.ndarray, ell: int, pts: np.ndarray) -> np.ndarray:
-    """Squared distances between the integer boxes [lo, lo + ell] and the
-    integer points pts, row by row."""
-    gap = np.maximum(lo - pts, 0) + np.maximum(pts - (lo + ell), 0)
-    return (gap * gap).sum(axis=1)
-
-
-def _ball_query_d2(lo: np.ndarray, ell: int, pts: np.ndarray, tree: cKDTree,
-                   spacing: int) -> np.ndarray:
-    """Exact min squared distance from each integer box [lo, lo + ell] to
-    the points pts, using the KD-tree only to prune candidates.
-
-    The point nearest a box's centre bounds the box's distance, and any
-    point as near the box lies within that distance plus the box's half
-    diagonal of the centre.  The boxes go through the ball query in
-    chunks.  The points lie on a lattice of the given spacing, so a ball of
-    radius r holds at most (ceil(2 r / spacing) + 1)^n of them, and a chunk
-    holds at most _BALL_PAIRS by that count (a box over it goes alone).
-    """
-    ctr = lo + ell / 2.0
-    _, j = tree.query(ctr)
-    best = _box_point_d2(lo, ell, pts[j])
-    r = (np.sqrt(best) + ell * math.sqrt(lo.shape[1]) / 2.0) * (1.0 + 1e-12) \
-        + 1e-9
-    est = np.minimum((np.ceil(2.0 * r / spacing) + 1.0) ** lo.shape[1],
-                     len(pts)).astype(np.int64)
-    ends = np.cumsum(est)
-    out = np.empty(len(lo), dtype=np.int64)
-    a = 0
-    while a < len(lo):
-        b = max(int(np.searchsorted(ends, ends[a] - est[a] + _BALL_PAIRS,
-                                    side="right")), a + 1)
-        cand = tree.query_ball_point(ctr[a:b], r[a:b], return_sorted=False)
-        # every box has a candidate: its nearest point
-        cnt = np.fromiter(map(len, cand), dtype=np.int64, count=b - a)
-        which = np.fromiter(itertools.chain.from_iterable(cand),
-                            dtype=np.int64, count=int(cnt.sum()))
-        d2 = _box_point_d2(lo[a:b].repeat(cnt, axis=0), ell, pts[which])
-        out[a:b] = np.minimum.reduceat(d2, np.cumsum(cnt) - cnt)
-        a = b
-    return out
 
 
 def exterior_whitney(dom: VoxelDomain, L_max: int) -> WhitneyDecomposition:

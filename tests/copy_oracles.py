@@ -12,10 +12,12 @@ keeps, in the forms that held a second copy of that data:
   figures drawn from a per-cell run loop (`domain_svg_by_runs`,
   `sets_svg_by_runs`);
 - exact cube-to-boundary distances from the two paths Whitney took before
-  its one batched ball query: the surface gather over the distance
-  transform's feature field, for cell-aligned cubes down to level K+1
-  (`surface_gather_d2`), and a KD-tree ball query run one cube at a time
-  (`exact_box_dist2`).
+  its one batched ball query: the surface gather over the feature field of
+  `distance_oracle.reference_field`, for cell-aligned cubes down to level
+  K+1 (`surface_gather_d2`), and a KD-tree ball query run one cube at a
+  time (`exact_box_dist2`);
+- the generators' cell-centre grids as dense coordinate arrays
+  (`dense_grid_centers`).
 """
 
 from __future__ import annotations
@@ -227,7 +229,7 @@ def gradient_constant_from_views(pu, max_cubes: int = 400, seed: int = 0) -> flo
     return best
 
 
-def surface_gather_d2(idx: np.ndarray, level: int, dom, field,
+def surface_gather_d2(idx: np.ndarray, level: int, dom, feature: np.ndarray,
                       shift: int) -> np.ndarray:
     """Exact squared distances from cell-aligned cubes (level <= K+1) to the
     boundary centroid set, in units of 2**-S with S = K + 1 + shift.
@@ -259,7 +261,7 @@ def surface_gather_d2(idx: np.ndarray, level: int, dom, field,
             for j, a in enumerate(others):
                 nodes[:, a] = (base[:, a][:, None] + face_pts[:, j]).ravel()
             winners = np.stack(
-                [field.feature[a][tuple(nodes.T)].astype(np.int64) + lo2[a]
+                [feature[a][tuple(nodes.T)].astype(np.int64) + lo2[a]
                  for a in range(n)], axis=-1
             )
             gap = np.maximum(lo_abs - winners, 0) + np.maximum(
@@ -286,3 +288,11 @@ def exact_box_dist2(qlo, qhi, tree: cKDTree, coords_S: np.ndarray,
         gap = np.maximum(qlo[d] - pts[:, d], 0) + np.maximum(pts[:, d] - qhi[d], 0)
         d2 += gap * gap
     return int(d2.min())
+
+
+def dense_grid_centers(K, lo_int, shape):
+    """Cell-centre coordinates as n dense arrays over the grid, the form
+    `domain._grid_centers` had before it returned open grids."""
+    h = 2.0**-K
+    axes = [(np.arange(n) + lo_int[d] + 0.5) * h for d, n in enumerate(shape)]
+    return np.meshgrid(*axes, indexing="ij")

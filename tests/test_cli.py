@@ -368,6 +368,32 @@ def test_oversize_distance_lattice_exit_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "geodesic.csv").exists()
 
 
+def test_refused_curvescan_leaves_no_csv(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path)
+    assert run(["--out", out, "gen", "--domain", "ball", "--K", "5"]) == 0
+    monkeypatch.setattr(sobex.distance, "EDT_BUDGET_BYTES", 1024)
+    assert run(["--out", out, "curvescan",
+                "--domain-file", os.path.join(out, "domain.voxd"),
+                "--p", "1.25", "1.5", "--pairs", "4", "--no-refine"]) == 2
+    assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "curvescan.csv").exists()
+
+
+def test_extend_builds_no_distance_lattice(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the distance lattice was built")
+
+    monkeypatch.setattr(sobex.distance, "_build_lattice", refuse)
+    for dim, K, refine in ((2, 6, "1"), (3, 4, "0")):
+        out = str(tmp_path / f"ball{dim}")
+        os.mkdir(out)
+        assert run(["--out", out, "gen", "--domain", "ball", "--dim", str(dim),
+                    "--K", str(K), "--margin", "0.5"]) == 0
+        assert run(["--out", out, "extend", "--domain-file",
+                    os.path.join(out, "domain.voxd"), "--p", "1.25", "1.75",
+                    "--refine", refine]) == 0
+
+
 def test_whitney_and_extend_read_no_cube_views(tmp_path, monkeypatch):
     """No command path materialises the DyadicCube views."""
 

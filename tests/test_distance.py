@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +20,7 @@ from sobex.errors import PreconditionNotMet
 def test_unit_square_center_value():
     dom = build_domain("cube", 6, dim=2)
     df = distance_transform(dom)
-    v = df.values
+    v = df.values_at(...)
     center = v[31:33, 31:33]
     assert np.all(np.abs(center - 0.5) <= dom.h)
 
@@ -27,7 +29,7 @@ def test_ball_center_value():
     dom = build_domain("ball", 6, r=0.5)
     df = distance_transform(dom)
     i = 32
-    assert abs(df.values[i, i] - 0.5) <= 2 * dom.h
+    assert abs(df.values_at((i, i)) - 0.5) <= 2 * dom.h
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -48,7 +50,7 @@ def test_matches_brute_force_exactly(seed):
 
 def test_lipschitz_across_neighbors():
     dom = build_domain("snowflake_approx", 7, iterations=2)
-    v = distance_transform(dom).values
+    v = distance_transform(dom).values_at(...)
     n = dom.n
     tol = 1e-12
     for d in range(n):
@@ -96,18 +98,17 @@ def test_field_equals_int64_reference(name):
     assert name == "cantor_window" or min(dom.lo_int) < 0
     field = distance_transform(dom)
     assert field.d2_doubled.dtype == np.int32
-    assert field.feature.dtype == np.int16
     d2_ref, feature_ref = reference_field(dom)
+    assert feature_ref.max() < 2**15
     assert np.array_equal(field.d2_doubled, d2_ref)
-    assert np.array_equal(field.feature, feature_ref)
 
 
 def _assert_nodes_exact(dom, field):
-    """Every lattice node's d2 is the brute-force minimum, and its feature
-    names a boundary centroid at exactly that squared distance."""
+    """Every lattice node's d2 is the brute-force minimum, and its reference
+    feature names a boundary centroid at exactly that squared distance."""
     d2 = field.d2_doubled
     assert np.array_equal(d2, brute_force_d2_doubled(dom))
-    feature = field.feature.astype(np.int64)
+    feature = reference_field(dom)[1].astype(np.int64)
     _, coords = dom.boundary_faces_doubled()
     faces = np.ravel_multi_index(
         tuple((coords - 2 * np.asarray(dom.lo_int)).T), d2.shape)
@@ -137,6 +138,47 @@ def test_every_node_matches_brute_force(dom):
     _assert_nodes_exact(dom, distance_transform(dom))
 
 
+@settings(max_examples=60, deadline=None)
+@given(random_domains(), st.data())
+def test_tree_reads_match_brute_force(dom, data):
+    """Sparse reads equal the brute-force minimum at every boundary centroid
+    and at random lattice nodes, and build no lattice."""
+    field = distance_transform(dom)
+    ref = brute_force_d2_doubled(dom)
+    lo2 = 2 * np.asarray(dom.lo_int, dtype=np.int64)
+    nodes = data.draw(st.lists(st.tuples(*(st.integers(0, s - 1)
+                                           for s in ref.shape)),
+                               min_size=1, max_size=40))
+    _, coords = dom.boundary_faces_doubled()
+    pts = np.concatenate([coords, np.array(nodes) + lo2])
+    assert np.array_equal(field.d2_at_doubled(pts), ref[tuple((pts - lo2).T)])
+    assert "d2_doubled" not in vars(field)
+
+
+def test_grid_too_long_for_float64_refused(monkeypatch):
+    dom = build_domain("ball", 5, r=0.5)
+    # the doubled lattice is 65 x 65: squared extent 2 * 64^2
+    monkeypatch.setattr(distance, "EXACT_FLOAT_BOUND", 2 * 64**2 + 1)
+    assert distance_transform(VoxelDomain(5, dom.lo_int, dom.mask)) is not None
+    monkeypatch.setattr(distance, "EXACT_FLOAT_BOUND", 2 * 64**2)
+    with pytest.raises(PreconditionNotMet, match="float64"):
+        distance_transform(dom)
+    assert dom._dist is None
+
+
+def test_field_holds_no_reference_to_its_domain():
+    # a dom -> field -> dom cycle would outlive `del` without the collector
+    gc.disable()
+    try:
+        dom = build_domain("ball", 5, r=0.5, margin=0.5)
+        distance_transform(dom).d2_at_doubled(dom.boundary_faces_doubled()[1])
+        ref = weakref.ref(dom)
+        del dom
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("cells, dtype", [(16383, np.int16),
                                           (16384, np.int32),
                                           (16400, np.int32)])
@@ -146,10 +188,12 @@ def test_feature_dtype_follows_the_longest_axis(cells, dtype):
     mask[:2] = mask[-2:] = True
     dom = VoxelDomain(4, (-3, 5), mask)
     field = distance_transform(dom)
-    assert field.feature.dtype == dtype
+    feature = reference_field(dom)[1]
+    # the features fit int16 exactly while every lattice axis is short
+    assert (feature.max() <= np.iinfo(np.int16).max) == (dtype == np.int16)
     assert field.d2_doubled.dtype == np.int32
     _assert_nodes_exact(dom, field)
-    assert int(field.feature[0].max()) == 2 * cells
+    assert int(feature[0].max()) == 2 * cells
 
 
 @pytest.mark.parametrize("args, bound", [
@@ -158,14 +202,13 @@ def test_feature_dtype_follows_the_longest_axis(cells, dtype):
 ])
 def test_peak_memory_per_node(args, bound):
     dom = build_domain(args[0], args[1], **args[2])
-    dom.boundary_faces_doubled()
-    field, peak = traced_peak(distance_transform, dom)
-    nodes = field.d2_doubled.size
+    field = distance_transform(dom)
+    d2, peak = traced_peak(getattr, field, "d2_doubled")
+    nodes = d2.size
     assert peak <= bound * nodes
     # the budget's per-node model holds, up to the O(faces) centroid arrays
-    assert peak <= (_peak_bytes_per_node(dom.n, True) + 0.25) * nodes
-    kept = field.d2_doubled.nbytes + field.feature.nbytes
-    assert kept <= (4 + 2 * dom.n) * nodes
+    assert peak <= (_peak_bytes_per_node(dom.n) + 0.25) * nodes
+    assert d2.nbytes <= 4 * nodes
 
 
 def _refuse_scipy(monkeypatch):
@@ -176,15 +219,16 @@ def _refuse_scipy(monkeypatch):
 
 def test_oversize_lattice_refused_before_allocation(monkeypatch):
     dom = build_domain("ball", 5, r=0.5)
-    need = 65**2 * _peak_bytes_per_node(2, True)
+    need = 65**2 * _peak_bytes_per_node(2)
     monkeypatch.setattr(distance, "EDT_BUDGET_BYTES", need)
-    assert distance_transform(VoxelDomain(5, dom.lo_int, dom.mask)) is not None
+    fresh = VoxelDomain(5, dom.lo_int, dom.mask)
+    assert distance_transform(fresh).d2_doubled is not None
     monkeypatch.setattr(distance, "EDT_BUDGET_BYTES", need - 1)
     _refuse_scipy(monkeypatch)
     with pytest.raises(PreconditionNotMet, match="budget") as e:
-        distance_transform(dom)
+        distance_transform(dom).d2_doubled
     assert "\n" not in str(e.value)
-    assert dom._dist is None
+    assert "d2_doubled" not in vars(dom._dist)
 
 
 def test_int32_overflow_refused(monkeypatch):
@@ -192,4 +236,4 @@ def test_int32_overflow_refused(monkeypatch):
     # 46401 lattice nodes along x: 46400^2 + 2^2 > 2^31 - 1
     dom = VoxelDomain(4, (0, 0), np.ones((23200, 1), dtype=bool))
     with pytest.raises(PreconditionNotMet, match="int32"):
-        distance_transform(dom)
+        distance_transform(dom).d2_doubled

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from copy_oracles import dense_grid_centers
 
+import sobex.domain as domain
 from sobex.cantor import build_cantor_tube, default_lambdas
 from sobex.domain import GeneratorSpec, VoxelDomain, build_domain
 from sobex.errors import InvalidDomain, ResolutionTooCoarse
@@ -155,3 +157,20 @@ def test_generator_values_parse_back():
     back = GeneratorSpec.parse(text)
     assert back == spec
     assert back.params["a"] is True and back.params["b"] is False
+
+
+@pytest.mark.parametrize("tag, K, params", [
+    ("cube", 6, dict(margin=Fraction(1, 4))),
+    ("ball", 7, dict(r=0.5, margin=Fraction(1, 2))),
+    ("slit_square", 7, dict(slit_len=0.5, margin=Fraction(1, 4))),
+    ("outward_cusp", 8, dict(alpha=2.0, margin=Fraction(1, 4))),
+    ("snowflake_approx", 7, dict(iterations=3, margin=Fraction(1, 4))),
+    ("ball", 5, dict(dim=3, r=0.5, margin=Fraction(1, 2))),
+    ("cube", 4, dict(dim=3, margin=Fraction(1, 4))),
+])
+def test_open_grids_give_the_dense_masks(monkeypatch, tag, K, params):
+    mask = build_domain(tag, K, **params).mask
+    monkeypatch.setattr(domain, "_grid_centers", dense_grid_centers)
+    dense = build_domain(tag, K, **params).mask
+    assert mask.any() and not mask.all()
+    assert np.array_equal(mask, dense)

@@ -354,6 +354,29 @@ def test_touching_masses_match_face_set_loop(disk_setup):
     assert rep.lhs_touching_new > 0
 
 
+def test_each_face_set_is_read_once(disk_setup, monkeypatch):
+    from sobex.distance import DistanceField
+    from sobex.perimeter import boundary_faces
+
+    dom, dist, W, We = disk_setup
+    read = []
+    tree_read = DistanceField.d2_at_doubled
+
+    def counted(self, coords):
+        read.append(coords)
+        return tree_read(self, coords)
+
+    monkeypatch.setattr(DistanceField, "d2_at_doubled", counted)
+    A = left_half(dom)
+    geom = extend_geometry(A, W, We, dist)
+    for p in (1.25, 1.5, 1.75):
+        geom.report(p)
+    sets = (A, geom.A_prime, geom.A0, geom.A_tilde)
+    assert len(read) == len(sets)
+    assert {id(c) for c in read} == {id(boundary_faces(S).coords)
+                                     for S in sets}
+
+
 def _count_smoothing(monkeypatch):
     calls = []
 

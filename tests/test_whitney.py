@@ -29,7 +29,6 @@ from sobex.perimeter import VoxelSet, weighted_boundary_integral
 from sobex.whitney import (
     PartitionOfUnity,
     WhitneyDecomposition,
-    _ball_query_d2,
     _bump,
     audit_whitney,
     capacity_check,
@@ -41,6 +40,7 @@ from sobex.whitney import (
 )
 
 from dense_smoothing import assert_band_matches, dense_energy, dense_smooth
+from distance_oracle import reference_field
 
 
 def brute_force_whitney(dom, L_max):
@@ -208,6 +208,7 @@ def test_level_k_plus_one_d2_is_exact(dim, K, side):
     # random full cubes below the grid, accepted or not
     dom = build_domain("ball", K, r=0.5, margin=0.5, dim=dim)
     field = distance_transform(dom)
+    feature = reference_field(dom)[1]
     _, coords = dom.boundary_faces_doubled()
     rng = np.random.default_rng(K)
     for L_max in (K + 1, K + 2):
@@ -228,7 +229,7 @@ def test_level_k_plus_one_d2_is_exact(dim, K, side):
             at = np.nonzero(dec.levels == k)[0]
             if k <= K + 1:
                 assert np.array_equal(dec.d2[at], surface_gather_d2(
-                    dec.index[at], k, dom, field, shift))
+                    dec.index[at], k, dom, feature, shift))
             at = at[rng.choice(len(at), min(len(at), 200), replace=False)]
             assert dec.d2[at].tolist() == per_cube(k, dec.index[at])
         cells = np.argwhere(dec.side_mask()) + np.asarray(dom.lo_int)
@@ -238,11 +239,11 @@ def test_level_k_plus_one_d2_is_exact(dim, K, side):
                                   itertools.product(range(2**up), repeat=dim)])
             sub = sub[rng.choice(len(sub), 400, replace=False)]
             ell = 2 ** (S - k)
-            got = _ball_query_d2(sub * ell, ell, coords_S, tree, 2**shift)
+            got = field.box_d2(sub * ell, ell, shift)
             assert got.tolist() == per_cube(k, sub)
             if k == K + 1:
-                assert np.array_equal(got, surface_gather_d2(sub, k, dom, field,
-                                                             shift))
+                assert np.array_equal(got, surface_gather_d2(
+                    sub, k, dom, feature, shift))
 
 
 def _brute_force_d2(dec):
@@ -285,11 +286,14 @@ def test_accepted_d2_is_min_over_all_centroids(case, side):
 
 @pytest.mark.parametrize("pairs", [1, 9, 60])
 def test_chunk_edges_leave_arrays_unchanged(monkeypatch, pairs):
-    doms = [build_domain("ball", 5, r=0.5, margin=0.5),
-            build_domain("slit_square", 5, slit_len=0.5, margin=0.5),
-            build_domain("ball", 3, r=0.5, margin=0.5, dim=3)]
+    # fresh domains for each run, as the distance field caches its tree
+    def doms():
+        return [build_domain("ball", 5, r=0.5, margin=0.5),
+                build_domain("slit_square", 5, slit_len=0.5, margin=0.5),
+                build_domain("ball", 3, r=0.5, margin=0.5, dim=3)]
+
     ref = [whitney_decompose(dom, dom.K + 2, side=side)
-           for dom in doms for side in ("interior", "exterior")]
+           for dom in doms() for side in ("interior", "exterior")]
     calls = []
 
     class Recording(cKDTree):
@@ -298,10 +302,10 @@ def test_chunk_edges_leave_arrays_unchanged(monkeypatch, pairs):
             calls.append((len(x), sum(map(len, cand))))
             return cand
 
-    monkeypatch.setattr(whitney, "cKDTree", Recording)
-    monkeypatch.setattr(whitney, "_BALL_PAIRS", pairs)
+    monkeypatch.setattr(sobex.distance, "cKDTree", Recording)
+    monkeypatch.setattr(sobex.distance, "_BALL_PAIRS", pairs)
     got = [whitney_decompose(dom, dom.K + 2, side=side)
-           for dom in doms for side in ("interior", "exterior")]
+           for dom in doms() for side in ("interior", "exterior")]
     for a, b in zip(ref, got):
         for key in ("levels", "index", "d2", "synthetic", "collar_levels",
                     "collar_index"):
@@ -318,8 +322,7 @@ def test_whitney_builds_no_distance_lattice(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the distance lattice was built")
 
-    monkeypatch.setattr(sobex.distance, "distance_transform", refuse)
-    monkeypatch.setattr(cli, "distance_transform", refuse)
+    monkeypatch.setattr(sobex.distance, "_build_lattice", refuse)
     for dom in (build_domain("ball", 6, r=0.5, margin=0.5),
                 build_domain("ball", 4, r=0.5, margin=0.5, dim=3)):
         for side in ("interior", "exterior"):
