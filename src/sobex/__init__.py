@@ -25,11 +25,9 @@ from .perimeter import (
     weighted_boundary_integral,
 )
 from .extension import (
-    ExtensionGeometry,
     ExtensionParams,
     ExtensionResult,
     InequalityReport,
-    extend_geometry,
     extend_set,
     select_A0,
     select_A_prime,

@@ -27,7 +27,7 @@ from .curves import check_scan_inputs, curve_condition_scan, weighted_geodesic
 from .distance import distance_transform
 from .domain import GENERATORS, GeneratorSpec, VoxelDomain, build_domain
 from .errors import PreconditionNotMet, SobexError
-from .extension import ExtensionParams, InequalityReport, extend_geometry
+from .extension import ExtensionParams, InequalityReport, extend_set
 from .perimeter import VoxelSet
 from .whitney import audit_whitney, exterior_whitney, whitney_decompose
 
@@ -222,21 +222,22 @@ def cmd_extend(args) -> tuple[int, list[str]]:
 
 def _extension_rows(spec: GeneratorSpec, K: int, args,
                     overlay: bool) -> list[str]:
-    """Extend the set once at resolution K and report it at every --p; the
-    geometry and its smoothing are freed on return, before the next K."""
+    """Extend the set at resolution K and report it at every --p; the calls
+    share one geometry, which is freed with the set on return, before the
+    next K."""
     dom = build_domain(spec, K)
     dist = distance_transform(dom)
     W = whitney_decompose(dom, K)
     We = exterior_whitney(dom, K)
     A = make_set(dom, args.set_kind, seed=args.seed, density=args.density)
-    geom = extend_geometry(A, W, We, dist)
+    results = [extend_set(A, W, We, dist, ExtensionParams(p)) for p in args.p]
     if overlay and dom.n == 2:
         figio.sets_svg(dom, [
             (A.mask, "#1f77b4"),
-            (geom.A_prime.mask, "#2ca02c"),
-            (geom.A0.mask, "#ff7f0e"),
+            (results[0].A_prime.mask, "#2ca02c"),
+            (results[0].A0.mask, "#ff7f0e"),
         ]).save(os.path.join(args.out, "extension.svg"))
-    return [geom.report(p).csv_row() for p in args.p]
+    return [res.report.csv_row() for res in results]
 
 
 def cmd_curvescan(args) -> tuple[int, list[str]]:

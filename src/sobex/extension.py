@@ -170,10 +170,10 @@ def select_A0(A_prime: VoxelSet, We: WhitneyDecomposition):
 
 @dataclass
 class ExtensionGeometry:
-    """The p-free part of extending one set: A', A0, A~, the touching
+    """The p-free part of extending one set A: A', A0, A~, the touching
     masses and, when lemma ratios are on, the smoothed indicator of A'.
-    `report(p)` adds the dist^(1-p) sums for one exponent."""
-    A: VoxelSet
+    `report(A, p)` adds the dist^(1-p) sums for one exponent.  It holds no
+    reference to A, so that A can keep it (see `extend_set`)."""
     A_prime: VoxelSet
     A0: VoxelSet
     A_tilde: VoxelSet
@@ -187,9 +187,9 @@ class ExtensionGeometry:
     smoothed: SmoothedIndicator | None = None
     fallback: bool = False
 
-    def report(self, p: float) -> InequalityReport:
+    def report(self, A: VoxelSet, p: float) -> InequalityReport:
         dist = self.dist
-        rhs = weighted_boundary_integral(self.A, p, dist, "interior")[0]
+        rhs = weighted_boundary_integral(A, p, dist, "interior")[0]
         flags = list(self.flags)
         l31 = l32 = l33 = math.nan
         if self.smoothed is not None:
@@ -204,19 +204,32 @@ class ExtensionGeometry:
                                                        side)[0]
                             for side in ("exterior", "interior"))
         ratio, rflags = _ratio(lhs_ext + lhs_int, rhs, "ratio")
-        return InequalityReport(self.A.K, p, rhs, lhs_ext, lhs_int,
+        return InequalityReport(A.K, p, rhs, lhs_ext, lhs_int,
                                 self.lhs_touch, ratio, l31, l32, l33,
                                 self.lhs_touch_new, flags + rflags)
 
-    def result(self, p: float) -> ExtensionResult:
-        return ExtensionResult(self.A, self.A_prime, self.A0, self.A_tilde,
+    def result(self, A: VoxelSet, p: float) -> ExtensionResult:
+        return ExtensionResult(A, self.A_prime, self.A0, self.A_tilde,
                                self.aprime_ids, self.a0_ids, self.a0_clipped,
-                               self.report(p), fallback=self.fallback)
+                               self.report(A, p), fallback=self.fallback)
 
 
 def extend_set(A: VoxelSet, W: WhitneyDecomposition, We: WhitneyDecomposition,
                dist: DistanceField, params: ExtensionParams) -> ExtensionResult:
-    return extend_geometry(A, W, We, dist, params.lemma_ratios).result(params.p)
+    """Extend A across the boundary and report the inequality at params.p.
+
+    The p-free geometry (`extend_geometry`) is kept on A, one entry per set,
+    and reused by later calls with the same W, We and dist (compared by
+    identity) and the same lemma_ratios; other inputs replace the entry.
+    Like the face cache of `boundary_faces`, this treats A, W, We and dist
+    as immutable.  Results for different p share their A', A0 and A~ and
+    their id lists, which are read-only.
+    """
+    key = (W, We, dist, bool(params.lemma_ratios))
+    entry = A._extension
+    if entry is None or any(a is not b for a, b in zip(entry[0], key)):
+        entry = A._extension = (key, extend_geometry(A, W, We, dist, key[3]))
+    return entry[1].result(A, params.p)
 
 
 def extend_geometry(A: VoxelSet, W: WhitneyDecomposition,
@@ -230,8 +243,10 @@ def extend_geometry(A: VoxelSet, W: WhitneyDecomposition,
     afaces = boundary_faces(A)
     if (dist.d2_at_faces(afaces)[afaces.classification == INTERIOR] <= 1).any():
         empty = VoxelSet.from_domain(dom, np.zeros(dom.shape, bool))
-        return ExtensionGeometry(A, empty, empty, A, [], [], [], dist,
-                                 *_touching_masses(A, A, dist),
+        # A~ = A, as its own set so that the geometry does not refer to A
+        A_tilde = VoxelSet.from_domain(dom, A.mask)
+        return ExtensionGeometry(empty, empty, A_tilde, [], [], [], dist,
+                                 *_touching_masses(A, A_tilde, dist),
                                  ["rhs-touching-fallback"], fallback=True)
 
     A_prime, ap_ids = select_A_prime(A, W)
@@ -241,7 +256,7 @@ def extend_geometry(A: VoxelSet, W: WhitneyDecomposition,
     assert np.array_equal(A_tilde.mask & dom.mask, A.mask), \
         "extension altered the set inside the domain"
     smoothed = smooth_indicator(W, A_prime.mask) if lemma_ratios else None
-    return ExtensionGeometry(A, A_prime, A0, A_tilde, ap_ids, a0_ids, clipped,
+    return ExtensionGeometry(A_prime, A0, A_tilde, ap_ids, a0_ids, clipped,
                              dist, *_touching_masses(A, A_tilde, dist), flags,
                              smoothed)
 

@@ -40,6 +40,8 @@ class VoxelSet:
             if require_subset and np.any(self.mask & ~parent.mask):
                 raise ValueError("set occupancy must be contained in the domain")
         self._faces = None
+        # extension.extend_set's entry: its inputs and the p-free geometry
+        self._extension = None
 
     @classmethod
     def from_domain(cls, dom: VoxelDomain, mask: np.ndarray,

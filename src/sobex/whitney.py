@@ -790,16 +790,18 @@ def gradient_energy(si: SmoothedIndicator, p: float) -> float:
     """Integral of |grad u|^p over the covered region.  The cell sum is
     correctly rounded (math.fsum), so it does not depend on cell order and
     the cells off the band, where the gradient is 0, need not be visited;
-    the band is summed a chunk at a time."""
-    def terms():
+    the band is evaluated a chunk at a time and fed to one fsum, list by
+    list."""
+    def chunks():
         for p0 in range(0, len(si.u), _BAND_CHUNK):
             sl = slice(p0, p0 + _BAND_CHUNK)
             g2 = np.zeros(len(si.u[sl]))
             for d in range(len(si.grad)):
                 g2 += si.grad[d, sl] ** 2
             vals = g2[si.grad_valid[sl]] ** (p / 2.0)
-            yield from vals[vals > 0.0].tolist()
-    return math.fsum(terms()) * si.h_eval ** len(si.grad)
+            yield vals[vals > 0.0].tolist()
+    return math.fsum(itertools.chain.from_iterable(chunks())) \
+        * si.h_eval ** len(si.grad)
 
 
 # ---------------------------------------------------------------------------

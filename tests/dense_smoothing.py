@@ -3,6 +3,8 @@
 It evaluates u = sum_i psi_i a_i on every cell of the bounding evaluation
 grid, cube by cube in ascending id, exactly as `smooth_indicator` did before
 it was restricted to the band, and sums the gradient energy with math.fsum.
+`generator_energy` is the band energy as `gradient_energy` summed it before
+it fed fsum a list per chunk: one generator step per band cell.
 """
 
 from __future__ import annotations
@@ -65,6 +67,18 @@ def dense_energy(ds: DenseSmoothing, p: float) -> float:
         g2 += ds.grad[d] ** 2
     vals = g2[ds.grad_valid] ** (p / 2.0)
     return math.fsum(vals.tolist()) * ds.h_eval ** ds.u.ndim
+
+
+def generator_energy(si, p: float, chunk: int = 2**16) -> float:
+    def terms():
+        for p0 in range(0, len(si.u), chunk):
+            sl = slice(p0, p0 + chunk)
+            g2 = np.zeros(len(si.u[sl]))
+            for d in range(len(si.grad)):
+                g2 += si.grad[d, sl] ** 2
+            vals = g2[si.grad_valid[sl]] ** (p / 2.0)
+            yield from vals[vals > 0.0].tolist()
+    return math.fsum(terms()) * si.h_eval ** len(si.grad)
 
 
 def assert_band_matches(si, ds: DenseSmoothing, ps=(1.25, 1.5, 1.75)):

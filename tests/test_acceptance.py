@@ -22,7 +22,7 @@ from sobex.curves import (
 )
 from sobex.distance import distance_transform
 from sobex.domain import VoxelDomain, build_domain
-from sobex.extension import extend_geometry, select_A_prime, \
+from sobex.extension import ExtensionParams, extend_set, select_A_prime, \
     verify_lemma_31, verify_lemma_33
 from sobex.perimeter import (
     VoxelSet,
@@ -243,10 +243,11 @@ def extension_runs():
             dist = distance_transform(dom)
             W = whitney_decompose(dom, K)
             We = exterior_whitney(dom, K)
-            # one geometry per (case, K), reported at every p
-            geom = extend_geometry(_make_set(dom, kind), W, We, dist)
+            # one set per (case, K): its geometry is built once, for all p
+            A = _make_set(dom, kind)
             for p in (1.25, 1.5, 1.75):
-                out[(tag, K, p)] = geom.result(p)
+                out[(tag, K, p)] = extend_set(A, W, We, dist,
+                                              ExtensionParams(p=p))
     return out
 
 

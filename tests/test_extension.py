@@ -1,5 +1,7 @@
 import functools
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +12,11 @@ from hypothesis import strategies as st
 
 from sobex import extension
 from sobex.distance import distance_transform
+from sobex.cli import make_set
 from sobex.domain import build_domain
 from sobex.errors import PreconditionNotMet
 from sobex.extension import (
     ExtensionParams,
-    extend_geometry,
     extend_set,
     select_A0,
     select_A_prime,
@@ -368,29 +370,29 @@ def test_each_face_set_is_read_once(disk_setup, monkeypatch):
 
     monkeypatch.setattr(DistanceField, "d2_at_doubled", counted)
     A = left_half(dom)
-    geom = extend_geometry(A, W, We, dist)
     for p in (1.25, 1.5, 1.75):
-        geom.report(p)
-    sets = (A, geom.A_prime, geom.A0, geom.A_tilde)
+        res = extend_set(A, W, We, dist, ExtensionParams(p=p))
+    sets = (A, res.A_prime, res.A0, res.A_tilde)
     assert len(read) == len(sets)
     assert {id(c) for c in read} == {id(boundary_faces(S).coords)
                                      for S in sets}
 
 
-def _count_smoothing(monkeypatch):
+def _count_calls(monkeypatch, name):
     calls = []
+    fn = getattr(extension, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return smooth_indicator(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(extension, "smooth_indicator", counted)
+    monkeypatch.setattr(extension, name, counted)
     return calls
 
 
 def test_no_smoothing_without_lemma_ratios(disk_setup, monkeypatch):
     dom, dist, W, We = disk_setup
-    calls = _count_smoothing(monkeypatch)
+    calls = _count_calls(monkeypatch, "smooth_indicator")
     res = extend_set(left_half(dom), W, We, dist,
                      ExtensionParams(p=1.5, lemma_ratios=False))
     assert calls == []
@@ -400,17 +402,126 @@ def test_no_smoothing_without_lemma_ratios(disk_setup, monkeypatch):
 def test_one_smoothing_for_every_p(disk_setup, monkeypatch):
     dom, dist, W, We = disk_setup
     A = left_half(dom)
-    calls = _count_smoothing(monkeypatch)
-    geom = extend_geometry(A, W, We, dist)
-    reports = [geom.report(p) for p in (1.25, 1.5, 1.75)]
-    assert len(calls) == 1
-    # each shared-geometry report is the one extend_set gives on its own
+    calls = {name: _count_calls(monkeypatch, name) for name in
+             ("select_A_prime", "select_A0", "smooth_indicator")}
+    shared = [extend_set(A, W, We, dist, ExtensionParams(p=p))
+              for p in (1.25, 1.5, 1.75)]
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
+    assert all(res.A_tilde is shared[0].A_tilde for res in shared)
+    # each shared-geometry report is the one extend_set gives on a set of
+    # its own, which no earlier call has extended
     monkeypatch.undo()
-    for rep in reports:
-        alone = extend_set(A, W, We, dist, ExtensionParams(p=rep.p)).report
+    for res in shared:
+        rep = res.report
+        alone = extend_set(left_half(dom), W, We, dist,
+                           ExtensionParams(p=rep.p)).report
         assert rep.csv_row() == alone.csv_row()
         assert rep.lhs_touching_new == alone.lhs_touching_new
         assert rep.flags == alone.flags
+
+
+_SHARED_CASES = {
+    "disk": ("ball", 6, dict(r=0.5, margin=Fraction(3, 2))),
+    "slit": ("slit_square", 6, dict(slit_len=0.5, margin=Fraction(3, 2))),
+    "ball3": ("ball", 4, dict(r=0.5, dim=3, margin=Fraction(1, 2))),
+}
+
+
+def _fresh_inputs(case, kind):
+    tag, K, kw = _SHARED_CASES[case]
+    dom = build_domain(tag, K, **kw)
+    return (make_set(dom, kind, seed=11), whitney_decompose(dom, K),
+            exterior_whitney(dom, K), distance_transform(dom))
+
+
+@pytest.mark.parametrize("lemma_ratios", [True, False])
+@pytest.mark.parametrize("kind", ["half", "random"])
+@pytest.mark.parametrize("case", list(_SHARED_CASES))
+def test_shared_rows_match_fresh_objects(case, kind, lemma_ratios):
+    """Three p on one set and its inputs give, byte for byte, the rows and
+    sets that three calls on freshly built objects give."""
+    A, W, We, dist = _fresh_inputs(case, kind)
+    for p in (1.25, 1.5, 1.75):
+        params = ExtensionParams(p=p, lemma_ratios=lemma_ratios)
+        got = extend_set(A, W, We, dist, params)
+        want = extend_set(*_fresh_inputs(case, kind), params)
+        assert got.report.csv_row() == want.report.csv_row()
+        assert got.report.lhs_touching_new == want.report.lhs_touching_new
+        assert got.report.flags == want.report.flags
+        for name in ("A_prime", "A0", "A_tilde"):
+            assert np.array_equal(getattr(got, name).mask,
+                                  getattr(want, name).mask)
+        assert (got.aprime_ids, got.a0_ids, got.a0_clipped, got.fallback) \
+            == (want.aprime_ids, want.a0_ids, want.a0_clipped, want.fallback)
+
+
+def test_new_inputs_rebuild_the_geometry(disk_setup, monkeypatch):
+    from sobex.distance import DistanceField
+
+    dom, dist, W, We = disk_setup
+    W6 = whitney_decompose(dom, 6)
+    twin = DistanceField(dist.K, dist.lo_int, dist.shape, dist.coords)
+    A = left_half(dom)
+    built = _count_calls(monkeypatch, "select_A_prime")
+    smoothed = _count_calls(monkeypatch, "smooth_indicator")
+
+    def extend(W_, We_, dist_, lemma_ratios=True, S=A):
+        return extend_set(S, W_, We_, dist_,
+                          ExtensionParams(p=1.5, lemma_ratios=lemma_ratios))
+
+    extend(W, We, dist)
+    extend(W, We, dist)
+    assert len(built) == 1
+    # each call changes one input of the call before: another W (here at
+    # L_max 6), an equal but new W, We or dist, or the lemma setting; each
+    # replaces the one entry
+    We7 = exterior_whitney(dom, 7)
+    results = []
+    for args in ((W6, We, dist), (W, We, dist), (W, We7, dist),
+                 (W, We7, twin), (W, We7, twin, False), (W, We7, twin, True)):
+        before = len(built)
+        results.append(extend(*args))
+        assert len(built) == before + 1
+    assert len(smoothed) == len(built) - 1
+    extend(W, We7, twin, S=left_half(dom))
+    assert len(built) == 8
+    # the W6 call reported W6's extension, the next one W's again
+    monkeypatch.undo()
+    want = extend(W6, We, dist, S=left_half(dom))
+    assert results[0].aprime_ids == want.aprime_ids != results[1].aprime_ids
+    assert results[0].report.csv_row() == want.report.csv_row()
+    assert math.isnan(results[4].report.lemma32)
+    assert results[5].report.csv_row() == results[1].report.csv_row()
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_cached_geometry_does_not_keep_the_set_alive(disk_setup, fallback):
+    """The entry on A refers to nothing that refers back to A, so A dies
+    with its last reference, without the cyclic collector."""
+    from sobex.distance import DistanceField
+    from sobex.perimeter import INTERIOR, boundary_faces
+
+    dom, dist, W, We = disk_setup
+    A = left_half(dom)
+    if fallback:
+        # a boundary centroid on one of A's interior faces: the
+        # rhs-touching fallback, whose A~ has A's mask
+        faces = boundary_faces(A)
+        inner = faces.coords[faces.classification == INTERIOR][:1]
+        dist = DistanceField(dist.K, dist.lo_int, dist.shape,
+                             np.concatenate([dist.coords, inner]))
+    gc.collect()
+    gc.disable()
+    try:
+        res = extend_set(A, W, We, dist, ExtensionParams(p=1.5))
+        assert res.fallback == fallback
+        assert np.array_equal(res.A_tilde.mask & dom.mask, A.mask)
+        assert A._extension is not None
+        ref = weakref.ref(A)
+        del A, res
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_smoothing_budget_refuses_before_allocating(disk_setup):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sobex import whitney
 from sobex.domain import build_domain
 from sobex.errors import PreconditionNotMet
 from sobex.whitney import (
@@ -20,7 +21,7 @@ from sobex.whitney import (
     whitney_decompose,
 )
 
-from dense_smoothing import assert_band_matches, dense_smooth
+from dense_smoothing import assert_band_matches, dense_smooth, generator_energy
 
 _CASES = {
     "disk": (("ball", 4), dict(r=0.5, margin=Fraction(1, 2)), 5),
@@ -93,6 +94,17 @@ def test_band_matches_dense_at_default_level():
     assert si.h_eval == 2.0 ** -(dec.min_side_level() + 3)
     assert_band_matches(si, dense_smooth(dec, F))
     assert 0 < len(si.u) < math.prod(si.shape) / 4
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000, 2**16])
+def test_energy_chunks_match_one_generator_fsum(monkeypatch, chunk):
+    """The list-per-chunk fsum is the cell-by-cell fsum, bit for bit, for
+    any chunk size, including chunks that split the band unevenly."""
+    dec = _decomposition("ball3")
+    si = smooth_indicator(dec, _left_half(dec.domain))
+    monkeypatch.setattr(whitney, "_BAND_CHUNK", chunk)
+    for p in (1.25, 1.5, 1.75):
+        assert gradient_energy(si, p) == generator_energy(si, p)
 
 
 def test_band_runs_where_the_dense_grid_is_over_budget():
