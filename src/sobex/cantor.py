@@ -15,22 +15,22 @@ radius c_n/2 stay >= c_n apart.
 
 from __future__ import annotations
 
-import gc
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
 
 from .dyadic import box_box_dist2_int
-from .errors import ConstructionError, PreconditionNotMet
+from .errors import ConstructionError, PreconditionNotMet, SobexError
 
 Vec = tuple[Fraction, Fraction, Fraction]
 
-# Split pieces a build may hold: about 11x depth 2 (366,064); depth 3 needs
-# about 55.3M.
+# Split pieces a spec may schedule: about 11x depth 2 (362,168); depth 3
+# needs about 55.3M.
 _MAX_PIECES = 1 << 22
 
 
@@ -75,7 +75,9 @@ class CantorTubeSpec:
     anchors_x: list[list[Vec]]             # x_{n,i}, top-face centers
     anchors_y: list[list[Vec]]             # y_{n,i} on the parent top face
     curves: list[list[list[Vec]]]          # curves[n][i], vertex chains
-    splits: list[list[list[list[Vec]]]] = field(default_factory=list)
+    # schedules[n][i] = (chain, ichain, D, runs) of the split, see
+    # `_split_schedule`; set by `_certify`
+    schedules: list[list[tuple]] = field(default_factory=list)
 
     def cube_box(self, n: int, i: int) -> tuple[Vec, Vec]:
         lo = self.cubes[n][i]
@@ -96,6 +98,20 @@ class CantorTubeSpec:
             for i, verts in enumerate(self.curves[n]):
                 yield n, i, verts, r
 
+    @property
+    def splits(self) -> list[list[list[list[Vec]]]]:
+        """splits[n][i]: the (P1)-(P4) pieces of curve (n, i), vertex chains
+        from the parent-boundary end, cut from the schedule on each access
+        (the spec stores no piece)."""
+        out = []
+        for level in self.schedules:
+            out.append([])
+            for chain, ichain, D, runs in level:
+                pts, ends = _cut(chain, ichain, runs,
+                                 partial(_fraction_points, chain, D))
+                out[-1].append([pts[s:t + 1] for s, t in zip(ends, ends[1:])])
+        return out
+
     # -- serialization: structured text with exact rationals ---------------
 
     def to_text(self) -> str:
@@ -105,115 +121,119 @@ class CantorTubeSpec:
         """Yield the CANTOR1 text: the header (constants and cubes), then one
         chunk per curve (its anchor, chain and split pieces), each ending
         with a newline, so a writer never holds the whole text."""
-        # split pieces share coordinates and their end vertices with their
-        # neighbours; the spec keeps those objects alive, so each token and
-        # vertex line is formatted once, keyed by the object's id.  Vertices
-        # are shared only within a curve, so the vertex lines live for one
-        # curve's chunk; coordinates recur across curves
-        tokens: dict[int, str] = {}
-        vlines: dict[int, str] = {}
-
-        def f(x: Fraction) -> str:
-            t = tokens.get(id(x))
-            if t is None:
-                t = tokens[id(x)] = f"{x.numerator}/{x.denominator}"
-            return t
-
-        def vline(v: Vec) -> str:
-            t = vlines.get(id(v))
-            if t is None:
-                t = vlines[id(v)] = "v " + " ".join(map(f, v))
-            return t
-
         out = ["CANTOR1", f"depth {self.depth}"]
-        out.append("lambda " + " ".join(f(x) for x in self.lambdas))
-        out.append("l " + " ".join(f(x) for x in self.l))
-        out.append("e " + " ".join(f(x) for x in self.e))
-        out.append("c " + " ".join(f(x) for x in self.c))
+        out.append("lambda " + " ".join(map(_token, self.lambdas)))
+        out.append("l " + " ".join(map(_token, self.l)))
+        out.append("e " + " ".join(map(_token, self.e)))
+        out.append("c " + " ".join(map(_token, self.c)))
         for n in range(self.depth + 1):
             for i, lo in enumerate(self.cubes[n]):
-                out.append(f"cube {n} {i} " + " ".join(f(v) for v in lo))
+                out.append(f"cube {n} {i} " + " ".join(map(_token, lo)))
         yield "\n".join(out) + "\n"
         for n in range(1, self.depth + 1):
-            for i in range(len(self.curves[n])):
-                vlines.clear()
-                ax = self.anchors_x[n][i]
-                ay = self.anchors_y[n][i]
-                out = [
-                    f"anchor {n} {i} "
-                    + " ".join(f(v) for v in ax)
-                    + " "
-                    + " ".join(f(v) for v in ay)
-                ]
-                verts = self.curves[n][i]
-                out.append(f"curve {n} {i} {len(verts)}")
-                out.extend(map(vline, verts))
-                for j, piece in enumerate(self.splits[n][i]):
-                    out.append(f"split {n} {i} {j} {len(piece)}")
-                    out.extend(map(vline, piece))
+            for i, (chain, ichain, D, runs) in enumerate(self.schedules[n]):
+                anchors = self.anchors_x[n][i] + self.anchors_y[n][i]
+                toks = [tuple(map(_token, v)) for v in chain]
+                vlines = ["v " + " ".join(t) for t in toks]
+                out = [f"anchor {n} {i} " + " ".join(map(_token, anchors)),
+                       f"curve {n} {i} {len(chain)}"]
+                out += reversed(vlines)  # the chain is the curve reversed
+                lines, ends = _cut(vlines, ichain, runs,
+                                   partial(_line_points, toks, D))
+                for j, (s, t) in enumerate(zip(ends, ends[1:])):
+                    out.append(f"split {n} {i} {j} {t - s + 1}")
+                    out += lines[s:t + 1]
                 yield "\n".join(out) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "CantorTubeSpec":
+        """Read a CANTOR1 text back.  Split records are not parsed: the
+        levels are certified again and their schedules rebuilt from the
+        curves, and any text that differs, blank lines aside, from what the
+        spec it describes writes is refused with ValueError."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        if lines[0] != "CANTOR1":
+        if not lines or lines[0] != "CANTOR1":
             raise ValueError("not a CANTOR1 spec")
-        rows = lines[6:]
-        # split pieces repeat their neighbours' end vertices and coordinates,
-        # so each distinct token and vertex line is parsed once
-        fracs: dict[str, Fraction] = {}
-        vecs: dict[str, Vec] = {}
+        try:
+            spec = cls._parse(lines)
+            _certify(spec)
+        except (IndexError, ZeroDivisionError, SobexError) as err:
+            raise ValueError(f"malformed CANTOR1 spec: {err}") from None
+        k = 0
+        for chunk in spec.text_chunks():
+            want = chunk.splitlines()
+            if lines[k:k + len(want)] != want:
+                raise ValueError(f"CANTOR1 records from record {k + 1} differ "
+                                 "from what the spec they describe writes")
+            k += len(want)
+        if k != len(lines):
+            raise ValueError(f"CANTOR1 spec has extra records from record {k + 1}")
+        return spec
 
-        def frac(t: str) -> Fraction:
-            x = fracs.get(t)
-            if x is None:
-                x = fracs[t] = Fraction(t)
-            return x
-
+    @classmethod
+    def _parse(cls, lines: list[str]) -> "CantorTubeSpec":
+        """The header, cubes, anchors and curves of a CANTOR1 text; the "v"
+        rows of split records are skipped."""
         def vec(toks) -> Vec:
-            return tuple(frac(t) for t in toks)
-
-        def vert_rows(k: int, nv: int) -> list[Vec]:
-            out = []
-            for row in rows[k + 1:k + 1 + nv]:
-                v = vecs.get(row)
-                if v is None:
-                    v = vecs[row] = vec(row.split()[1:4])
-                out.append(v)
-            return out
+            if len(toks) != 3:
+                raise ValueError(f"not a 3-vector: {toks}")
+            return tuple(map(Fraction, toks))
 
         depth = int(lines[1].split()[1])
-        lambdas = vec(lines[2].split()[1:])
-        l, e, c = (list(vec(ln.split()[1:])) for ln in lines[3:6])
-        cubes = [[] for _ in range(depth + 1)]
-        ax = [[] for _ in range(depth + 1)]
-        ay = [[] for _ in range(depth + 1)]
-        curves = [[] for _ in range(depth + 1)]
-        splits = [[] for _ in range(depth + 1)]
-        k = 0
-        while k < len(rows):
-            toks = rows[k].split()
-            if toks[0] == "cube":
-                n = int(toks[1])
-                cubes[n].append(vec(toks[3:6]))
-                k += 1
-            elif toks[0] == "anchor":
-                n = int(toks[1])
-                ax[n].append(vec(toks[3:6]))
-                ay[n].append(vec(toks[6:9]))
-                k += 1
-            elif toks[0] == "curve":
-                n, i, nv = int(toks[1]), int(toks[2]), int(toks[3])
-                curves[n].append(vert_rows(k, nv))
-                splits[n].append([])
-                k += 1 + nv
-            elif toks[0] == "split":
-                n, i, nv = int(toks[1]), int(toks[2]), int(toks[4])
-                splits[n][i].append(vert_rows(k, nv))
-                k += 1 + nv
+        lambdas = tuple(map(Fraction, lines[2].split()[1:]))
+        l, e, c = (list(map(Fraction, ln.split()[1:])) for ln in lines[3:6])
+        if (lambdas, l, e, c) != _cantor_constants(depth, lambdas):
+            raise ValueError("CANTOR1 constants do not follow from the lambdas")
+        cubes, ax, ay, curves = ([[] for _ in range(depth + 1)] for _ in range(4))
+        verts = None
+        for ln in lines[6:]:
+            tag, *toks = ln.split()
+            if tag == "v":
+                if verts is not None:
+                    verts.append(vec(toks))
+            elif tag == "split":
+                verts = None
+            elif tag == "curve":
+                verts = []
+                curves[int(toks[0])].append(verts)
+            elif tag == "cube":
+                cubes[int(toks[0])].append(vec(toks[2:]))
+            elif tag == "anchor":
+                ax[int(toks[0])].append(vec(toks[2:5]))
+                ay[int(toks[0])].append(vec(toks[5:]))
             else:
-                raise ValueError(f"bad record: {rows[k]!r}")
-        return cls(depth, lambdas, l, e, c, cubes, ax, ay, curves, splits)
+                raise ValueError(f"bad record: {ln!r}")
+        for n in range(depth + 1):
+            if not len(cubes[n]) == 8**n or n and not (
+                    len(ax[n]) == len(ay[n]) == len(curves[n]) == 8**n):
+                raise ValueError(f"CANTOR1 spec has a truncated level {n}")
+        return cls(depth, lambdas, l, e, c, cubes, ax, ay, curves)
+
+
+def _token(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _fraction_points(chain: list[Vec], D: int, k: int, ax: int,
+                     nums: list[int]) -> list[Vec]:
+    """The cut points of `_cut` on segment k of chain, as Fraction tuples."""
+    a = chain[k]
+    return [a[:ax] + (Fraction(num, D),) + a[ax + 1:] for num in nums]
+
+
+def _line_points(toks: list[tuple[str, str, str]], D: int, k: int, ax: int,
+                 nums: list[int]) -> list[str]:
+    """The cut points of `_cut` on segment k as "v" lines: each keeps the
+    other two tokens of the segment's start, and its moved coordinate is
+    written as num/D reduced, the token of Fraction(num, D)."""
+    a = toks[k]
+    head = "v " + "".join(t + " " for t in a[:ax])
+    tail = "".join(" " + t for t in a[ax + 1:])
+    out = []
+    for num in nums:
+        g = math.gcd(num, D)
+        out.append(f"{head}{num // g}/{D // g}{tail}")
+    return out
 
 
 def _cantor_constants(depth: int, lambda_override=None):
@@ -253,17 +273,6 @@ def _cantor_constants(depth: int, lambda_override=None):
 
 def build_cantor_tube(depth: int, lambda_override=None) -> CantorTubeSpec:
     """Construct the depth-m spec and certify all invariants exactly."""
-    # the cyclic collector would rescan the growing piece lists many times
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _build_cantor_tube(depth, lambda_override)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _build_cantor_tube(depth: int, lambda_override) -> CantorTubeSpec:
     lambdas, l, e, c = _cantor_constants(depth, lambda_override)
 
     cubes: list[list[Vec]] = [[(Fraction(0),) * 3]]
@@ -283,23 +292,27 @@ def _build_cantor_tube(depth: int, lambda_override) -> CantorTubeSpec:
         anchors_x=[[] for _ in range(depth + 1)],
         anchors_y=[[] for _ in range(depth + 1)],
         curves=[[] for _ in range(depth + 1)],
-        splits=[[] for _ in range(depth + 1)],
     )
-    schedules = []
-    pieces = 0
     for n in range(1, depth + 1):
         _route_level(spec, n)
+    _certify(spec)
+    return spec
+
+
+def _certify(spec: CantorTubeSpec) -> None:
+    """Certify every level and schedule its split, refusing a spec whose
+    pieces exceed the limit, then check the measure identity."""
+    spec.schedules = [[]]
+    pieces = 0
+    for n in range(1, spec.depth + 1):
         _check_level(spec, n)
-        schedules.append(_split_schedule(spec, n))
-        pieces += sum(k for *_, runs in schedules[-1] for _, k in runs)
+        spec.schedules.append(_split_schedule(spec, n))
+        pieces += sum(k for *_, runs in spec.schedules[n] for _, k in runs)
         if pieces > _MAX_PIECES:
             raise PreconditionNotMet(
-                f"Cantor depth {depth} needs {pieces} tube pieces through "
+                f"Cantor depth {spec.depth} needs {pieces} tube pieces through "
                 f"level {n}, over the limit of {_MAX_PIECES}")
-    for n, schedule in enumerate(schedules, 1):
-        _split_level(spec, n, schedule)
     _check_measures(spec)
-    return spec
 
 
 def _route_level(spec: CantorTubeSpec, n: int) -> None:
@@ -428,9 +441,9 @@ def _split_schedule(spec: CantorTubeSpec, n: int) -> list:
     Each chain runs from y (parent boundary) to x (child cube) for (P4) and
     is scaled by D = 2 lcm of the denominators of c_n and its vertices, so
     its vertices, c_n and every cut are integers (the 2 keeps the parity
-    bisection integral).  (P1) and (P2) are certified here in closed form on
-    the piece runs.  Returns (chain, integer chain, D, integer length, runs)
-    per curve.
+    bisection integral).  (P1)-(P3) are certified here in closed form on
+    the piece runs and (P4) on the chain's ends.  Returns (chain, integer
+    chain, D, runs) per curve.
     """
     cn = spec.c[n]
     out = []
@@ -453,7 +466,13 @@ def _split_schedule(spec: CantorTubeSpec, n: int) -> list:
                     "outside [2c_n, 6c_n]",
                     level=n, cube=i,
                 )
-        out.append((chain, ichain, D, total, runs))
+        # (P3): consecutive pieces share their cut point, so they chain when
+        # the run ends tile the chain exactly
+        if sum(ln * k for ln, k in runs) != total:
+            raise ConstructionError("(P3) pieces not chained", level=n, cube=i)
+        if chain[0] != spec.anchors_y[n][i] or chain[-1] != spec.anchors_x[n][i]:
+            raise ConstructionError("(P4) end pieces misplaced", level=n, cube=i)
+        out.append((chain, ichain, D, runs))
     return out
 
 
@@ -473,58 +492,35 @@ def _piece_runs(total: int, c: int) -> list[tuple[int, int]]:
     return [(step // 2, 2), (step, full - 1), (tail, 1)]
 
 
-def _split_level(spec: CantorTubeSpec, n: int, schedule: list) -> None:
-    """Partition each curve into an even number of pieces with lengths in
-    [2c_n, 6c_n], as scheduled by `_split_schedule`.  Pieces run from the
-    parent-boundary end."""
-    coords: dict[int, dict[int, Fraction]] = {}
-    for i, (chain, ichain, D, total, runs) in enumerate(schedule):
-        ends = list(accumulate(ln for ln, k in runs for _ in range(k)))
-        # (P3): pieces share their end tuples, so they chain when the
-        # integer ends tile the chain exactly
-        if ends[-1] != total:
-            raise ConstructionError("(P3) pieces not chained", level=n, cube=i)
-        pieces = _cut_pieces(chain, ichain, D, ends[:-1],
-                             coords.setdefault(D, {}))
-        if pieces[0][0] != spec.anchors_y[n][i] or pieces[-1][-1] != spec.anchors_x[n][i]:
-            raise ConstructionError("(P4) end pieces misplaced", level=n, cube=i)
-        spec.splits[n].append(pieces)
+def _cut(verts: list, ichain: list[tuple[int, int, int]],
+         runs: list[tuple[int, int]], cut_points) -> tuple[list, list[int]]:
+    """Cut an axis-parallel chain at the ends of its runs, integer
+    arclengths in the units of its integer vertices `ichain`.
 
-
-def _cut_pieces(chain: list[Vec], ichain: list[tuple[int, int, int]], D: int,
-                cuts: list[int], coords: dict[int, Fraction]) -> list[list[Vec]]:
-    """Cut an axis-parallel chain at increasing integer arclengths (units of
-    1/D).  A cut point is its segment's start moved along the segment's axis,
-    so it shares the start's other two coordinates; its moved coordinate is
-    built once per distinct numerator in `coords`.  A piece's end is the next
-    piece's start tuple, and a cut on a vertex is that vertex."""
-    pieces = []
-    cur = [chain[0]]
-    walked = k = 0
-    for a, b, ia, ib in zip(chain, chain[1:], ichain, ichain[1:]):
+    `verts` holds the chain's vertices in the caller's form, and
+    cut_points(k, ax, nums) gives the cut points on segment k, whose
+    coordinate ax is each of nums (integers in the same units) and whose
+    others are those of vertex k.  Returns the chain's points in order,
+    vertices and cut points, and the indices in them of the piece ends, so
+    piece j is points[ends[j]:ends[j + 1] + 1]; a cut on a vertex is that
+    vertex."""
+    cuts = list(accumulate(ln for ln, k in runs for _ in range(k)))
+    pts, ends = [verts[0]], [0]
+    walked = j = 0
+    for k, (ia, ib) in enumerate(zip(ichain, ichain[1:])):
         ax = next(d for d in range(3) if ia[d] != ib[d])
         sign = 1 if ib[ax] > ia[ax] else -1
         base = ia[ax] - sign * walked
         walked += abs(ib[ax] - ia[ax])
-        j = bisect_right(cuts, walked, k)
-        on_b = j > k and cuts[j - 1] == walked
-        nums = [base + sign * c for c in cuts[k:j - on_b]]
-        for num in nums:
-            if num not in coords:
-                coords[num] = Fraction(num, D)
-        pts = [a[:ax] + (coords[num],) + a[ax + 1:] for num in nums]
-        if on_b:
-            pts.append(b)
-        if pts:
-            cur.append(pts[0])
-            pieces.append(cur)
-            pieces.extend([p, q] for p, q in zip(pts, pts[1:]))
-            cur = [pts[-1]]
-        if cur[-1] is not b:
-            cur.append(b)
-        k = j
-    pieces.append(cur)
-    return pieces
+        j1 = bisect_left(cuts, walked, j)
+        ends.extend(range(len(pts), len(pts) + j1 - j))
+        pts += cut_points(k, ax, [base + sign * cut for cut in cuts[j:j1]])
+        pts.append(verts[k + 1])
+        if j1 < len(cuts) and cuts[j1] == walked:
+            ends.append(len(pts) - 1)
+            j1 += 1
+        j = j1
+    return pts, ends
 
 
 def _check_measures(spec: CantorTubeSpec) -> None:

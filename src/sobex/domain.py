@@ -402,8 +402,6 @@ def _build_cantor_domain(K, margin, p):
             f"cantor_tube depth={depth} needs h <= c_{depth}/4 = "
             f"{float(c[depth] / 4):.3e}, got h = {float(h):.3e}"
         )
-    if spec3 is None:
-        spec3 = build_cantor_tube(depth, lambda_override=lam)
     if window is None:
         wlo = [Fraction(0) - margin] * 3
         whi = [Fraction(1) + margin] * 3
@@ -414,9 +412,11 @@ def _build_cantor_domain(K, margin, p):
     ncells = int(np.prod(shape))
     if ncells > 2**27:
         raise InvalidDomain(
-            f"cantor_tube voxelization of {shape} exceeds the cell budget; "
-            "pass a smaller window"
+            f"cantor_tube voxelization of {shape} exceeds the cell budget of "
+            "2^27 cells; voxelize a window with build_domain(..., window=)"
         )
+    if spec3 is None:
+        spec3 = build_cantor_tube(depth, lambda_override=lam)
     mask = cantor_occupancy(spec3, K, lo_int, shape)
     if not mask.any():
         raise InvalidDomain("cantor_tube: empty occupancy")

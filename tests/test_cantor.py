@@ -249,11 +249,37 @@ def test_split_matches_fraction_walk_depth2(depth2):
         assert depth2.splits[n] == _oracle_splits(depth2, n)
 
 
-def test_from_text_shares_parsed_vertices(depth1):
-    back = CantorTubeSpec.from_text(depth1.to_text())
-    assert back.splits == depth1.splits
-    pieces = back.splits[1][5]
-    assert all(p[-1] is q[0] for p, q in zip(pieces, pieces[1:]))
+def test_from_text_refuses_altered_split_record(depth1):
+    lines = depth1.to_text().split("\n")
+    k = lines.index("split 1 5 3 2") + 1
+    v, x, y, z = lines[k].split()
+    num, den = map(int, x.split("/"))
+    lines[k] = f"{v} {Fraction(num + 1, den)} {y} {z}"
+    with pytest.raises(ValueError, match="differ"):
+        CantorTubeSpec.from_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("cut", [
+    lambda t: "",
+    lambda t: t[:len(t) // 2],
+    lambda t: t[:t.index("anchor 1 7 ")],
+    lambda t: t.replace("curve 1 2 ", "bend 1 2 "),
+    lambda t: t.replace("cube 1 3 ", "cube 9 3 "),
+    lambda t: t.replace("curve 1 4 5", "curve 1 4 2"),
+    lambda t: t + "split 1 7 99 2\n",
+    lambda t: t.replace("\nc 1", "\nc 2", 1),
+], ids=["empty", "half", "truncated-curves", "unknown-record",
+        "level-out-of-range", "short-chain-count", "extra-split", "constant"])
+def test_from_text_refuses_malformed_text(depth1, cut):
+    with pytest.raises(ValueError):
+        CantorTubeSpec.from_text(cut(depth1.to_text()))
+
+
+def test_build_holds_no_pieces():
+    # the spec keeps the integer schedule; pieces are cut on access
+    spec, peak = traced_peak(build_cantor_tube, 2)
+    assert peak <= 8 * 2**20
+    assert sum(len(p) for lvl in spec.splits for p in lvl) == 362_168
 
 
 def test_oversize_depth_refused_before_splitting():
@@ -264,6 +290,7 @@ def test_oversize_depth_refused_before_splitting():
 def _oracle_to_text(spec):
     """The CANTOR1 text built as one list of lines for the whole spec, with
     id-keyed token and vertex-line memos over the whole spec."""
+    splits = spec.splits
     out = ["CANTOR1", f"depth {spec.depth}"]
     tokens = {}
     vlines = {}
@@ -300,17 +327,10 @@ def _oracle_to_text(spec):
             verts = spec.curves[n][i]
             out.append(f"curve {n} {i} {len(verts)}")
             out.extend(map(vline, verts))
-            for j, piece in enumerate(spec.splits[n][i]):
+            for j, piece in enumerate(splits[n][i]):
                 out.append(f"split {n} {i} {j} {len(piece)}")
                 out.extend(map(vline, piece))
     return "\n".join(out) + "\n"
-
-
-def _fresh(x):
-    """A copy of nested lists and tuples of Fractions sharing no object."""
-    if isinstance(x, Fraction):
-        return Fraction(x.numerator, x.denominator)
-    return type(x)(map(_fresh, x))
 
 
 def _check_chunks(spec):
@@ -341,21 +361,6 @@ def test_text_matches_single_list_oracle_depth2(depth2):
 def test_text_matches_single_list_oracle_drawn_lambdas(lam):
     spec = build_cantor_tube(1, lambda_override=[lam])
     assert spec.to_text() == _oracle_to_text(spec)
-
-
-def test_text_of_unshared_objects_matches(depth1):
-    # the id-keyed memos only cache: a spec whose vertices and Fractions are
-    # all distinct objects gives the same text
-    fresh = CantorTubeSpec(
-        depth1.depth, _fresh(depth1.lambdas), _fresh(depth1.l),
-        _fresh(depth1.e), _fresh(depth1.c), _fresh(depth1.cubes),
-        _fresh(depth1.anchors_x), _fresh(depth1.anchors_y),
-        _fresh(depth1.curves), _fresh(depth1.splits))
-    pieces = fresh.splits[1][5]
-    assert pieces[0][-1] == pieces[1][0]
-    assert pieces[0][-1] is not pieces[1][0]
-    assert pieces[0][-1][0] is not pieces[1][0][0]
-    assert fresh.to_text() == _oracle_to_text(fresh) == depth1.to_text()
 
 
 def test_text_peak_memory_per_byte(depth1):

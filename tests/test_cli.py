@@ -42,6 +42,21 @@ def test_gen_guarded_failure_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("K, reason", [
+    ("13", "needs h <= c_1/4"),
+    ("14", "build_domain(..., window=)"),
+])
+def test_gen_cantor_tube_refused_with_one_line(tmp_path, capsys, K, reason):
+    # too coarse for the tubes at K=13, over the cell budget from K=14 on
+    code = run(["--out", str(tmp_path), "gen", "--domain", "cantor_tube",
+                "--K", K])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err
+    assert not (tmp_path / "domain.voxd").exists()
+
+
 def test_slit_gen_count(tmp_path, capsys):
     out = str(tmp_path)
     assert run(["--out", out, "gen", "--domain", "slit_square",
