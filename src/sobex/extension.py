@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distance import DistanceField
-from .errors import UnsupportedExponent
+from .errors import PreconditionNotMet, UnsupportedExponent
 from .perimeter import (
-    INTERIOR,
     ON_BOUNDARY,
     VoxelSet,
     boundary_faces,
@@ -90,7 +89,6 @@ class ExtensionResult:
     a0_ids: list[int]
     a0_clipped: list[int]
     report: InequalityReport
-    fallback: bool = False
 
 
 def select_A_prime(A: VoxelSet, W: WhitneyDecomposition):
@@ -185,11 +183,14 @@ class ExtensionGeometry:
     lhs_touch_new: float
     flags: list[str]
     smoothed: SmoothedIndicator | None = None
-    fallback: bool = False
 
     def report(self, A: VoxelSet, p: float) -> InequalityReport:
+        """A~ is A inside the domain and A0 outside it, so A~'s interior
+        faces are A's and its exterior faces A0's, in the same order: A~'s
+        two sums are rhs and A0's exterior sum, bit for bit."""
         dist = self.dist
         rhs = weighted_boundary_integral(A, p, dist, "interior")[0]
+        lhs_ext = weighted_boundary_integral(self.A0, p, dist, "exterior")[0]
         flags = list(self.flags)
         l31 = l32 = l33 = math.nan
         if self.smoothed is not None:
@@ -198,20 +199,17 @@ class ExtensionGeometry:
             l31, f31 = _ratio(aprime_int, rhs, "lemma31")
             energy = gradient_energy(self.smoothed, p)
             l32, f32 = _ratio(energy, aprime_int, "lemma32")
-            l33, f33 = verify_lemma_33(self.A0, energy, p, dist)
+            l33, f33 = _lemma33_ratio(lhs_ext, energy)
             flags += f31 + f32 + f33
-        lhs_ext, lhs_int = (weighted_boundary_integral(self.A_tilde, p, dist,
-                                                       side)[0]
-                            for side in ("exterior", "interior"))
-        ratio, rflags = _ratio(lhs_ext + lhs_int, rhs, "ratio")
-        return InequalityReport(A.K, p, rhs, lhs_ext, lhs_int,
-                                self.lhs_touch, ratio, l31, l32, l33,
-                                self.lhs_touch_new, flags + rflags)
+        ratio, rflags = _ratio(lhs_ext + rhs, rhs, "ratio")
+        return InequalityReport(A.K, p, rhs, lhs_ext, rhs, self.lhs_touch,
+                                ratio, l31, l32, l33, self.lhs_touch_new,
+                                flags + rflags)
 
     def result(self, A: VoxelSet, p: float) -> ExtensionResult:
         return ExtensionResult(A, self.A_prime, self.A0, self.A_tilde,
                                self.aprime_ids, self.a0_ids, self.a0_clipped,
-                               self.report(A, p), fallback=self.fallback)
+                               self.report(A, p))
 
 
 def extend_set(A: VoxelSet, W: WhitneyDecomposition, We: WhitneyDecomposition,
@@ -236,19 +234,14 @@ def extend_geometry(A: VoxelSet, W: WhitneyDecomposition,
                     We: WhitneyDecomposition, dist: DistanceField,
                     lemma_ratios: bool = True) -> ExtensionGeometry:
     """A -> A' -> A0 -> A~ and everything else that does not depend on p;
-    A' is smoothed here, once, only when lemma ratios are on."""
+    A' is smoothed here, once, only when lemma ratios are on.  `dist` must
+    hold the domain's own boundary centroids: only then are the touching
+    faces exactly the faces on the domain boundary."""
     dom = W.domain
-    # the finiteness hypothesis on the interior integral: interior-classified
-    # faces at zero distance would make the continuum integral infinite
-    afaces = boundary_faces(A)
-    if (dist.d2_at_faces(afaces)[afaces.classification == INTERIOR] <= 1).any():
-        empty = VoxelSet.from_domain(dom, np.zeros(dom.shape, bool))
-        # A~ = A, as its own set so that the geometry does not refer to A
-        A_tilde = VoxelSet.from_domain(dom, A.mask)
-        return ExtensionGeometry(empty, empty, A_tilde, [], [], [], dist,
-                                 *_touching_masses(A, A_tilde, dist),
-                                 ["rhs-touching-fallback"], fallback=True)
-
+    coords = dom.boundary_faces_doubled()[1]
+    if dist.coords is not coords and not np.array_equal(dist.coords, coords):
+        raise PreconditionNotMet(
+            "the distance field must hold the domain's boundary centroids")
     A_prime, ap_ids = select_A_prime(A, W)
     A0, a0_ids, clipped = select_A0(A_prime, We)
     flags = [f"clipped-dilates:{len(clipped)}"] if clipped else []
@@ -257,24 +250,24 @@ def extend_geometry(A: VoxelSet, W: WhitneyDecomposition,
         "extension altered the set inside the domain"
     smoothed = smooth_indicator(W, A_prime.mask) if lemma_ratios else None
     return ExtensionGeometry(A_prime, A0, A_tilde, ap_ids, a0_ids, clipped,
-                             dist, *_touching_masses(A, A_tilde, dist), flags,
-                             smoothed)
+                             dist, *_touching_masses(A, A0), flags, smoothed)
 
 
-def _touching_masses(A, A_tilde, dist) -> tuple[float, float]:
-    """Area of A~'s faces touching the domain boundary, and the part of it
-    that A's own touching faces do not carry (a set boundary that runs along
-    the domain boundary is carried by every valid extension)."""
-    touch = []
-    for S in (A_tilde, A):
-        faces = boundary_faces(S)
-        d2 = dist.d2_at_faces(faces)
-        touch.append(faces.coords[(faces.classification == ON_BOUNDARY)
-                                  | (d2 <= 1)])
-    # faces are unique per set, so |T u O| - |O| counts T \ O
-    new = len(np.unique(np.concatenate(touch), axis=0)) - len(touch[1])
+def _touching_masses(A: VoxelSet, A0: VoxelSet) -> tuple[float, float]:
+    """Area of A~'s faces on the domain boundary, and the part of it that
+    A's own boundary faces do not carry (a set boundary that runs along the
+    domain boundary is carried by every valid extension).
+
+    A domain boundary face has one cell in the domain and one outside, so it
+    is a face of A~ iff exactly one of A and A0 has it; both have it iff it
+    lies between an A cell and an A0 cell, a step of 2 in A - A0."""
+    on_a, on_a0 = (int((boundary_faces(S).classification == ON_BOUNDARY).sum())
+                   for S in (A, A0))
+    label = np.subtract(A.mask, A0.mask, dtype=np.int8)
+    shared = sum(int(np.count_nonzero(np.abs(np.diff(label, axis=d)) == 2))
+                 for d in range(A.n))
     area = A.h ** (A.n - 1)
-    return float(len(touch[0])) * area, new * area
+    return float(on_a + on_a0 - 2 * shared) * area, (on_a0 - shared) * area
 
 
 def _ratio(num: float, den: float, tag: str) -> tuple[float, list[str]]:
@@ -308,10 +301,14 @@ def verify_lemma_33(A0: VoxelSet, u_energy: float, p: float,
                     dist: DistanceField):
     """Exterior weighted integral of A0 against the gradient energy of the
     smoothed indicator."""
-    num = weighted_boundary_integral(A0, p, dist, "exterior")[0]
-    if u_energy == 0.0 and num > 0.0:
+    return _lemma33_ratio(weighted_boundary_integral(A0, p, dist, "exterior")[0],
+                          u_energy)
+
+
+def _lemma33_ratio(a0_ext: float, u_energy: float):
+    if u_energy == 0.0 and a0_ext > 0.0:
         return math.inf, ["lemma33:degenerate"]
-    return _ratio(num, u_energy, "lemma33")
+    return _ratio(a0_ext, u_energy, "lemma33")
 
 
 @dataclass

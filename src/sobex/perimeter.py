@@ -138,29 +138,27 @@ def weighted_boundary_integral(
     A: VoxelSet, p: float, dist: DistanceField, side: str = "interior"
 ) -> tuple[float, float]:
     """Sum of dist^(1-p) * area over the boundary faces of A on one side of
-    the domain.  Faces at (numerically) zero distance carry infinite weight
-    in the continuum; their total area is returned separately.
+    the domain.  Faces touching the domain boundary (within h/2 of a
+    boundary centroid of `dist`, the parent domain's field) carry infinite
+    weight in the continuum; their total area is returned separately.  They
+    are exactly the ON_BOUNDARY faces: two distinct face centroids are at
+    least h/sqrt(2) apart, so no other face centroid lies that close.
 
     Returns (finite_part, touching_mass).
     """
     if not (1.0 < p < 2.0):
         raise UnsupportedExponent(f"p must lie in (1,2), got {p}")
-    faces = boundary_faces(A)
-    if side == "interior":
-        sel = np.isin(faces.classification, (INTERIOR, ON_BOUNDARY))
-    elif side == "exterior":
-        sel = np.isin(faces.classification, (EXTERIOR, ON_BOUNDARY))
-    else:
+    if side not in ("interior", "exterior"):
         raise ValueError(f"side must be interior or exterior, got {side!r}")
-    cls = faces.classification[sel]
-    if len(cls) == 0:
-        return 0.0, 0.0
-    d2 = dist.d2_at_faces(faces)[sel]
-    # touching threshold dist <= h/2 is d2 <= 1 in (h/2)^2 units
-    touching = (cls == ON_BOUNDARY) | (d2 <= 1)
-    dvals = np.sqrt(d2[~touching].astype(np.float64)) * (dist.h / 2.0)
-    finite = float(np.sum(dvals ** (1.0 - p))) * faces.face_area
-    return finite, float(touching.sum()) * faces.face_area
+    faces = boundary_faces(A)
+    cls = faces.classification
+    touching = float(np.count_nonzero(cls == ON_BOUNDARY)) * faces.face_area
+    own = cls == (INTERIOR if side == "interior" else EXTERIOR)
+    if not own.any():
+        return 0.0, touching
+    d2 = dist.d2_at_faces(faces)[own]
+    dvals = np.sqrt(d2.astype(np.float64)) * (dist.h / 2.0)
+    return float(np.sum(dvals ** (1.0 - p))) * faces.face_area, touching
 
 
 def isoperimetric_check(A: VoxelSet, context) -> float:

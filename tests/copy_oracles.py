@@ -17,7 +17,11 @@ keeps, in the forms that held a second copy of that data:
   K+1 (`surface_gather_d2`), and a KD-tree ball query run one cube at a
   time (`exact_box_dist2`);
 - the generators' cell-centre grids as dense coordinate arrays
-  (`dense_grid_centers`).
+  (`dense_grid_centers`);
+- the inequality report summed over the faces of A~ itself, with touching
+  read as `ON_BOUNDARY` or a centroid within h/2 of the boundary
+  (`tilde_report`), before the report took A~'s two sums from A and A0 and
+  its touching masses from their `ON_BOUNDARY` faces.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from scipy.spatial import cKDTree
 from sobex.curves import _OFFSETS_2D, _OFFSETS_3D
 from sobex.domain import interface_faces_doubled
 from sobex.figio import LEVEL_COLORS, SvgCanvas
+from sobex.extension import InequalityReport
 from sobex.perimeter import EXTERIOR, INTERIOR, ON_BOUNDARY, VoxelSet
 from sobex.whitney import (
     SUPPORT_SHELL,
@@ -38,6 +43,8 @@ from sobex.whitney import (
     _integral_image,
     _paint_level,
     _per_level,
+    gradient_energy,
+    smooth_indicator,
 )
 
 
@@ -296,3 +303,65 @@ def dense_grid_centers(K, lo_int, shape):
     h = 2.0**-K
     axes = [(np.arange(n) + lo_int[d] + 0.5) * h for d, n in enumerate(shape)]
     return np.meshgrid(*axes, indexing="ij")
+
+
+def _touching_faces(S: VoxelSet, dist):
+    """(axes, coords, sides, touching) of S's interface faces, touching as
+    `ON_BOUNDARY` or a squared centroid distance <= 1 in (h/2)^2 units."""
+    axes, coords = interface_faces_doubled(S.mask, S.lo_int)
+    cls = face_classes_by_lookup(S)
+    d2 = dist.d2_at_doubled(coords)
+    return axes, coords, cls, d2, (cls == ON_BOUNDARY) | (d2 <= 1)
+
+
+def _weighted_sum(S: VoxelSet, p: float, dist, side: str) -> float:
+    _, _, cls, d2, touching = _touching_faces(S, dist)
+    sel = np.isin(cls, (INTERIOR if side == "interior" else EXTERIOR,
+                        ON_BOUNDARY))
+    if not sel.any():
+        return 0.0
+    keep = ~touching[sel]
+    dvals = np.sqrt(d2[sel][keep].astype(np.float64)) * (dist.h / 2.0)
+    return float(np.sum(dvals ** (1.0 - p))) * S.h ** (S.n - 1)
+
+
+def _ratio(num, den, tag):
+    if den == 0.0:
+        return (math.nan, [f"{tag}:0/0"]) if num == 0.0 \
+            else (math.inf, [f"{tag}:violation"])
+    return num / den, []
+
+
+def tilde_report(A: VoxelSet, A_prime: VoxelSet, A0: VoxelSet, clipped,
+                 W, dist, p: float, lemma_ratios: bool) -> InequalityReport:
+    """The report with lhs_ext and lhs_int summed over a fresh A~ = A u A0,
+    and lhs_touch over A~'s touching faces, lhs_touching_new over those
+    that A's own touching faces do not carry (both as coordinate sets)."""
+    dom = A.parent
+    A_tilde = VoxelSet.from_domain(dom, A.mask | A0.mask, require_subset=False)
+    rhs = _weighted_sum(A, p, dist, "interior")
+    flags = [f"clipped-dilates:{len(clipped)}"] if clipped else []
+    l31 = l32 = l33 = math.nan
+    if lemma_ratios:
+        aprime_int = _weighted_sum(A_prime, p, dist, "interior")
+        l31, f31 = _ratio(aprime_int, rhs, "lemma31")
+        energy = gradient_energy(smooth_indicator(W, A_prime.mask), p)
+        l32, f32 = _ratio(energy, aprime_int, "lemma32")
+        a0_ext = _weighted_sum(A0, p, dist, "exterior")
+        if energy == 0.0 and a0_ext > 0.0:
+            l33, f33 = math.inf, ["lemma33:degenerate"]
+        else:
+            l33, f33 = _ratio(a0_ext, energy, "lemma33")
+        flags += f31 + f32 + f33
+    lhs_ext = _weighted_sum(A_tilde, p, dist, "exterior")
+    lhs_int = _weighted_sum(A_tilde, p, dist, "interior")
+    ratio, rflags = _ratio(lhs_ext + lhs_int, rhs, "ratio")
+    touch = []
+    for S in (A_tilde, A):
+        axes, coords, _, _, touching = _touching_faces(S, dist)
+        touch.append({(int(a), tuple(c)) for a, c in
+                      zip(axes[touching], coords[touching].tolist())})
+    area = A.h ** (A.n - 1)
+    return InequalityReport(A.K, p, rhs, lhs_ext, lhs_int,
+                            float(len(touch[0])) * area, ratio, l31, l32, l33,
+                            len(touch[0] - touch[1]) * area, flags + rflags)

@@ -125,6 +125,26 @@ def test_extend_rows_match_per_cell_extend_set(tmp_path, kind):
         assert f.read().splitlines() == expected
 
 
+# inequality.csv of the README-style run below, as the report summed over
+# A~'s own faces wrote it
+_GOLDEN_CSV_SHA256 = {
+    "half": "94a06072dddc38fb73e34e814817d4fe2148ba625eab1b89cfd1c7909db6fda8",
+    "random": "fe25f591bbd487362881b525b07231fb6b247b9c94a312b8e1ff0b3225177f99",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GOLDEN_CSV_SHA256))
+def test_extend_csv_is_byte_identical_to_golden(tmp_path, kind):
+    out = str(tmp_path)
+    assert run(["--out", out, "gen", "--domain", "ball", "--K", "6",
+                "--r", "0.5", "--margin", "2"]) == 0
+    assert run(["--out", out, "extend", "--domain-file",
+                os.path.join(out, "domain.voxd"), "--set", kind,
+                "--p", "1.25", "1.5", "1.75", "--refine", "1"]) == 0
+    with open(os.path.join(out, "inequality.csv"), "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == _GOLDEN_CSV_SHA256[kind]
+
+
 def test_report_empty_dir_exit_2(tmp_path, capsys):
     empty = tmp_path / "void"
     empty.mkdir()

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from copy_oracles import select_A0_omega_minus
+from copy_oracles import select_A0_omega_minus, tilde_report
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -172,7 +172,6 @@ def test_extend_half_disk(disk_setup):
     dom, dist, W, We = disk_setup
     A = left_half(dom)
     res = extend_set(A, W, We, dist, ExtensionParams(p=1.5))
-    assert not res.fallback
     assert np.array_equal(res.A_tilde.mask & dom.mask, A.mask)
     assert np.array_equal(res.A_tilde.mask, A.mask | res.A0.mask)
     assert math.isfinite(res.report.ratio) and res.report.ratio > 0
@@ -357,6 +356,8 @@ def test_touching_masses_match_face_set_loop(disk_setup):
 
 
 def test_each_face_set_is_read_once(disk_setup, monkeypatch):
+    """The tree reads are A's, A0's and, with lemma ratios, A''s face
+    centroids, each once for every p; A~'s are never read."""
     from sobex.distance import DistanceField
     from sobex.perimeter import boundary_faces
 
@@ -369,13 +370,43 @@ def test_each_face_set_is_read_once(disk_setup, monkeypatch):
         return tree_read(self, coords)
 
     monkeypatch.setattr(DistanceField, "d2_at_doubled", counted)
-    A = left_half(dom)
-    for p in (1.25, 1.5, 1.75):
-        res = extend_set(A, W, We, dist, ExtensionParams(p=p))
-    sets = (A, res.A_prime, res.A0, res.A_tilde)
-    assert len(read) == len(sets)
-    assert {id(c) for c in read} == {id(boundary_faces(S).coords)
-                                     for S in sets}
+    for lemma_ratios in (True, False):
+        read.clear()
+        A = left_half(dom)
+        for p in (1.25, 1.5, 1.75):
+            res = extend_set(A, W, We, dist,
+                             ExtensionParams(p=p, lemma_ratios=lemma_ratios))
+        sets = (A, res.A_prime, res.A0) if lemma_ratios else (A, res.A0)
+        assert len(read) == len(sets)
+        assert {id(c) for c in read} == {id(boundary_faces(S).coords)
+                                         for S in sets}
+
+
+@pytest.mark.parametrize("lemma_ratios", [True, False])
+def test_no_face_set_of_the_extension(disk_setup, monkeypatch, lemma_ratios):
+    """A~ stays a mask: extend_set asks for the face set of no A~."""
+    import sys
+
+    perimeter = sys.modules["sobex.perimeter"]
+    dom, dist, W, We = disk_setup
+    asked = []
+    faces_of = perimeter.boundary_faces
+
+    def counted(S):
+        asked.append(S)
+        return faces_of(S)
+
+    for mod in (perimeter, extension):
+        monkeypatch.setattr(mod, "boundary_faces", counted)
+    rng = np.random.default_rng(3)
+    for A in (left_half(dom), VoxelSet.from_domain(
+            dom, (rng.random(dom.shape) < 0.5) & dom.mask)):
+        for p in (1.25, 1.75):
+            res = extend_set(A, W, We, dist,
+                             ExtensionParams(p=p, lemma_ratios=lemma_ratios))
+        assert res.A_tilde._faces is None
+        assert all(S is not res.A_tilde for S in asked)
+        assert any(S is res.A0 for S in asked)
 
 
 def _count_calls(monkeypatch, name):
@@ -451,8 +482,8 @@ def test_shared_rows_match_fresh_objects(case, kind, lemma_ratios):
         for name in ("A_prime", "A0", "A_tilde"):
             assert np.array_equal(getattr(got, name).mask,
                                   getattr(want, name).mask)
-        assert (got.aprime_ids, got.a0_ids, got.a0_clipped, got.fallback) \
-            == (want.aprime_ids, want.a0_ids, want.a0_clipped, want.fallback)
+        assert (got.aprime_ids, got.a0_ids, got.a0_clipped) \
+            == (want.aprime_ids, want.a0_ids, want.a0_clipped)
 
 
 def test_new_inputs_rebuild_the_geometry(disk_setup, monkeypatch):
@@ -494,27 +525,15 @@ def test_new_inputs_rebuild_the_geometry(disk_setup, monkeypatch):
     assert results[5].report.csv_row() == results[1].report.csv_row()
 
 
-@pytest.mark.parametrize("fallback", [False, True])
-def test_cached_geometry_does_not_keep_the_set_alive(disk_setup, fallback):
+def test_cached_geometry_does_not_keep_the_set_alive(disk_setup):
     """The entry on A refers to nothing that refers back to A, so A dies
     with its last reference, without the cyclic collector."""
-    from sobex.distance import DistanceField
-    from sobex.perimeter import INTERIOR, boundary_faces
-
     dom, dist, W, We = disk_setup
     A = left_half(dom)
-    if fallback:
-        # a boundary centroid on one of A's interior faces: the
-        # rhs-touching fallback, whose A~ has A's mask
-        faces = boundary_faces(A)
-        inner = faces.coords[faces.classification == INTERIOR][:1]
-        dist = DistanceField(dist.K, dist.lo_int, dist.shape,
-                             np.concatenate([dist.coords, inner]))
     gc.collect()
     gc.disable()
     try:
         res = extend_set(A, W, We, dist, ExtensionParams(p=1.5))
-        assert res.fallback == fallback
         assert np.array_equal(res.A_tilde.mask & dom.mask, A.mask)
         assert A._extension is not None
         ref = weakref.ref(A)
@@ -522,6 +541,30 @@ def test_cached_geometry_does_not_keep_the_set_alive(disk_setup, fallback):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_field_of_other_centroids_is_refused(disk_setup):
+    """A field whose centroids are not the domain's boundary centroids (here
+    with one more, on an interior face of A) is refused before any
+    selection, and the set keeps no entry."""
+    from sobex.distance import DistanceField
+    from sobex.perimeter import INTERIOR, boundary_faces
+
+    dom, dist, W, We = disk_setup
+    A = left_half(dom)
+    faces = boundary_faces(A)
+    inner = faces.coords[faces.classification == INTERIOR][:1]
+    made_up = DistanceField(dist.K, dist.lo_int, dist.shape,
+                            np.concatenate([dist.coords, inner]))
+    with pytest.raises(PreconditionNotMet, match="boundary centroids"):
+        extend_set(A, W, We, made_up, ExtensionParams(p=1.5))
+    assert A._extension is None
+    # equal centroids in another array are the domain's own
+    copy = DistanceField(dist.K, dist.lo_int, dist.shape, dist.coords.copy())
+    got = extend_set(A, W, We, copy, ExtensionParams(p=1.5)).report
+    want = extend_set(left_half(dom), W, We, dist,
+                      ExtensionParams(p=1.5)).report
+    assert got.csv_row() == want.csv_row()
 
 
 def test_smoothing_budget_refuses_before_allocating(disk_setup):
@@ -682,3 +725,92 @@ def test_select_A0_equals_omega_minus_table(name):
         assert ids == ref_ids and clipped == ref_clipped
         picked += len(ids)
     assert picked
+
+
+# -- differential check of the report against the sums over A~ ---------------
+
+_REPORT_CASES = {
+    "disk": ("ball", 6, dict(r=0.5, margin=Fraction(3, 2))),
+    "slit": ("slit_square", 6, dict(slit_len=0.5, margin=Fraction(1, 2))),
+    "cusp": ("outward_cusp", 6, dict(margin=Fraction(1, 2))),
+    "ball3": ("ball", 4, dict(r=0.5, dim=3, margin=Fraction(1, 2))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _report_setup(case, extra_level):
+    tag, K, kw = _REPORT_CASES[case]
+    dom = build_domain(tag, K, **kw)
+    L = K + extra_level
+    return dom, distance_transform(dom), whitney_decompose(dom, L), \
+        exterior_whitney(dom, L)
+
+
+def _assert_report_matches_tilde_oracle(A, W, We, dist, ps, lemma_ratios):
+    for p in ps:
+        res = extend_set(A, W, We, dist,
+                         ExtensionParams(p=p, lemma_ratios=lemma_ratios))
+        want = tilde_report(A, res.A_prime, res.A0, res.a0_clipped, W, dist,
+                            p, lemma_ratios)
+        got = res.report
+        assert got.csv_row() == want.csv_row()
+        assert got.lhs_touching_new == want.lhs_touching_new
+        assert got.flags == want.flags
+    return res
+
+
+def _assert_touching_is_on_boundary(dist, *sets):
+    """For the face sets built so far, a centroid within h/2 of a boundary
+    centroid (d2 <= 1) is exactly an ON_BOUNDARY face."""
+    from sobex.perimeter import ON_BOUNDARY
+
+    for S in sets:
+        faces = S._faces
+        assert faces is not None
+        assert np.array_equal(dist.d2_at_doubled(faces.coords) <= 1,
+                              faces.classification == ON_BOUNDARY)
+
+
+@pytest.mark.parametrize("extra_level", [0, 1])
+@pytest.mark.parametrize("case", list(_REPORT_CASES))
+def test_report_matches_sums_over_the_extension(case, extra_level):
+    """Rows, the new touching mass and the flags equal, byte for byte, those
+    summed over A~'s own faces with touching read from distances, at
+    L_max = K and K+1, with lemma ratios on and off."""
+    dom, dist, W, We = _report_setup(case, extra_level)
+    for kind in ("half", "random"):
+        for lemma_ratios in (True, False):
+            A = make_set(dom, kind, seed=17)
+            res = _assert_report_matches_tilde_oracle(
+                A, W, We, dist, (1.25, 1.75), lemma_ratios)
+            built = (A, res.A_prime, res.A0) if lemma_ratios else (A, res.A0)
+            _assert_touching_is_on_boundary(dist, *built)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    case=st.sampled_from([("disk", 0), ("slit", 1), ("cusp", 0),
+                          ("ball3", 1)]),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.05, 0.95),
+    blocks=st.sampled_from([1, 4]),
+    lemma_ratios=st.booleans(),
+)
+def test_report_matches_sums_over_the_extension_on_random_sets(
+        case, seed, density, blocks, lemma_ratios):
+    from sobex.perimeter import boundary_faces
+
+    dom, dist, W, We = _report_setup(*case)
+    rng = np.random.default_rng(seed)
+    coarse = rng.random(tuple(-(-s // blocks) for s in dom.shape)) < density
+    for d in range(dom.n):
+        coarse = coarse.repeat(blocks, axis=d)
+    mask = coarse[tuple(slice(0, s) for s in dom.shape)] & dom.mask
+    A = VoxelSet.from_domain(dom, mask)
+    res = _assert_report_matches_tilde_oracle(A, W, We, dist, (1.5,),
+                                              lemma_ratios)
+    # A~ itself, built here, obeys the same identity
+    tilde = VoxelSet.from_domain(dom, res.A_tilde.mask, require_subset=False)
+    boundary_faces(tilde)
+    built = (A, res.A_prime, res.A0) if lemma_ratios else (A, res.A0)
+    _assert_touching_is_on_boundary(dist, *built, tilde)
