@@ -56,20 +56,24 @@ class GeodesicSolver:
                  side: str = "complement", weight="unit"):
         self.dom = dom
         dist = dist if dist is not None else distance_transform(dom)
-        mask = (~dom.mask) if side == "complement" else dom.mask
-        # one weight per node, in `cells` order
-        if weight == "unit":
-            mask = mask & (dist.d2_int > 1)  # forbid cells hugging the boundary
-            w = np.ones(int(mask.sum()))
-        elif weight == "inverse":
-            w = 1.0 / dist.values_at(mask)
-        else:
+        if weight not in ("unit", "inverse"):
             kind, p = weight
             if kind != "power":
                 raise ValueError(f"unknown weight {weight!r}")
             if not (1.0 <= p < 2.0):
                 raise UnsupportedExponent(f"p must lie in [1,2), got {p}")
-            w = dist.values_at(mask) ** (1.0 - p)
+        mask = _side_mask(dom, side)
+        d2 = dist.side_d2(mask)
+        # one weight per node, in `cells` order
+        if weight == "unit":
+            keep = d2 > 1  # forbid cells hugging the boundary
+            mask = mask.copy()
+            mask[mask] = keep
+            w = np.ones(int(keep.sum()))
+        elif weight == "inverse":
+            w = 1.0 / _dist_values(d2, dom.h)
+        else:
+            w = _dist_values(d2, dom.h) ** (1.0 - p)
         self.node_mask = mask
         if not mask.any():
             raise Unreachable(f"no cells on the {side} side")
@@ -148,6 +152,15 @@ class GeodesicSolver:
                             float(lengths.sum()))
 
 
+def _side_mask(dom: VoxelDomain, side: str) -> np.ndarray:
+    return (~dom.mask) if side == "complement" else dom.mask
+
+
+def _dist_values(d2: np.ndarray, h: float) -> np.ndarray:
+    """Distances in absolute units from integer squared distances."""
+    return np.sqrt(d2.astype(np.float64)) * (h / 2.0)
+
+
 def _tree_chain(pred, src: int, t: int) -> list[int]:
     """Nodes from t back to src along a shortest-path tree's predecessors;
     a tree path never repeats a node."""
@@ -188,10 +201,8 @@ class CurveConditionReport:
 
 def boundary_probe_points(dom: VoxelDomain, side: str = "complement") -> np.ndarray:
     """Centers of side cells hugging the discrete boundary (dist = h/2)."""
-    dist = distance_transform(dom)
-    mask = (~dom.mask) if side == "complement" else dom.mask
-    sel = mask & (dist.d2_int <= 1)
-    cells = np.argwhere(sel)
+    mask = _side_mask(dom, side)
+    cells = np.argwhere(mask)[distance_transform(dom).side_d2(mask) <= 1]
     return (cells + np.asarray(dom.lo_int) + 0.5) * dom.h
 
 
@@ -340,7 +351,7 @@ def cig_check(dom: VoxelDomain, dist: DistanceField, x, y) -> CigReport:
     if path.empty:
         return CigReport(0.0, 0.0, path)
     verts = path.vertices
-    dvals = _dist_at_vertices(dom, dist, verts)
+    dvals = _dist_at_vertices(dom, dist, verts, "interior")
     cum = np.concatenate([[0.0], np.cumsum(path.edge_lengths)])
     total = cum[-1]
     m = len(verts)
@@ -384,7 +395,7 @@ def john_check(dom: VoxelDomain, dist: DistanceField, x0,
         path = solver._path_from_chain(_tree_chain(pred, src, t),
                                        float(dists[t]))
         verts = path.vertices
-        dvals = _dist_at_vertices(dom, dist, verts)
+        dvals = _dist_at_vertices(dom, dist, verts, "interior")
         cum = np.concatenate([[0.0], np.cumsum(path.edge_lengths)])
         ratios = cum[1:] / dvals[1:]
         per.append(float(ratios.max()) if len(ratios) else 0.0)
@@ -394,8 +405,10 @@ def john_check(dom: VoxelDomain, dist: DistanceField, x0,
 
 
 def _dist_at_vertices(dom: VoxelDomain, dist: DistanceField,
-                      verts: np.ndarray) -> np.ndarray:
+                      verts: np.ndarray, side: str) -> np.ndarray:
+    """Distances at path vertices, the centres of `side` cells."""
     cells = np.floor(verts / dom.h).astype(np.int64) - np.asarray(dom.lo_int)
     for d in range(dom.n):
         cells[:, d] = np.clip(cells[:, d], 0, dom.mask.shape[d] - 1)
-    return dist.values_at(tuple(cells.T))
+    return _dist_values(dist.side_d2(_side_mask(dom, side), tuple(cells.T)),
+                        dom.h)

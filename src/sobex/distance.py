@@ -5,12 +5,12 @@ centroids all live on the half-step lattice (units of h/2), so squared
 distances are exact integers in (h/2)^2 units.  Sparse reads (face
 centroids, Whitney boxes) take candidates from one KD-tree of the centroids
 and recompute distances in integers; dense reads (the geodesics) use the
-transform over the doubled lattice, built on the first of them.
+transform over the doubled lattice of one side's window (its bounding box
+grown by a cell), built on the first read of that window.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import weakref
@@ -42,6 +42,7 @@ class DistanceField:
         self.coords = coords  # (m, n) int64 boundary centroids, units h/2
         self._tree = cKDTree(coords.astype(np.float64))
         self._face_d2 = weakref.WeakKeyDictionary()  # face set -> its d2
+        self._lattices = {}  # cell bounds (lo, hi) -> int32 lattice
 
     @property
     def n(self) -> int:
@@ -51,22 +52,52 @@ class DistanceField:
     def h(self) -> float:
         return 2.0**-self.K
 
-    @functools.cached_property
+    @property
     def d2_doubled(self) -> np.ndarray:
         """int32 squared distances over the (2N+1)^n doubled grid."""
-        return _build_lattice(self.lo_int, self.shape, self.coords)
+        return self._lattice((0,) * self.n, self.shape)
 
-    @property
-    def d2_int(self) -> np.ndarray:
-        """Squared distances at cell centers, integer (h/2)^2 units."""
-        centers = tuple(slice(1, None, 2) for _ in range(self.n))
-        return self.d2_doubled[centers]
+    def side_d2(self, side: np.ndarray, cells=None) -> np.ndarray:
+        """Exact int32 squared distances, in (h/2)^2 units, at the cells of
+        `side` in C order, or at `cells` (an index tuple of side cells).
+        `side` is one side of the boundary: the domain's mask or its
+        complement.  The lattice covers only the side's window, its bounding
+        box grown by one cell and clipped to the grid, and holds only the
+        centroids inside it.
 
-    def values_at(self, index) -> np.ndarray:
-        """Distances in absolute units at the cell centers that `index` (a
-        bool mask, index arrays or `...`) selects, without a full-grid
-        square root."""
-        return np.sqrt(self.d2_int[index].astype(np.float64)) * (self.h / 2.0)
+        This is exact for side cells.  Take a side cell c and its nearest
+        centroid f, and let q be the point where the segment c -> f leaves
+        the closed union U of side cells (q = f if it never does).  Every
+        centroid lies in the grid's closed box, so just past q the segment
+        runs in a non-side cell of the array.  The array cells around q are
+        joined through their faces, so one face incident to q lies between a
+        side cell and a non-side cell: a boundary face, whose centroid g is
+        within h sqrt(n-1)/2 of q.  A centroid outside the window is more
+        than h from every point of U.  So if f lay outside it, |c - g| <=
+        |c - q| + h sqrt(n-1)/2 < |c - q| + |q - f| = |c - f| for n = 2, 3,
+        and f would not be nearest.  Cells off the side are refused: the
+        window may be inexact there."""
+        if cells is not None and not side[cells].all():
+            raise ValueError("cells off the side have no exact read")
+        if not side.any():
+            return np.empty(0, dtype=np.int32)
+        lo, hi = _window(side)
+        centres = self._lattice(lo, hi)[
+            tuple(slice(1, None, 2) for _ in range(self.n))]
+        if cells is None:
+            return centres[side[tuple(map(slice, lo, hi))]]
+        return centres[tuple(c - a for c, a in zip(cells, lo))]
+
+    def _lattice(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:
+        """The int32 lattice over cells [lo, hi), built once per bounds."""
+        if (lo, hi) not in self._lattices:
+            base = np.asarray(self.lo_int, dtype=np.int64) + lo
+            ext = np.subtract(hi, lo)
+            inside = ((self.coords >= 2 * base)
+                      & (self.coords <= 2 * (base + ext))).all(axis=1)
+            self._lattices[lo, hi] = _build_lattice(
+                tuple(base.tolist()), tuple(ext.tolist()), self.coords[inside])
+        return self._lattices[lo, hi]
 
     def d2_at_doubled(self, coords: np.ndarray) -> np.ndarray:
         """Exact int64 squared distances at doubled-grid points: float64
@@ -125,6 +156,18 @@ def _box_point_d2(lo: np.ndarray, ell: int, pts: np.ndarray) -> np.ndarray:
     integer points pts, row by row."""
     gap = np.maximum(lo - pts, 0) + np.maximum(pts - (lo + ell), 0)
     return (gap * gap).sum(axis=1)
+
+
+def _window(side: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Cell bounds [lo, hi) of a nonempty mask's bounding box grown by one
+    cell and clipped to the grid."""
+    lo, hi = [], []
+    for d, s in enumerate(side.shape):
+        hit = np.flatnonzero(side.any(
+            axis=tuple(a for a in range(side.ndim) if a != d)))
+        lo.append(max(int(hit[0]) - 1, 0))
+        hi.append(min(int(hit[-1]) + 2, s))
+    return tuple(lo), tuple(hi)
 
 
 def _peak_bytes_per_node(n: int) -> int:

@@ -3,8 +3,8 @@ keeps, in the forms that held a second copy of that data:
 
 - face classes read from a (2N+1)^n bool grid of the domain's boundary face
   centroids (`face_classes_by_lookup`);
-- the geodesic graph built from full-grid weight and id arrays
-  (`full_grid_graph`);
+- the geodesic graph built from full-grid weight and id arrays, the weights
+  read from the full-grid distance lattice (`full_grid_graph`);
 - the A0 test counted against a summed-area table of Omega minus A'
   (`select_A0_omega_minus`);
 - the Whitney figure and the gradient constant read from `DyadicCube` views
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from distance_oracle import cell_d2, cell_values
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
@@ -72,15 +73,15 @@ def full_grid_graph(dom, dist, side, weight):
     over the whole cell grid (0 weight and id -1 off the nodes)."""
     mask = (~dom.mask) if side == "complement" else dom.mask
     if weight == "unit":
-        mask = mask & (dist.d2_int > 1)
+        mask = mask & (cell_d2(dist) > 1)
         w = np.ones(mask.shape)
     elif weight == "inverse":
         w = np.zeros(mask.shape)
-        w[mask] = 1.0 / dist.values_at(mask)
+        w[mask] = 1.0 / cell_values(dist)[mask]
     else:
         _, p = weight
         w = np.zeros(mask.shape)
-        w[mask] = dist.values_at(mask) ** (1.0 - p)
+        w[mask] = cell_values(dist)[mask] ** (1.0 - p)
     ids = np.full(mask.shape, -1, dtype=np.int64)
     m = int(mask.sum())
     ids[mask] = np.arange(m)

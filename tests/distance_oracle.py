@@ -3,6 +3,8 @@
 `brute_force_d2` and `brute_force_d2_doubled` minimize over every boundary
 face centroid; `reference_field` is the int64/int32 construction the field
 was built with before it moved to int32 distances and int16 features.
+`cell_d2` and `cell_values` read a field's full-grid lattice at every cell
+centre, as the field's dense reads did before they moved to side windows.
 """
 
 from __future__ import annotations
@@ -17,6 +19,16 @@ def _min_d2(grids, coords) -> np.ndarray:
         d2 = sum((g - int(c)) ** 2 for g, c in zip(grids, row))
         best = d2 if best is None else np.minimum(best, d2)
     return best.astype(np.int64)
+
+
+def cell_d2(field) -> np.ndarray:
+    """int32 squared distances at every cell centre, (h/2)^2 units."""
+    return field.d2_doubled[tuple(slice(1, None, 2) for _ in range(field.n))]
+
+
+def cell_values(field) -> np.ndarray:
+    """Distances in absolute units at every cell centre, square root first."""
+    return np.sqrt(cell_d2(field).astype(np.float64)) * (field.h / 2.0)
 
 
 def brute_force_d2(dom) -> np.ndarray:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from distance_oracle import brute_force_d2
+from distance_oracle import brute_force_d2, cell_d2
 from full_scan import bellman_ford_cost
 from scipy import ndimage
 
@@ -157,10 +157,13 @@ def test_criterion_3_distance_exact():
         if not mask.any():
             mask.flat[0] = True
         dom = VoxelDomain(K, (0,) * mask.ndim, mask)
-        ok &= bool(np.array_equal(distance_transform(dom).d2_int,
-                                  brute_force_d2(dom)))
+        field = distance_transform(dom)
+        ref = brute_force_d2(dom)
+        for side in (mask, ~mask):  # the reads the geodesics take
+            ok &= bool(np.array_equal(field.side_d2(side), ref[side]))
+        ok &= bool(np.array_equal(cell_d2(field), ref))
     _report("3 (distance transform equals brute force exactly)", ok,
-            "10 seeded instances <= 64^n", t0)
+            "10 seeded instances <= 64^n, both sides and the whole grid", t0)
 
 
 def test_criterion_4_weighted_integral_closed_form():

@@ -145,6 +145,44 @@ def test_extend_csv_is_byte_identical_to_golden(tmp_path, kind):
         assert hashlib.sha256(f.read()).hexdigest() == _GOLDEN_CSV_SHA256[kind]
 
 
+_BALL = ["--domain", "ball", "--K", "6", "--margin", "2"]
+_CUSP = ["--domain", "outward_cusp", "--K", "6"]
+# curves CSVs of small runs as written when every dense distance read built
+# the whole-grid lattice: (gen args, command args, file, sha256)
+_GOLDEN_CURVES = {
+    "ball curvescan": (
+        _BALL, ["curvescan", "--p", "1.25", "1.5", "--pairs", "16"],
+        "curvescan.csv",
+        "e2dc7449544c8459ee400cc60bcfe2be0a5d0d773fe55403abece684a3fc5564"),
+    "ball geodesic": (
+        _BALL, ["geodesic", "--p", "1.5", "--src", "0.1", "1.2",
+                "--dst", "0.9", "-0.2"],
+        "geodesic.csv",
+        "2f38d691bfbe9d01be4ac173cbdcaace7410bd777a601604f1feb32737caeaef"),
+    "ball interior geodesic": (
+        _BALL, ["geodesic", "--p", "1.5", "--src", "0.2", "0.5",
+                "--dst", "0.8", "0.6", "--side", "interior"],
+        "geodesic.csv",
+        "dbe63c4eee27c4812edfdef0b3778fd83e7a0800b70337bf053b6f1b422fd466"),
+    "focused cusp curvescan": (
+        _CUSP, ["curvescan", "--p", "1.75", "--pairs", "16", "--focus", "0.5",
+                "0.5", "--scales", "0.45", "0.225", "0.1125"],
+        "curvescan.csv",
+        "623e41af88bf25f3bf6ad736abd3e2f213845dbb843bb9d52a1c4a42e3d88d31"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_CURVES))
+def test_curves_csv_is_byte_identical_to_golden(tmp_path, case):
+    gen, command, name, digest = _GOLDEN_CURVES[case]
+    out = str(tmp_path)
+    assert run(["--out", out, "gen", *gen]) == 0
+    assert run(["--out", out, command[0], "--domain-file",
+                os.path.join(out, "domain.voxd"), *command[1:]]) == 0
+    with open(os.path.join(out, name), "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == digest
+
+
 def test_report_empty_dir_exit_2(tmp_path, capsys):
     empty = tmp_path / "void"
     empty.mkdir()

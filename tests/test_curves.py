@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 from copy_oracles import full_grid_graph
+from distance_oracle import cell_d2, cell_values
 from full_scan import bellman_ford_cost, full_scan_once
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sobex.curves as curves
+import sobex.distance as distance
 from sobex.curves import (
     GeodesicSolver,
     boundary_probe_points,
@@ -125,7 +127,7 @@ def test_p1_unit_mode_avoids_boundary():
     assert path.cost == pytest.approx(path.length)
     # interior vertices stay off the boundary-hugging cells
     cells = np.floor(path.vertices / h).astype(int) - np.array(dom.lo_int)
-    d2 = dist.d2_int[tuple(cells[1:-1].T)]
+    d2 = cell_d2(dist)[tuple(cells[1:-1].T)]
     assert np.all(d2 > 1)
     straight = math.hypot(z2[0] - z1[0], z2[1] - z1[1])
     assert straight <= path.length <= 3.0 * straight
@@ -342,29 +344,76 @@ def test_limited_search_is_exact_within_limit(seed, n, density, p, frac):
     assert not fin[full > limit].any()
 
 
-def _full_grid_values(dist):
-    """Cell-center distances over the whole grid, square root first."""
-    return np.sqrt(dist.d2_int.astype(np.float64)) * (dist.h / 2.0)
-
-
 @pytest.mark.parametrize("weight", ["inverse", ("power", 1.5)])
 def test_solver_weights_equal_full_grid_distances(weight):
     dom = build_domain("outward_cusp", 6, margin=0.25)
     dist = distance_transform(dom)
     solver = GeodesicSolver(dom, dist, side="complement", weight=weight)
-    full = _full_grid_values(dist)[solver.node_mask]
+    full = cell_values(dist)[solver.node_mask]
     expect = 1.0 / full if weight == "inverse" else full ** (1.0 - 1.5)
     assert np.array_equal(solver._w, expect)
 
 
 def test_vertex_distances_equal_full_grid_distances():
+    # path vertices are the centres of the side's cells
     dom = build_domain("ball", 6, r=0.5, margin=0.25)
     dist = distance_transform(dom)
-    verts = np.random.default_rng(5).uniform(-0.5, 1.5, size=(200, 2))
-    cells = np.floor(verts / dom.h).astype(np.int64) - np.asarray(dom.lo_int)
-    cells = np.clip(cells, 0, np.asarray(dom.mask.shape) - 1)
-    assert np.array_equal(curves._dist_at_vertices(dom, dist, verts),
-                          _full_grid_values(dist)[tuple(cells.T)])
+    rng = np.random.default_rng(5)
+    for side, mask in (("complement", ~dom.mask), ("interior", dom.mask)):
+        cells = np.argwhere(mask)
+        cells = cells[rng.choice(len(cells), 200)]
+        verts = (cells + np.asarray(dom.lo_int) + 0.5) * dom.h
+        assert np.array_equal(
+            curves._dist_at_vertices(dom, dist, verts, side),
+            cell_values(dist)[tuple(cells.T)])
+
+
+def test_empty_side_unreachable_before_any_lattice(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a distance lattice was built")
+
+    monkeypatch.setattr(distance, "_build_lattice", refuse)
+    dom = VoxelDomain(5, (0, 0), np.ones((16, 16), dtype=bool))
+    for weight in ("unit", "inverse", ("power", 1.5)):
+        with pytest.raises(Unreachable, match="complement"):
+            GeodesicSolver(dom, None, side="complement", weight=weight)
+    assert boundary_probe_points(dom).shape == (0, 2)
+
+
+def _complement_window(dom):
+    """(lo_int, shape) of the complement's bounding box grown by one cell
+    and clipped to the grid."""
+    cells = np.argwhere(~dom.mask)
+    lo = np.maximum(cells.min(axis=0) - 1, 0)
+    hi = np.minimum(cells.max(axis=0) + 2, dom.shape)
+    return (tuple((lo + dom.lo_int).tolist()), tuple((hi - lo).tolist()))
+
+
+def test_scan_and_geodesic_build_only_side_windows(monkeypatch):
+    """A refined cusp scan and a slab geodesic build one lattice per side
+    window, each smaller than the grid."""
+    shapes = []
+    build = distance._build_lattice
+
+    def recording(lo_int, shape, coords):
+        shapes.append((tuple(lo_int), tuple(shape)))
+        return build(lo_int, shape, coords)
+
+    monkeypatch.setattr(distance, "_build_lattice", recording)
+    dom = build_domain("outward_cusp", 7, alpha=2.0, margin=0)
+    curve_condition_scan(dom, 1.75, 8, seed=3, refine=True, **_CUSP_FOCUS)
+    fine = build_domain("outward_cusp", 8, alpha=2.0, margin=0)
+    K = 7
+    N = int(2.5 * 2**K)
+    iy = np.arange(N) - N // 2
+    slab = VoxelDomain(K, (-(N // 2),) * 2,
+                       np.broadcast_to(iy > 0, (N, N)).copy())
+    weighted_geodesic(slab, distance_transform(slab), (0.0, -0.25),
+                      (0.0, -1.0), 1.5)
+    wanted = [_complement_window(d) for d in (dom, fine, slab)]
+    assert shapes == wanted
+    for (_, shape), d in zip(shapes, (dom, fine, slab)):
+        assert math.prod(shape) < math.prod(d.shape)
 
 
 @pytest.mark.parametrize("side", ["complement", "interior"])

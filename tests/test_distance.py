@@ -6,13 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from distance_oracle import brute_force_d2, brute_force_d2_doubled, \
-    reference_field
+    cell_d2, cell_values, reference_field
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from memory import traced_peak
 
 import sobex.distance as distance
-from sobex.distance import _peak_bytes_per_node, distance_transform
+from sobex.distance import _peak_bytes_per_node, _window, distance_transform
 from sobex.domain import VoxelDomain, build_domain
 from sobex.errors import PreconditionNotMet
 
@@ -20,7 +20,7 @@ from sobex.errors import PreconditionNotMet
 def test_unit_square_center_value():
     dom = build_domain("cube", 6, dim=2)
     df = distance_transform(dom)
-    v = df.values_at(...)
+    v = cell_values(df)
     center = v[31:33, 31:33]
     assert np.all(np.abs(center - 0.5) <= dom.h)
 
@@ -29,7 +29,7 @@ def test_ball_center_value():
     dom = build_domain("ball", 6, r=0.5)
     df = distance_transform(dom)
     i = 32
-    assert abs(df.values_at((i, i)) - 0.5) <= 2 * dom.h
+    assert abs(cell_values(df)[i, i] - 0.5) <= 2 * dom.h
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -45,12 +45,12 @@ def test_matches_brute_force_exactly(seed):
         mask[0, 0] = True
     dom = VoxelDomain(K, (0,) * mask.ndim, mask)
     df = distance_transform(dom)
-    assert np.array_equal(df.d2_int, brute_force_d2(dom))
+    assert np.array_equal(cell_d2(df), brute_force_d2(dom))
 
 
 def test_lipschitz_across_neighbors():
     dom = build_domain("snowflake_approx", 7, iterations=2)
-    v = distance_transform(dom).values_at(...)
+    v = cell_values(distance_transform(dom))
     n = dom.n
     tol = 1e-12
     for d in range(n):
@@ -63,7 +63,7 @@ def test_positive_at_cell_centers():
     dom = build_domain("ball", 6, r=0.5, margin=0.5)
     df = distance_transform(dom)
     # cell centers are never face centroids, so the minimum is h/2
-    assert df.d2_int.min() == 1
+    assert cell_d2(df).min() == 1
 
 
 def test_face_centroid_lookup():
@@ -152,7 +152,71 @@ def test_tree_reads_match_brute_force(dom, data):
     _, coords = dom.boundary_faces_doubled()
     pts = np.concatenate([coords, np.array(nodes) + lo2])
     assert np.array_equal(field.d2_at_doubled(pts), ref[tuple((pts - lo2).T)])
-    assert "d2_doubled" not in vars(field)
+    assert not field._lattices
+
+
+@st.composite
+def sided_domains(draw):
+    """random_domains, or one whose domain or complement is a single cell."""
+    dom = draw(random_domains())
+    kind = draw(st.sampled_from(["random", "one cell in", "one cell out"]))
+    if kind == "random" or (kind == "one cell out" and dom.mask.size == 1):
+        return dom
+    mask = np.full(dom.shape, kind == "one cell out")
+    mask[draw(st.tuples(*(st.integers(0, s - 1) for s in dom.shape)))] = \
+        kind == "one cell in"
+    return VoxelDomain(dom.K, dom.lo_int, mask)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sided_domains(), st.data())
+def test_side_reads_match_brute_force(dom, data):
+    """Each side's window read equals the brute-force minimum at all its
+    cells and at drawn ones, sides at the array edge and one-cell sides
+    included, and each lattice spans only its side's window."""
+    field = distance_transform(dom)
+    ref = brute_force_d2(dom)
+    sides = [s for s in (dom.mask, ~dom.mask) if s.any()]
+    for side in sides:
+        got = field.side_d2(side)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, ref[side])
+        cells = np.argwhere(side)
+        pick = cells[data.draw(st.lists(st.integers(0, len(cells) - 1),
+                                        min_size=1, max_size=20))]
+        assert np.array_equal(field.side_d2(side, tuple(pick.T)),
+                              ref[tuple(pick.T)])
+    assert set(field._lattices) == {_window(s) for s in sides}
+    assert np.array_equal(cell_d2(field), ref)
+
+
+def test_side_read_refuses_cells_off_the_side():
+    dom = build_domain("outward_cusp", 6)
+    field = distance_transform(dom)
+    inside = tuple(np.argwhere(dom.mask)[:3].T)
+    with pytest.raises(ValueError, match="off the side"):
+        field.side_d2(~dom.mask, inside)
+
+
+def test_budget_applies_to_each_window(monkeypatch):
+    # margin 0: the complement is the spike, a window of part of the grid
+    dom = build_domain("outward_cusp", 6)
+    side = ~dom.mask
+    lo, hi = _window(side)
+    nodes = math.prod(2 * (b - a) + 1 for a, b in zip(lo, hi))
+    assert nodes < math.prod(2 * s + 1 for s in dom.shape)
+    need = nodes * _peak_bytes_per_node(2)
+    monkeypatch.setattr(distance, "EDT_BUDGET_BYTES", need)
+    field = distance_transform(dom)
+    assert np.array_equal(field.side_d2(side), brute_force_d2(dom)[side])
+    _refuse_scipy(monkeypatch)
+    with pytest.raises(PreconditionNotMet, match="budget"):
+        field.d2_doubled
+    monkeypatch.setattr(distance, "EDT_BUDGET_BYTES", need - 1)
+    fresh = distance_transform(VoxelDomain(6, dom.lo_int, dom.mask))
+    with pytest.raises(PreconditionNotMet, match="budget"):
+        fresh.side_d2(side)
+    assert not fresh._lattices
 
 
 def test_grid_too_long_for_float64_refused(monkeypatch):
@@ -228,7 +292,7 @@ def test_oversize_lattice_refused_before_allocation(monkeypatch):
     with pytest.raises(PreconditionNotMet, match="budget") as e:
         distance_transform(dom).d2_doubled
     assert "\n" not in str(e.value)
-    assert "d2_doubled" not in vars(dom._dist)
+    assert not dom._dist._lattices
 
 
 def test_int32_overflow_refused(monkeypatch):
