@@ -23,11 +23,13 @@ from .distance import DistanceField, distance_transform
 from .domain import GENERATORS, VoxelDomain, build_domain
 from .errors import PreconditionNotMet, Unreachable, UnsupportedExponent
 
-_OFFSETS_2D = [(1, 0), (0, 1), (1, 1), (1, -1)]
+# forward neighbour offsets in lexicographic order: a node's neighbours
+# along them come in increasing C order, so each CSR row is born sorted
+_OFFSETS_2D = [(0, 1), (1, -1), (1, 0), (1, 1)]
 _OFFSETS_3D = [
-    (1, 0, 0), (0, 1, 0), (0, 0, 1),
-    (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1),
-    (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
+    (0, 0, 1), (0, 1, -1), (0, 1, 0), (0, 1, 1),
+    (1, -1, -1), (1, -1, 0), (1, -1, 1), (1, 0, -1), (1, 0, 0), (1, 0, 1),
+    (1, 1, -1), (1, 1, 0), (1, 1, 1),
 ]
 
 
@@ -49,12 +51,12 @@ class GeodesicSolver:
 
     weight: ("power", p) for dist^(1-p) with 1 < p < 2, "unit" for the
     length metric with boundary-adjacent cells forbidden, "inverse" for the
-    1/dist John-curve surrogate.
+    1/dist John-curve surrogate.  It keeps no reference to the domain, so
+    the domain's distance field may keep it (see `_field_solver`).
     """
 
     def __init__(self, dom: VoxelDomain, dist: DistanceField | None = None,
                  side: str = "complement", weight="unit"):
-        self.dom = dom
         dist = dist if dist is not None else distance_transform(dom)
         if weight not in ("unit", "inverse"):
             kind, p = weight
@@ -74,26 +76,32 @@ class GeodesicSolver:
             w = 1.0 / _dist_values(d2, dom.h)
         else:
             w = _dist_values(d2, dom.h) ** (1.0 - p)
+        del d2
         self.node_mask = mask
         if not mask.any():
             raise Unreachable(f"no cells on the {side} side")
         self.cells = np.argwhere(mask)
         self._w = w
-        self._build_graph()
-        h = dom.h
-        centers = (self.cells + np.asarray(dom.lo_int) + 0.5) * h
+        self._build_graph(dom.h)
+        centers = (self.cells + np.asarray(dom.lo_int) + 0.5) * dom.h
         self._tree = cKDTree(centers)
         self._centers = centers
 
-    def _build_graph(self):
-        n = self.dom.n
-        h = self.dom.h
+    def _build_graph(self, h: float):
+        """The forward edges as CSR, written straight into its arrays: each
+        node's edge count gives `indptr`, then each offset scatters its
+        (a, b) pairs to the next free slot of row a.  Within one offset
+        every a is distinct, so `pos[a] += 1` advances each row once.  int32
+        suffices: the lattice budget bounds the nodes, and so the edges,
+        far below 2^31.  Temporaries are dropped as soon as they are spent,
+        so the build peaks little above what the solver keeps."""
         mask = self.node_mask
-        ids = np.full(mask.shape, -1, dtype=np.int64)
-        ids[mask] = np.arange(len(self.cells))
+        m = len(self.cells)
+        ids = np.full(mask.shape, -1, dtype=np.int32)
+        ids[mask] = np.arange(m, dtype=np.int32)
         w = self._w
-        offsets = _OFFSETS_2D if n == 2 else _OFFSETS_3D
-        rows, cols, data = [], [], []
+        offsets = _OFFSETS_2D if mask.ndim == 2 else _OFFSETS_3D
+        pairs = []
         for off in offsets:
             sl_from = tuple(
                 slice(max(0, -o), mask.shape[d] - max(0, o)) for d, o in enumerate(off)
@@ -101,19 +109,32 @@ class GeodesicSolver:
             sl_to = tuple(
                 slice(max(0, o), mask.shape[d] + min(0, o)) for d, o in enumerate(off)
             )
+            pairs.append((off, sl_from, sl_to))
+        degree = np.zeros(mask.shape, dtype=np.int8)
+        for _, sl_from, sl_to in pairs:
+            degree[sl_from] += mask[sl_from] & mask[sl_to]
+        indptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(degree[mask], dtype=np.int32, out=indptr[1:])
+        del degree
+        indices = np.empty(int(indptr[-1]), dtype=np.int32)
+        data = np.empty(int(indptr[-1]), dtype=np.float64)
+        pos = indptr[:-1].copy()
+        for off, sl_from, sl_to in pairs:
             ok = mask[sl_from] & mask[sl_to]
             a = ids[sl_from][ok]
             b = ids[sl_to][ok]
-            wmean = 0.5 * (w[a] + w[b])
-            length = math.sqrt(sum(o * o for o in off)) * h
-            rows.append(a)
-            cols.append(b)
-            data.append(length * wmean)
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.concatenate(data)
-        m = len(self.cells)
-        self.graph = csr_matrix((data, (rows, cols)), shape=(m, m))
+            del ok
+            # length * (0.5 * (w[a] + w[b])), evaluated in place
+            cost = w[a]
+            cost += w[b]
+            cost *= 0.5
+            cost *= math.sqrt(sum(o * o for o in off)) * h
+            at = pos[a]
+            indices[at] = b
+            del b
+            data[at] = cost
+            pos[a] += 1
+        self.graph = csr_matrix((data, indices, indptr), shape=(m, m))
 
     def snap(self, z) -> int:
         """Nearest lattice node to a point."""
@@ -177,8 +198,22 @@ def weighted_geodesic(dom: VoxelDomain, dist: DistanceField, z1, z2, p: float,
     if not (1.0 <= p < 2.0):
         raise UnsupportedExponent(f"p must lie in [1,2), got {p}")
     weight = "unit" if p == 1.0 else ("power", p)
-    solver = GeodesicSolver(dom, dist, side=side, weight=weight)
-    return solver.path(z1, z2)
+    return _field_solver(dom, dist, side, weight).path(z1, z2)
+
+
+def _field_solver(dom: VoxelDomain, dist: DistanceField | None, side: str,
+                  weight) -> GeodesicSolver:
+    """The solver for (side, weight), built once and kept on the domain's
+    own field; it holds no reference to the domain, so the field dies with
+    it.  Any other field gets a fresh solver that is not kept."""
+    if dist is None:
+        dist = distance_transform(dom)
+    elif dist is not dom._dist:
+        return GeodesicSolver(dom, dist, side=side, weight=weight)
+    if (side, weight) not in dist._solvers:
+        dist._solvers[side, weight] = GeodesicSolver(dom, dist, side=side,
+                                                     weight=weight)
+    return dist._solvers[side, weight]
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +281,25 @@ def curve_condition_scan(dom: VoxelDomain, p: float, n_pairs: int, seed: int,
     return report
 
 
+def focus_anchors(pts: np.ndarray, tree: cKDTree, focus, s: float, k: int,
+                  rng: np.random.Generator) -> list[int]:
+    """Up to k probe points in the ring 0.5 s <= |z - focus| <= 1.5 s, as
+    indices into `pts` (`tree` is their KD-tree).  Anchored at the pair
+    scale away from the focus feature, scale-s pairs probe the geometry at
+    depth ~s.  The ring, sorted by distance from the focus (ties by index),
+    is cut into k bands of equal count and one anchor is drawn from each,
+    so the anchors span the ring's depth; the largest ratios at the
+    smallest scale come from its outer band."""
+    focus = np.asarray(focus, dtype=float)
+    ring = np.asarray(tree.query_ball_point(focus, 1.5 * s), dtype=np.intp)
+    r = np.linalg.norm(pts[ring] - focus, axis=1)
+    ring, r = ring[r >= 0.5 * s], r[r >= 0.5 * s]
+    ring = ring[np.lexsort((ring, r))]
+    ends = len(ring) * np.arange(k + 1) // k
+    lo, hi = ends[:-1], ends[1:]
+    return ring[rng.integers(lo[hi > lo], hi[hi > lo])].tolist()
+
+
 def _scan_once(dom, p, n_pairs, seed, scales, focus) -> CurveConditionReport:
     rng = np.random.default_rng(seed)
     pts = boundary_probe_points(dom)
@@ -266,13 +320,7 @@ def _scan_once(dom, p, n_pairs, seed, scales, focus) -> CurveConditionReport:
         pair_budget = max(2, n_pairs // len(scales))
         anchors = []
         if focus is not None:
-            # anchor at the pair scale away from the focus feature, so that
-            # scale-s pairs probe the geometry at depth ~s
-            ring = tree.query_ball_point(np.asarray(focus, dtype=float), 1.5 * s)
-            ring = [c for c in ring
-                    if np.linalg.norm(pts[c] - np.asarray(focus)) >= 0.5 * s]
-            rng.shuffle(ring)
-            anchors += [int(v) for v in ring[: pair_budget // 2]]
+            anchors += focus_anchors(pts, tree, focus, s, pair_budget // 2, rng)
         while len(anchors) < pair_budget:
             anchors.append(int(rng.integers(len(pts))))
         sup = 0.0
@@ -346,8 +394,7 @@ class CigReport:
 def cig_check(dom: VoxelDomain, dist: DistanceField, x, y) -> CigReport:
     """Measured cig constants along a 1/dist-optimal interior curve; these
     are upper bounds for the best-curve constants."""
-    solver = GeodesicSolver(dom, dist, side="interior", weight="inverse")
-    path = solver.path(x, y)
+    path = _field_solver(dom, dist, "interior", "inverse").path(x, y)
     if path.empty:
         return CigReport(0.0, 0.0, path)
     verts = path.vertices
@@ -381,7 +428,7 @@ def john_check(dom: VoxelDomain, dist: DistanceField, x0,
     """John-constant estimate from 1/dist geodesics between boundary samples
     and the center point (an upper bound for these curves only)."""
     rng = np.random.default_rng(seed)
-    solver = GeodesicSolver(dom, dist, side="interior", weight="inverse")
+    solver = _field_solver(dom, dist, "interior", "inverse")
     probes = boundary_probe_points(dom, side="interior")
     if len(probes) > n_samples:
         probes = probes[rng.choice(len(probes), n_samples, replace=False)]

@@ -43,6 +43,7 @@ class DistanceField:
         self._tree = cKDTree(coords.astype(np.float64))
         self._face_d2 = weakref.WeakKeyDictionary()  # face set -> its d2
         self._lattices = {}  # cell bounds (lo, hi) -> int32 lattice
+        self._solvers = {}  # (side, weight) -> curves.GeodesicSolver
 
     @property
     def n(self) -> int:

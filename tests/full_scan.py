@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from sobex.curves import GeodesicSolver, boundary_probe_points
+from sobex.curves import GeodesicSolver, boundary_probe_points, focus_anchors
 
 
 def full_scan_once(dom, p, n_pairs, seed, scales=None, focus=None):
@@ -34,11 +34,7 @@ def full_scan_once(dom, p, n_pairs, seed, scales=None, focus=None):
         pair_budget = max(2, n_pairs // len(scales))
         anchors = []
         if focus is not None:
-            ring = tree.query_ball_point(np.asarray(focus, dtype=float), 1.5 * s)
-            ring = [c for c in ring
-                    if np.linalg.norm(pts[c] - np.asarray(focus)) >= 0.5 * s]
-            rng.shuffle(ring)
-            anchors += [int(v) for v in ring[: pair_budget // 2]]
+            anchors += focus_anchors(pts, tree, focus, s, pair_budget // 2, rng)
         while len(anchors) < pair_budget:
             anchors.append(int(rng.integers(len(pts))))
         sup = 0.0

@@ -1,12 +1,16 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from copy_oracles import full_grid_graph
 from distance_oracle import cell_d2, cell_values
 from full_scan import bellman_ford_cost, full_scan_once
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from memory import traced_peak
+from scipy.sparse.csgraph import dijkstra as cs_dijkstra
 
 import sobex.curves as curves
 import sobex.distance as distance
@@ -15,10 +19,11 @@ from sobex.curves import (
     boundary_probe_points,
     cig_check,
     curve_condition_scan,
+    focus_anchors,
     john_check,
     weighted_geodesic,
 )
-from sobex.distance import distance_transform
+from sobex.distance import DistanceField, distance_transform
 from sobex.domain import VoxelDomain, build_domain
 from sobex.errors import PreconditionNotMet, Unreachable, UnsupportedExponent
 
@@ -444,3 +449,177 @@ def test_solver_equals_full_grid_build(dim, weight, side):
     cellw = w[tuple(solver.cells[nodes].T)]
     assert len(nodes) > 2
     assert np.array_equal(path.edge_weights, 0.5 * (cellw[:-1] + cellw[1:]))
+
+
+@st.composite
+def graph_domains(draw):
+    """Random 2D and 3D masks with both sides present, often touching the
+    array edge; some carry a cell whose neighbours all lie on the other
+    side, an isolated node of either side's graph."""
+    n = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.integers(1, 12 if n == 2 else 5)) for _ in range(n))
+    bits = draw(st.lists(st.booleans(), min_size=math.prod(shape),
+                         max_size=math.prod(shape)))
+    mask = np.array(bits, dtype=bool).reshape(shape)
+    if draw(st.booleans()):
+        c = draw(st.tuples(*(st.integers(0, s - 1) for s in shape)))
+        inside = draw(st.booleans())
+        mask[tuple(slice(max(i - 1, 0), i + 2) for i in c)] = not inside
+        mask[c] = inside
+    assume(mask.any() and not mask.all())
+    lo_int = tuple(draw(st.integers(-9, 9)) for _ in range(n))
+    return VoxelDomain(draw(st.integers(2, 6)), lo_int, mask)
+
+
+@settings(max_examples=120, deadline=None)
+@given(graph_domains(), st.sampled_from(["complement", "interior"]),
+       st.sampled_from(["unit", "inverse", ("power", 1.5)]), st.data())
+def test_direct_build_equals_coo_build(dom, side, weight, data):
+    """The CSR arrays written straight from the lattice equal the COO build
+    over full-grid arrays, and so do the searches on them."""
+    dist = distance_transform(dom)
+    graph, _, mask = full_grid_graph(dom, dist, side, weight)
+    if not mask.any():
+        with pytest.raises(Unreachable):
+            GeodesicSolver(dom, dist, side=side, weight=weight)
+        return
+    solver = GeodesicSolver(dom, dist, side=side, weight=weight)
+    for a in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(solver.graph, a), getattr(graph, a))
+    src = data.draw(st.integers(0, graph.shape[0] - 1))
+    full = cs_dijkstra(graph, directed=False, indices=src)
+    limit = data.draw(st.floats(0.0, 1.5)) * float(full[np.isfinite(full)].max())
+    for lim in (np.inf, limit):
+        dists, pred = solver.distances_from(src, lim)
+        want, wpred = cs_dijkstra(graph, directed=False, indices=src,
+                                  return_predecessors=True, limit=lim)
+        assert np.array_equal(dists, want)
+        assert np.array_equal(pred, wpred)
+
+
+def _count_builds(monkeypatch) -> list:
+    """Record every graph build from now on."""
+    calls = []
+    build = GeodesicSolver._build_graph
+
+    def counting(self, h):
+        calls.append(self.node_mask.shape)
+        return build(self, h)
+
+    monkeypatch.setattr(GeodesicSolver, "_build_graph", counting)
+    return calls
+
+
+def _assert_same_path(a, b):
+    assert a.vertices.tobytes() == b.vertices.tobytes()
+    assert a.edge_lengths.tobytes() == b.edge_lengths.tobytes()
+    assert a.edge_weights.tobytes() == b.edge_weights.tobytes()
+    assert (a.cost, a.length) == (b.cost, b.length)
+
+
+_DISK_ENDS = [((0.1, 1.2), (0.9, -0.2)), ((0.1, 1.1), (0.8, -0.1))]
+
+
+def test_single_queries_build_one_solver_per_field(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    dom = build_domain("ball", 6, r=0.5, margin=0.5)
+    dist = distance_transform(dom)
+    paths = [weighted_geodesic(dom, dist, z1, z2, 1.5) for z1, z2 in _DISK_ENDS]
+    assert len(calls) == 1
+    john = john_check(dom, dist, (0.5, 0.5), seed=3)
+    cig = cig_check(dom, dist, (0.2, 0.5), (0.8, 0.5))
+    assert len(calls) == 2
+    assert set(dist._solvers) == {("complement", ("power", 1.5)),
+                                  ("interior", "inverse")}
+    monkeypatch.undo()
+    fresh = GeodesicSolver(dom, dist, side="complement", weight=("power", 1.5))
+    for path, (z1, z2) in zip(paths, _DISK_ENDS):
+        _assert_same_path(path, fresh.path(z1, z2))
+    inner = GeodesicSolver(dom, dist, side="interior", weight="inverse")
+    _assert_same_path(cig.path, inner.path((0.2, 0.5), (0.8, 0.5)))
+    # a second domain's field builds its own solver, to the same result
+    twin = build_domain("ball", 6, r=0.5, margin=0.5)
+    again = john_check(twin, distance_transform(twin), (0.5, 0.5), seed=3)
+    assert (again.constant, again.per_sample) == (john.constant, john.per_sample)
+
+
+def test_foreign_field_gets_a_fresh_solver(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    dom = build_domain("ball", 6, r=0.5, margin=0.5)
+    own = distance_transform(dom)
+    other = DistanceField(dom.K, dom.lo_int, dom.shape, own.coords.copy())
+    (z1, z2), _ = _DISK_ENDS
+    first = weighted_geodesic(dom, other, z1, z2, 1.5)
+    second = weighted_geodesic(dom, other, z1, z2, 1.5)
+    cig_check(dom, other, (0.2, 0.5), (0.8, 0.5))
+    assert len(calls) == 3
+    assert not other._solvers and not own._solvers
+    _assert_same_path(first, second)
+    _assert_same_path(first, weighted_geodesic(dom, own, z1, z2, 1.5))
+    assert len(calls) == 4 and len(own._solvers) == 1
+
+
+def test_dropping_the_domain_frees_its_field_and_solvers():
+    gc.disable()
+    try:
+        dom = build_domain("ball", 5, r=0.5, margin=0.5)
+        dist = distance_transform(dom)
+        weighted_geodesic(dom, dist, (0.1, 1.2), (0.9, -0.2), 1.5)
+        cig_check(dom, dist, (0.2, 0.5), (0.8, 0.5))
+        refs = [weakref.ref(dist)]
+        refs += [weakref.ref(s) for s in dist._solvers.values()]
+        assert len(refs) == 3
+        del dom, dist
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+
+
+def test_solver_build_peak_stays_near_what_it_keeps():
+    """The CSR arrays are written in place: building the K=8 slab solver
+    (the lattice already read) peaks within 1.25x of the bytes the solver
+    keeps."""
+    K = 8
+    N = int(2.5 * 2**K)
+    iy = np.arange(N) - N // 2
+    slab = VoxelDomain(K, (-(N // 2),) * 2,
+                       np.broadcast_to(iy > 0, (N, N)).copy())
+    dist = distance_transform(slab)
+    dist.side_d2(~slab.mask)
+    solver, peak = traced_peak(GeodesicSolver, slab, dist, "complement",
+                               ("power", 1.5))
+    kept = sum(v.nbytes for v in vars(solver).values()
+               if isinstance(v, np.ndarray))
+    kept += sum(getattr(solver.graph, a).nbytes
+                for a in ("data", "indices", "indptr"))
+    kept += solver._tree.indices.nbytes
+    assert peak <= 1.25 * kept
+
+
+def test_focus_anchors_take_one_per_distance_band():
+    rng = np.random.default_rng(0)
+    pts = rng.random((400, 2))
+    tree = curves.cKDTree(pts)
+    focus, s = (0.5, 0.5), 0.2
+    r = np.linalg.norm(pts - focus, axis=1)
+    ring = np.flatnonzero((r >= 0.5 * s) & (r <= 1.5 * s))
+    ring = ring[np.lexsort((ring, r[ring]))]
+    for k in (1, 3, 8):
+        got = focus_anchors(pts, tree, focus, s, k, rng)
+        bands = len(ring) * np.arange(k + 1) // k
+        assert len(got) == k
+        for j, a in enumerate(got):
+            assert a in ring[bands[j]:bands[j + 1]]
+    # a ring of fewer points than bands gives each of its points once
+    got = focus_anchors(pts, tree, focus, 0.02, 24, rng)
+    r_small = r[(r >= 0.01) & (r <= 0.03)]
+    assert sorted(r[got]) == sorted(r_small)
+
+
+def test_focused_cusp_scan_reaches_the_outer_band():
+    """Seed 10 of the benchmark's cusp scan: a shuffled ring's first anchors
+    missed the outer band, and the growth at the smallest scale read 0.69."""
+    cusp = build_domain("outward_cusp", 10, alpha=2.0, margin=0)
+    rep = curve_condition_scan(cusp, 1.75, 48, 10, refine=True, **_CUSP_FOCUS)
+    growth = [f / c for f, c in zip(rep.sup_ratio_refined[1:], rep.sup_ratio)]
+    assert all(g >= 1.2 for g in growth)
