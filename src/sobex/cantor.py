@@ -24,7 +24,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .dyadic import box_box_dist2_int
+from .domain import _grid_centers
+from .dyadic import box_box_dist2_int, box_point_d2
 from .errors import ConstructionError, PreconditionNotMet, SobexError
 
 Vec = tuple[Fraction, Fraction, Fraction]
@@ -538,57 +539,38 @@ def _check_measures(spec: CantorTubeSpec) -> None:
 
 def cantor_occupancy(spec: CantorTubeSpec, K: int, lo_int, shape) -> np.ndarray:
     """Occupancy of (0,1)^3 minus the tubes, sampled at cell centers of the
-    given window."""
+    given window.  A tube is the set of points within its radius of its
+    segments' degenerate boxes (`_seg_box`); every test runs on the open
+    grid of the window's cell centres."""
     h = 2.0**-K
-    axes = [(np.arange(s) + lo_int[d] + 0.5) * h for d, s in enumerate(shape)]
+    grids = _grid_centers(K, lo_int, shape)
+    axes = [g.ravel() for g in grids]
     inside = np.ones(shape, dtype=bool)
-    for d in range(3):
-        sl = [None, None, None]
-        sl[d] = slice(None)
-        a = axes[d][tuple(sl)]
-        inside &= (a > 0.0) & (a < 1.0)
+    for g in grids:
+        inside &= (g > 0.0) & (g < 1.0)
     removed = np.zeros(shape, dtype=bool)
-    wlo = [axes[d][0] for d in range(3)]
-    whi = [axes[d][-1] for d in range(3)]
     for n, i, verts, radius in spec.all_tubes():
         r = float(radius)
-        vf = np.array([[float(x) for x in v] for v in verts])
-        tlo = vf.min(axis=0) - r
-        thi = vf.max(axis=0) + r
-        if any(thi[d] < wlo[d] or tlo[d] > whi[d] for d in range(3)):
+        vf = [tuple(map(float, v)) for v in verts]
+        tlo = np.min(vf, axis=0) - r
+        thi = np.max(vf, axis=0) + r
+        if any(thi[d] < axes[d][0] or tlo[d] > axes[d][-1] for d in range(3)):
             continue
-        sel = []
-        for d in range(3):
-            i0 = int(np.searchsorted(axes[d], tlo[d] - h))
-            i1 = int(np.searchsorted(axes[d], thi[d] + h))
-            sel.append(slice(i0, i1))
-        sub_axes = [axes[d][sel[d]] for d in range(3)]
-        if any(a.size == 0 for a in sub_axes):
+        sel = tuple(slice(int(np.searchsorted(axes[d], tlo[d] - h)),
+                          int(np.searchsorted(axes[d], thi[d] + h)))
+                    for d in range(3))
+        # slice each open-grid axis along its own dimension only
+        sub = [g[(slice(None),) * d + (sel[d],)] for d, g in enumerate(grids)]
+        if any(g.size == 0 for g in sub):
             continue
-        gx, gy, gz = np.meshgrid(*sub_axes, indexing="ij")
-        pts = np.stack([gx, gy, gz], axis=-1)
-        d2 = np.full(gx.shape, np.inf)
+        d2 = np.inf
         for a, b in zip(vf, vf[1:]):
-            d2 = np.minimum(d2, _point_seg_d2(pts, a, b))
-        in_tube = d2 <= r * r
+            d2 = np.minimum(d2, box_point_d2(*_seg_box(a, b), sub))
         plo, phi = spec.cube_box(n - 1, i // 8)
         olo, ohi = spec.cube_box(n, i)
-        in_parent = np.ones(gx.shape, dtype=bool)
-        in_child = np.ones(gx.shape, dtype=bool)
-        for d, g in enumerate((gx, gy, gz)):
-            in_parent &= (g >= float(plo[d])) & (g <= float(phi[d]))
-            in_child &= (g > float(olo[d])) & (g < float(ohi[d]))
-        removed[tuple(sel)] |= in_tube & in_parent & ~in_child
+        in_parent = in_child = True
+        for g, p0, p1, c0, c1 in zip(sub, plo, phi, olo, ohi):
+            in_parent = in_parent & (g >= float(p0)) & (g <= float(p1))
+            in_child = in_child & (g > float(c0)) & (g < float(c1))
+        removed[sel] |= (d2 <= r * r) & in_parent & ~in_child
     return inside & ~removed
-
-
-def _point_seg_d2(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        diff = pts - a
-        return np.einsum("...d,...d->...", diff, diff)
-    t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0)
-    proj = a + t[..., None] * ab
-    diff = pts - proj
-    return np.einsum("...d,...d->...", diff, diff)

@@ -20,6 +20,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .domain import VoxelDomain
+from .dyadic import box_point_d2
 from .errors import PreconditionNotMet
 
 # Lattices whose transform would peak above this are refused before any
@@ -127,7 +128,7 @@ class DistanceField:
         spacing = 2**shift
         ctr = lo + ell / 2.0
         _, j = self._tree.query(ctr / spacing)
-        best = _box_point_d2(lo, ell, self.coords[j] << shift)
+        best = box_point_d2(lo.T, (lo + ell).T, (self.coords[j] << shift).T)
         r = (np.sqrt(best) + ell * math.sqrt(lo.shape[1]) / 2.0) \
             * (1.0 + 1e-12) + 1e-9
         est = np.minimum((np.ceil(2.0 * r / spacing) + 1.0) ** lo.shape[1],
@@ -145,18 +146,12 @@ class DistanceField:
             cnt = np.fromiter(map(len, cand), dtype=np.int64, count=b - a)
             which = np.fromiter(itertools.chain.from_iterable(cand),
                                 dtype=np.int64, count=int(cnt.sum()))
-            d2 = _box_point_d2(lo[a:b].repeat(cnt, axis=0), ell,
-                               self.coords[which] << shift)
+            box = lo[a:b].repeat(cnt, axis=0)
+            d2 = box_point_d2(box.T, (box + ell).T,
+                              (self.coords[which] << shift).T)
             out[a:b] = np.minimum.reduceat(d2, np.cumsum(cnt) - cnt)
             a = b
         return out
-
-
-def _box_point_d2(lo: np.ndarray, ell: int, pts: np.ndarray) -> np.ndarray:
-    """Squared distances between the integer boxes [lo, lo + ell] and the
-    integer points pts, row by row."""
-    gap = np.maximum(lo - pts, 0) + np.maximum(pts - (lo + ell), 0)
-    return (gap * gap).sum(axis=1)
 
 
 def _window(side: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:

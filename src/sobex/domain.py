@@ -129,11 +129,8 @@ class VoxelDomain:
 
     def cell_centers(self) -> list[np.ndarray]:
         """Per-axis arrays of cell-center coordinates (floats)."""
-        h = self.h
-        return [
-            (np.arange(n) + self.lo_int[d] + 0.5) * h
-            for d, n in enumerate(self.mask.shape)
-        ]
+        return [g.ravel()
+                for g in _grid_centers(self.K, self.lo_int, self.mask.shape)]
 
     def measure(self) -> float:
         return float(self.mask.sum()) * self.h**self.n

@@ -3,13 +3,17 @@
 A cube is identified by a level k >= 0 and an integer index vector j, and
 occupies 2**-k * (j + [0,1]**n).  All containment, adjacency and distance
 predicates are evaluated in integer arithmetic after rescaling to a common
-dyadic level, so there is no floating point at this layer.
+dyadic level.  The one array kernel, `box_point_d2`, is exact on integers;
+on floats (the partition of unity, the Cantor-tube voxelizer) it rounds in
+a fixed order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -115,4 +119,16 @@ def box_box_dist2_int(alo, ahi, blo, bhi) -> int:
             d2 += (b0 - a1) ** 2
         elif b1 < a0:
             d2 += (a0 - b1) ** 2
+    return d2
+
+
+def box_point_d2(lo, hi, x):
+    """Squared distances between the boxes [lo, hi] and the points x, given
+    per axis as sequences whose entries broadcast together.  The per-axis
+    gaps max(lo - x, 0) + max(x - hi, 0) are squared and summed from axis 0
+    upward: exact on integers, and in that fixed order on floats."""
+    d2 = 0
+    for a, b, y in zip(lo, hi, x):
+        gap = np.maximum(a - y, 0) + np.maximum(y - b, 0)
+        d2 = d2 + gap * gap
     return d2

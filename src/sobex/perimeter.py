@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import VoxelDomain, interface_faces_doubled
+from .domain import VoxelDomain, _grid_centers, interface_faces_doubled
 from .distance import DistanceField
 from .dyadic import DyadicCube
 from .errors import PreconditionNotMet, UnsupportedExponent
@@ -192,7 +192,7 @@ def isoperimetric_check(A: VoxelSet, context) -> float:
         _, x, r = context
         if A.parent is None:
             raise PreconditionNotMet("ball form needs a parent domain")
-        cen_cells = _cell_centers(A)
+        cen_cells = _grid_centers(A.K, A.lo_int, A.mask.shape)
         d2 = sum((cen_cells[d] - x[d]) ** 2 for d in range(n))
         ball = d2 < r * r
         inner = float(np.sum(A.mask & ball)) * h**n
@@ -212,16 +212,6 @@ def perimeter_interior_in_ball(A: VoxelSet, x, r) -> float:
     d2 = ((cen - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
     sel = (d2 < r * r) & (faces.classification == INTERIOR)
     return float(sel.sum()) * faces.face_area
-
-
-def _cell_centers(A: VoxelSet):
-    h = A.h
-    return [
-        ((np.arange(s) + A.lo_int[d] + 0.5) * h).reshape(
-            tuple(-1 if a == d else 1 for a in range(A.n))
-        )
-        for d, s in enumerate(A.mask.shape)
-    ]
 
 
 def _cells_in_cube(A: VoxelSet, Q: DyadicCube) -> np.ndarray:
@@ -463,7 +453,7 @@ def density_profile(A: VoxelSet, x, radii, relative_to: str = "omega") -> Densit
     radii = sorted(float(r) for r in radii)
     if radii and radii[0] < 2 * h:
         raise PreconditionNotMet("radii must be at least 2h")
-    cen = _cell_centers(A)
+    cen = _grid_centers(A.K, A.lo_int, A.mask.shape)
     ratios, trunc = [], []
     lo, hi = (np.asarray(A.lo_int) * h,
               (np.asarray(A.lo_int) + np.asarray(A.mask.shape)) * h)

@@ -24,7 +24,7 @@ from scipy.spatial import cKDTree
 
 from .distance import distance_transform
 from .domain import VoxelDomain, root_tiling_level
-from .dyadic import DyadicCube
+from .dyadic import DyadicCube, box_point_d2
 from .errors import PreconditionNotMet
 
 SUPPORT_SHELL = 16  # support reaches l(Q)/16 beyond the cube
@@ -180,20 +180,21 @@ def _per_level(dec: WhitneyDecomposition, collar: bool = False):
         yield int(k), pos, idx[pos]
 
 
-def _level_counts(P: np.ndarray, dom: VoxelDomain, level: int,
+def _level_counts(P: np.ndarray, dom: VoxelDomain, level,
                   idx: np.ndarray) -> np.ndarray:
-    """Cells counted by the summed table P in each cube of one level: a box
-    count over the cube's cell box, which is its block of cells down to the
-    grid level K and below it the one cell containing it (0 outside the
-    grid).
+    """Cells counted by the summed table P in each cube (levels `level`, one
+    for all rows or one per row): a box count over the cube's cell box,
+    which is its block of cells down to the grid level K and below it the
+    one cell containing it (0 outside the grid).
 
     Cubes at levels <= K lie on that level's block grid inside the bbox,
     which the root tiling level guarantees.
     """
     K = dom.K
     lo_int = np.asarray(dom.lo_int, dtype=np.int64)
-    f = 2 ** max(K - level, 0)
-    clo = (idx >> max(level - K, 0)) * f - lo_int
+    level = np.asarray(level, dtype=np.int64).reshape(-1, 1)
+    f = np.left_shift(1, np.maximum(K - level, 0))
+    clo = (idx >> np.maximum(level - K, 0)) * f - lo_int
     return _box_count_batch(P, clo, clo + f)
 
 
@@ -329,21 +330,18 @@ def audit_whitney(dec: WhitneyDecomposition) -> dict:
     S = dec.scale_level
     region = dec.side_mask()
     P = _integral_image(region)
-    w1 = w2 = w3 = w4 = True
+    w2 = w4 = True
     # (W1): dyadic by construction; all covered cells in the region and
     # positive distance to the boundary centroids.  (W3) in exact integers.
-    vol = Fraction(0)
-    for k, pos, idx in _per_level(dec):
-        cnt = _level_counts(P, dom, k, idx)
-        if not np.all(cnt == 2 ** (max(dom.K - k, 0) * n)):
-            w1 = False
-        ell = 2 ** (S - k)
-        dk = dec.d2[pos]
-        if np.any(dk <= 0):
-            w1 = False
-        if not np.all((ell * ell <= dk) & (dk <= 16 * n * ell * ell)):
-            w3 = False
-        vol += len(pos) * Fraction(1, 2 ** (k * n))
+    levels, d2 = dec.levels, dec.d2
+    full = np.left_shift(1, np.maximum(dom.K - levels, 0) * n)
+    w1 = bool(np.all(_level_counts(P, dom, levels, dec.index) == full)
+              and np.all(d2 > 0))
+    ell2 = np.left_shift(1, 2 * (S - levels))
+    w3 = bool(np.all((ell2 <= d2) & (d2 <= 16 * n * ell2)))
+    vol = sum((Fraction(int(c), 2 ** (int(k) * n))
+               for k, c in zip(*np.unique(levels, return_counts=True))),
+              Fraction(0))
     # (W2): no cube is an ancestor of another, and volumes account for the
     # region up to the collar
     for k, pos, idx in _per_level(dec):
@@ -512,12 +510,7 @@ def _bump(box: np.ndarray, r: float, x) -> np.ndarray:
     are the (broadcastable) arrays x[0..n-1]: 1 on the box, 1 - t^2 (3 - 2t)
     at t = dist/r < 1 outside it, 0 beyond."""
     n = len(box) // 2
-    d2 = 0.0
-    for d in range(n):
-        gap = (np.maximum(box[d] - x[d], 0.0)
-               + np.maximum(x[d] - box[n + d], 0.0))
-        d2 = d2 + gap * gap
-    t = np.sqrt(d2) / r
+    t = np.sqrt(box_point_d2(box[:n], box[n:], x)) / r
     return np.where(t >= 1.0, 0.0, 1.0 - t * t * (3.0 - 2.0 * t))
 
 
@@ -551,12 +544,8 @@ class SmoothedIndicator:
 def cube_averages(dec: WhitneyDecomposition, F_mask: np.ndarray) -> np.ndarray:
     """a_i = |F n Q_i| / |Q_i| for a set given on the domain grid."""
     dom = dec.domain
-    P = _integral_image(F_mask)
-    out = np.empty(len(dec.levels))
-    for k, pos, idx in _per_level(dec):
-        out[pos] = _level_counts(P, dom, k, idx) \
-            / 2 ** (max(dom.K - k, 0) * dom.n)
-    return out
+    cnt = _level_counts(_integral_image(F_mask), dom, dec.levels, dec.index)
+    return cnt / np.left_shift(1, np.maximum(dom.K - dec.levels, 0) * dom.n)
 
 
 # The band's arrays and temporaries may take at most this many bytes.

@@ -21,7 +21,10 @@ keeps, in the forms that held a second copy of that data:
 - the inequality report summed over the faces of A~ itself, with touching
   read as `ON_BOUNDARY` or a centroid within h/2 of the boundary
   (`tilde_report`), before the report took A~'s two sums from A and A0 and
-  its touching masses from their `ON_BOUNDARY` faces.
+  its touching masses from their `ON_BOUNDARY` faces;
+- the Cantor-tube occupancy from a general point-to-segment projection
+  over the dense meshgrid of each tube's window (`cantor_occupancy_dense`),
+  before the tubes were read as segment boxes on open grids.
 """
 
 from __future__ import annotations
@@ -366,3 +369,61 @@ def tilde_report(A: VoxelSet, A_prime: VoxelSet, A0: VoxelSet, clipped,
     return InequalityReport(A.K, p, rhs, lhs_ext, lhs_int,
                             float(len(touch[0])) * area, ratio, l31, l32, l33,
                             len(touch[0] - touch[1]) * area, flags + rflags)
+
+
+def cantor_occupancy_dense(spec, K: int, lo_int, shape) -> np.ndarray:
+    """`cantor.cantor_occupancy` with the point-to-segment projection over a
+    dense (m, 3) point stack per tube."""
+    h = 2.0**-K
+    axes = [(np.arange(s) + lo_int[d] + 0.5) * h for d, s in enumerate(shape)]
+    inside = np.ones(shape, dtype=bool)
+    for d in range(3):
+        sl = [None, None, None]
+        sl[d] = slice(None)
+        a = axes[d][tuple(sl)]
+        inside &= (a > 0.0) & (a < 1.0)
+    removed = np.zeros(shape, dtype=bool)
+    wlo = [axes[d][0] for d in range(3)]
+    whi = [axes[d][-1] for d in range(3)]
+    for n, i, verts, radius in spec.all_tubes():
+        r = float(radius)
+        vf = np.array([[float(x) for x in v] for v in verts])
+        tlo = vf.min(axis=0) - r
+        thi = vf.max(axis=0) + r
+        if any(thi[d] < wlo[d] or tlo[d] > whi[d] for d in range(3)):
+            continue
+        sel = []
+        for d in range(3):
+            i0 = int(np.searchsorted(axes[d], tlo[d] - h))
+            i1 = int(np.searchsorted(axes[d], thi[d] + h))
+            sel.append(slice(i0, i1))
+        sub_axes = [axes[d][sel[d]] for d in range(3)]
+        if any(a.size == 0 for a in sub_axes):
+            continue
+        gx, gy, gz = np.meshgrid(*sub_axes, indexing="ij")
+        pts = np.stack([gx, gy, gz], axis=-1)
+        d2 = np.full(gx.shape, np.inf)
+        for a, b in zip(vf, vf[1:]):
+            d2 = np.minimum(d2, _point_seg_d2(pts, a, b))
+        in_tube = d2 <= r * r
+        plo, phi = spec.cube_box(n - 1, i // 8)
+        olo, ohi = spec.cube_box(n, i)
+        in_parent = np.ones(gx.shape, dtype=bool)
+        in_child = np.ones(gx.shape, dtype=bool)
+        for d, g in enumerate((gx, gy, gz)):
+            in_parent &= (g >= float(plo[d])) & (g <= float(phi[d]))
+            in_child &= (g > float(olo[d])) & (g < float(ohi[d]))
+        removed[tuple(sel)] |= in_tube & in_parent & ~in_child
+    return inside & ~removed
+
+
+def _point_seg_d2(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        diff = pts - a
+        return np.einsum("...d,...d->...", diff, diff)
+    t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0)
+    proj = a + t[..., None] * ab
+    diff = pts - proj
+    return np.einsum("...d,...d->...", diff, diff)

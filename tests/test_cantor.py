@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from copy_oracles import cantor_occupancy_dense
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from memory import traced_peak
@@ -15,6 +16,7 @@ from sobex.cantor import (
     seg_seg_dist2,
 )
 from sobex.cli import main
+from sobex.domain import build_domain
 from sobex.errors import ConstructionError, PreconditionNotMet
 
 
@@ -146,6 +148,57 @@ def test_window_voxelization_tubes(depth1):
 
     _, ncomp = ndimage.label(removed)
     assert ncomp == 8
+
+
+# the riser-cluster window of acceptance criterion 10 (test_acceptance.py)
+CANTOR_WINDOW = (
+    (Fraction(1, 2) - Fraction(1, 256), Fraction(1, 2) - Fraction(1, 256),
+     Fraction(1) - Fraction(1, 512)),
+    (Fraction(1, 2) + Fraction(1, 256), Fraction(1, 2) + Fraction(1, 256),
+     Fraction(1)),
+)
+_CELL14 = Fraction(1, 2**14)
+
+
+def _assert_occupancy_equals_dense(dom):
+    spec = dom.cantor_spec
+    want = cantor_occupancy_dense(spec, dom.K, dom.lo_int, dom.shape)
+    assert dom.mask.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("depth,K,lam", [
+    (1, 6, None), (2, 6, None),
+    # thin tubes whose centres fall on cell-centre rows: ties at the radius
+    (1, 7, [Fraction(1, 16)]), (2, 7, [Fraction(1, 16), Fraction(1, 8)]),
+])
+def test_full_cube_occupancy_equals_dense_projection(depth, K, lam):
+    dom = build_domain("cantor_tube", K, depth=depth, lambda_override=lam,
+                       margin=Fraction(1, 16), allow_coarse=True)
+    _assert_occupancy_equals_dense(dom)
+
+
+@pytest.mark.parametrize("window", [
+    CANTOR_WINDOW,
+    # the same window moved by (5, -3, -7) cells
+    tuple(tuple(v + s * _CELL14 for v, s in zip(corner, (5, -3, -7)))
+          for corner in CANTOR_WINDOW),
+    # a bend of curve (1, 0), from its x run into its y run at z = 1/2
+    ((Fraction(127, 256), Fraction(77, 256), Fraction(127, 256)),
+     (Fraction(1, 2), Fraction(78, 256), Fraction(1, 2) + Fraction(1, 256))),
+], ids=["criterion10", "shifted", "bend"])
+def test_window_occupancy_equals_dense_projection(depth1, window):
+    dom = build_domain("cantor_tube", 14, depth=1, window=window,
+                       cantor_spec=depth1)
+    assert not dom.mask.all()
+    _assert_occupancy_equals_dense(dom)
+
+
+def test_window_at_K15_peak_memory(depth1):
+    # the tests run on open grids, so no tube holds an (m, 3) point stack
+    dom, peak = traced_peak(lambda: build_domain(
+        "cantor_tube", 15, depth=1, window=CANTOR_WINDOW, cantor_spec=depth1))
+    assert dom.shape == (256, 256, 64)
+    assert peak <= 64 * 2**20
 
 
 # -- the (P1)-(P4) split against a piece-by-piece Fraction walk --------------

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sobex.dyadic import DyadicCube, box_box_dist2_int
+from sobex.dyadic import DyadicCube, box_box_dist2_int, box_point_d2
 
 
 def test_side_and_corners_exact():
@@ -75,3 +77,28 @@ def test_invalid_inputs():
         DyadicCube(-1, (0, 0))
     with pytest.raises(ValueError):
         DyadicCube(0, (0,))
+
+
+_coord = st.integers(-2**20, 2**20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.lists(
+    st.tuples(st.tuples(_coord, st.integers(0, 2**12)), _coord),
+    min_size=n, max_size=n)))
+def test_box_point_d2_equals_box_box_on_point_boxes(axes):
+    """Per axis (box start, box length) and a point coordinate; one point
+    and a batch of rows both read box_box_dist2_int with degenerate point
+    boxes."""
+    lo = [a for (a, _), _ in axes]
+    hi = [a + ell for (a, ell), _ in axes]
+    x = [p for _, p in axes]
+    want = box_box_dist2_int(lo, hi, x, x)
+    assert box_point_d2(lo, hi, x) == want
+    rows = [np.array([v, v - 1, v + 7], dtype=np.int64) for v in x]
+    got = box_point_d2([np.int64(v) for v in lo], [np.int64(v) for v in hi],
+                       rows)
+    assert got.dtype == np.int64
+    for j in range(3):
+        pt = [int(r[j]) for r in rows]
+        assert got[j] == box_box_dist2_int(lo, hi, pt, pt)

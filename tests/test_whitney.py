@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -445,6 +446,45 @@ def test_audit_fails_on_level_gap_of_four():
     assert len(dec.neighbor_graph()[0]) == 32
 
 
+
+@pytest.mark.parametrize("name", ["square_dec", "ball_k7_dec"])
+def test_level_counts_of_all_levels_equal_per_level_calls(name, request):
+    dec = request.getfixturevalue(name)
+    dom = dec.domain
+    F = np.random.default_rng(3).random(dom.shape) < 0.5
+    P = whitney._integral_image(F)
+    for collar in (False, True):
+        levels, index = (dec.collar_levels, dec.collar_index) if collar \
+            else (dec.levels, dec.index)
+        want = np.empty(len(levels), dtype=np.int64)
+        for k, pos, idx in whitney._per_level(dec, collar):
+            want[pos] = whitney._level_counts(P, dom, k, idx)
+        assert np.array_equal(whitney._level_counts(P, dom, levels, index),
+                              want)
+    # the averages as each level's counts over its block size
+    want = np.empty(len(dec.levels))
+    for k, pos, idx in whitney._per_level(dec):
+        want[pos] = whitney._level_counts(P, dom, k, idx) \
+            / 2 ** (max(dom.K - k, 0) * dom.n)
+    assert cube_averages(dec, F).tobytes() == want.tobytes()
+
+
+def test_audit_flags_one_bad_cube_at_every_level(ball_k7_dec):
+    """One cube per level with its distance zeroed fails (W1) and the (W3)
+    floor; one with its distance past the (W3) ceiling fails (W3) alone."""
+    dec = ball_k7_dec
+    n, S = dec.domain.n, dec.scale_level
+    for k in np.unique(dec.levels).tolist():
+        i = int(np.flatnonzero(dec.levels == k)[-1])
+        for value, fails in ((0, ["W1", "W3"]),
+                             (16 * n * 4 ** (S - k) + 1, ["W3"])):
+            d2 = dec.d2.copy()
+            d2[i] = value
+            audit = audit_whitney(dataclasses.replace(dec, d2=d2))
+            assert [w for w in ("W1", "W2", "W3", "W4") if not audit[w]] \
+                == fails, (k, value)
+
+
 # -- partition of unity -----------------------------------------------------
 
 
@@ -480,6 +520,47 @@ def _evaluate_point_by_point(pou, lookup, x):
     total = sum(v for _, v in vals)
     return [(i, v / total) for i, v in vals]
 
+
+
+def _bump_per_axis_gaps(box, r, x):
+    """`_bump` with its own per-axis gap loop, as it was written before it
+    took the gaps from `dyadic.box_point_d2`."""
+    n = len(box) // 2
+    d2 = 0.0
+    for d in range(n):
+        gap = (np.maximum(box[d] - x[d], 0.0)
+               + np.maximum(x[d] - box[n + d], 0.0))
+        d2 = d2 + gap * gap
+    t = np.sqrt(d2) / r
+    return np.where(t >= 1.0, 0.0, 1.0 - t * t * (3.0 - 2.0 * t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 3), m=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_bump_equals_its_per_axis_gap_loop_bit_for_bit(n, m, seed):
+    """Boxes of shape (2n,) against a batch of points, and (2n, m) against
+    one point per box.  Per axis a point lies below, inside or above its
+    box, within half the shell width, so it reads the shell's d2; some lie
+    on a face."""
+    rng = np.random.default_rng(seed)
+    k = rng.integers(0, 12, m)[:, None, None]
+    j = rng.integers(-64, 64, (m, 1, n))
+    lo, hi = np.ldexp(j, -k), np.ldexp(j + 1, -k)
+    radii = np.ldexp(1.0, -k[:, 0, 0]) / 16
+    v = rng.random((m, 32, n))
+    u = v * radii[:, None, None] / 2
+    where = rng.integers(0, 3, (m, 32, n))
+    pts = np.choose(where, [lo - u, lo + (hi - lo) * v, hi + u])
+    pts[:, ::5, 0] = lo[:, :, 0]
+    boxes = np.hstack([lo[:, 0], hi[:, 0]])
+    for i in range(m):
+        x = pts[i].T
+        assert _bump(boxes[i], radii[i], x).tobytes() == \
+            _bump_per_axis_gaps(boxes[i], radii[i], x).tobytes()
+    x = pts[:, 0].T
+    assert _bump(boxes.T, radii, x).tobytes() == \
+        _bump_per_axis_gaps(boxes.T, radii, x).tobytes()
 
 class CollarPoint(Exception):
     """A point of the region in the truncation collar, covered by no cube."""
