@@ -552,25 +552,24 @@ def cantor_occupancy(spec: CantorTubeSpec, K: int, lo_int, shape) -> np.ndarray:
     for n, i, verts, radius in spec.all_tubes():
         r = float(radius)
         vf = [tuple(map(float, v)) for v in verts]
-        tlo = np.min(vf, axis=0) - r
-        thi = np.max(vf, axis=0) + r
-        if any(thi[d] < axes[d][0] or tlo[d] > axes[d][-1] for d in range(3)):
-            continue
-        sel = tuple(slice(int(np.searchsorted(axes[d], tlo[d] - h)),
-                          int(np.searchsorted(axes[d], thi[d] + h)))
-                    for d in range(3))
-        # slice each open-grid axis along its own dimension only
-        sub = [g[(slice(None),) * d + (sel[d],)] for d, g in enumerate(grids)]
-        if any(g.size == 0 for g in sub):
-            continue
-        d2 = np.inf
-        for a, b in zip(vf, vf[1:]):
-            d2 = np.minimum(d2, box_point_d2(*_seg_box(a, b), sub))
         plo, phi = spec.cube_box(n - 1, i // 8)
         olo, ohi = spec.cube_box(n, i)
-        in_parent = in_child = True
-        for g, p0, p1, c0, c1 in zip(sub, plo, phi, olo, ohi):
-            in_parent = in_parent & (g >= float(p0)) & (g <= float(p1))
-            in_child = in_child & (g > float(c0)) & (g < float(c1))
-        removed[sel] |= (d2 <= r * r) & in_parent & ~in_child
+        for a, b in zip(vf, vf[1:]):
+            # the work box: the segment's box grown by r, and by h so that
+            # float rounding cannot drop a cell within r of the segment
+            slo, shi = _seg_box(a, b)
+            sel = tuple(slice(int(np.searchsorted(ax, lo - r - h)),
+                              int(np.searchsorted(ax, hi + r + h)))
+                        for ax, lo, hi in zip(axes, slo, shi))
+            if any(s.start >= s.stop for s in sel):
+                continue
+            # slice each open-grid axis along its own dimension only
+            sub = [g[(slice(None),) * d + (sel[d],)]
+                   for d, g in enumerate(grids)]
+            in_parent = in_child = True
+            for g, p0, p1, c0, c1 in zip(sub, plo, phi, olo, ohi):
+                in_parent = in_parent & (g >= float(p0)) & (g <= float(p1))
+                in_child = in_child & (g > float(c0)) & (g < float(c1))
+            removed[sel] |= ((box_point_d2(slo, shi, sub) <= r * r)
+                             & in_parent & ~in_child)
     return inside & ~removed

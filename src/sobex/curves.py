@@ -66,7 +66,7 @@ class GeodesicSolver:
                 raise UnsupportedExponent(f"p must lie in [1,2), got {p}")
         mask = _side_mask(dom, side)
         d2 = dist.side_d2(mask)
-        # one weight per node, in `cells` order
+        # one weight per node, in C order of the node mask
         if weight == "unit":
             keep = d2 > 1  # forbid cells hugging the boundary
             mask = mask.copy()
@@ -80,12 +80,19 @@ class GeodesicSolver:
         self.node_mask = mask
         if not mask.any():
             raise Unreachable(f"no cells on the {side} side")
-        self.cells = np.argwhere(mask)
         self._w = w
         self._build_graph(dom.h)
-        centers = (self.cells + np.asarray(dom.lo_int) + 0.5) * dom.h
+        # the cell list lives only while the centres are made from it
+        centers = np.argwhere(mask).astype(np.float64)
+        centers += np.asarray(dom.lo_int) + 0.5
+        centers *= dom.h
         self._tree = cKDTree(centers)
         self._centers = centers
+
+    @property
+    def cells(self) -> np.ndarray:
+        """(m, n) int64 grid indices of the nodes, made on each read."""
+        return np.argwhere(self.node_mask)
 
     def _build_graph(self, h: float):
         """The forward edges as CSR, written straight into its arrays: each
@@ -96,7 +103,7 @@ class GeodesicSolver:
         far below 2^31.  Temporaries are dropped as soon as they are spent,
         so the build peaks little above what the solver keeps."""
         mask = self.node_mask
-        m = len(self.cells)
+        m = len(self._w)
         ids = np.full(mask.shape, -1, dtype=np.int32)
         ids[mask] = np.arange(m, dtype=np.int32)
         w = self._w

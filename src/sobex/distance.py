@@ -6,7 +6,8 @@ distances are exact integers in (h/2)^2 units.  Sparse reads (face
 centroids, Whitney boxes) take candidates from one KD-tree of the centroids
 and recompute distances in integers; dense reads (the geodesics) use the
 transform over the doubled lattice of one side's window (its bounding box
-grown by a cell), built on the first read of that window.
+grown by a cell), built on the first read of that window; the field keeps
+only the window's cell centres, 4 B per cell.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ class DistanceField:
         self.coords = coords  # (m, n) int64 boundary centroids, units h/2
         self._tree = cKDTree(coords.astype(np.float64))
         self._face_d2 = weakref.WeakKeyDictionary()  # face set -> its d2
-        self._lattices = {}  # cell bounds (lo, hi) -> int32 lattice
+        # cell bounds (lo, hi) -> int32 d2 at that window's cell centres;
+        # None -> the whole doubled lattice, built only for d2_doubled
+        self._lattices = {}
         self._solvers = {}  # (side, weight) -> curves.GeodesicSolver
 
     @property
@@ -56,8 +59,12 @@ class DistanceField:
 
     @property
     def d2_doubled(self) -> np.ndarray:
-        """int32 squared distances over the (2N+1)^n doubled grid."""
-        return self._lattice((0,) * self.n, self.shape)
+        """int32 squared distances over the (2N+1)^n doubled grid, for tests
+        and tracing; no program path reads it."""
+        if None not in self._lattices:
+            self._lattices[None] = _build_lattice(self.lo_int, self.shape,
+                                                  self.coords)
+        return self._lattices[None]
 
     def side_d2(self, side: np.ndarray, cells=None) -> np.ndarray:
         """Exact int32 squared distances, in (h/2)^2 units, at the cells of
@@ -65,7 +72,9 @@ class DistanceField:
         `side` is one side of the boundary: the domain's mask or its
         complement.  The lattice covers only the side's window, its bounding
         box grown by one cell and clipped to the grid, and holds only the
-        centroids inside it.
+        centroids inside it.  The field keeps the window's cell centres
+        only, 4 B per cell; the whole doubled lattice lives only while it
+        is built.
 
         This is exact for side cells.  Take a side cell c and its nearest
         centroid f, and let q be the point where the segment c -> f leaves
@@ -84,21 +93,23 @@ class DistanceField:
         if not side.any():
             return np.empty(0, dtype=np.int32)
         lo, hi = _window(side)
-        centres = self._lattice(lo, hi)[
-            tuple(slice(1, None, 2) for _ in range(self.n))]
+        centres = self._centres(lo, hi)
         if cells is None:
             return centres[side[tuple(map(slice, lo, hi))]]
         return centres[tuple(c - a for c, a in zip(cells, lo))]
 
-    def _lattice(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:
-        """The int32 lattice over cells [lo, hi), built once per bounds."""
+    def _centres(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:
+        """int32 squared distances at the centres of cells [lo, hi), shape
+        hi - lo, cut from that window's lattice once per bounds."""
         if (lo, hi) not in self._lattices:
             base = np.asarray(self.lo_int, dtype=np.int64) + lo
             ext = np.subtract(hi, lo)
             inside = ((self.coords >= 2 * base)
                       & (self.coords <= 2 * (base + ext))).all(axis=1)
-            self._lattices[lo, hi] = _build_lattice(
-                tuple(base.tolist()), tuple(ext.tolist()), self.coords[inside])
+            lattice = _build_lattice(tuple(base.tolist()), tuple(ext.tolist()),
+                                     self.coords[inside])
+            self._lattices[lo, hi] = lattice[
+                (slice(1, None, 2),) * self.n].copy()
         return self._lattices[lo, hi]
 
     def d2_at_doubled(self, coords: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .whitney import (
     _level_counts,
     _paint_level,
     _per_level,
+    cube_averages,
     gradient_energy,
     smooth_indicator,
 )
@@ -91,16 +92,18 @@ class ExtensionResult:
     report: InequalityReport
 
 
-def select_A_prime(A: VoxelSet, W: WhitneyDecomposition):
+def select_A_prime(A: VoxelSet, W: WhitneyDecomposition, P=None, Pom=None):
     """Union of Whitney cubes holding a strict majority of A (ties excluded).
 
     Truncation-collar cubes take the same test relative to their in-domain
     part, so that A = Omega selects all of Omega; the returned ids refer to
-    the accepted (non-collar) cubes only.
+    the accepted (non-collar) cubes only.  P and Pom are the summed-area
+    tables (`_integral_image`) of A and of the domain, built here when not
+    given.
     """
     dom = W.domain
-    P = _integral_image(A.mask)
-    Pom = _integral_image(dom.mask)
+    P = _integral_image(A.mask) if P is None else P
+    Pom = _integral_image(dom.mask) if Pom is None else Pom
     picked = np.zeros(len(W.levels), dtype=bool)
     mask = np.zeros(dom.mask.shape, dtype=bool)
     for collar in (False, True):
@@ -116,7 +119,8 @@ def select_A_prime(A: VoxelSet, W: WhitneyDecomposition):
         np.nonzero(picked)[0].tolist()
 
 
-def select_A0(A_prime: VoxelSet, We: WhitneyDecomposition):
+def select_A0(A_prime: VoxelSet, We: WhitneyDecomposition, Pa=None,
+              Pom=None):
     """Exterior cubes passing the dilated strict-majority test: the dilate
     D sees more of A' than of the rest of the domain.  A' lies in Omega, so
     that is 2 |A' n D| > |Omega n D|, the count select_A_prime uses.
@@ -124,13 +128,14 @@ def select_A0(A_prime: VoxelSet, We: WhitneyDecomposition):
     The dilate factor is c = 20 sqrt(n), entering only through
     c^2 * l^2 = 400 n l^2.  Synthetic cubes (touching the outer
     bbox) are never selected; cubes whose dilate leaves the bbox use the
-    clipped dilate and are reported in `clipped`.
+    clipped dilate and are reported in `clipped`.  Pa and Pom are the
+    summed-area tables of A' and of the domain, built here when not given.
     """
     dom = We.domain
     K = dom.K
     c2x = 400 * dom.n
-    Pa = _integral_image(A_prime.mask)
-    Pom = _integral_image(dom.mask)
+    Pa = _integral_image(A_prime.mask) if Pa is None else Pa
+    Pom = _integral_image(dom.mask) if Pom is None else Pom
     lo_int = np.asarray(dom.lo_int, dtype=np.int64)
     N = np.asarray(dom.mask.shape, dtype=np.int64)
     picked = np.zeros(len(We.levels), dtype=bool)
@@ -236,19 +241,32 @@ def extend_geometry(A: VoxelSet, W: WhitneyDecomposition,
     """A -> A' -> A0 -> A~ and everything else that does not depend on p;
     A' is smoothed here, once, only when lemma ratios are on.  `dist` must
     hold the domain's own boundary centroids: only then are the touching
-    faces exactly the faces on the domain boundary."""
+    faces exactly the faces on the domain boundary.
+
+    One summed-area table is built per distinct mask: the domain's serves
+    both selections, and A''s serves A0 and the cube averages (A's serves
+    them too when A' = A).  Each is dropped after its last reader."""
     dom = W.domain
     coords = dom.boundary_faces_doubled()[1]
     if dist.coords is not coords and not np.array_equal(dist.coords, coords):
         raise PreconditionNotMet(
             "the distance field must hold the domain's boundary centroids")
-    A_prime, ap_ids = select_A_prime(A, W)
-    A0, a0_ids, clipped = select_A0(A_prime, We)
+    Pom = _integral_image(dom.mask)
+    P = _integral_image(A.mask)
+    A_prime, ap_ids = select_A_prime(A, W, P, Pom)
+    if not np.array_equal(A_prime.mask, A.mask):
+        del P  # before A''s table is built: two tables at a time at most
+        P = _integral_image(A_prime.mask)
+    A0, a0_ids, clipped = select_A0(A_prime, We, P, Pom)
+    del Pom
+    avg = cube_averages(W, A_prime.mask, P) if lemma_ratios else None
+    del P
     flags = [f"clipped-dilates:{len(clipped)}"] if clipped else []
     A_tilde = VoxelSet.from_domain(dom, A.mask | A0.mask, require_subset=False)
     assert np.array_equal(A_tilde.mask & dom.mask, A.mask), \
         "extension altered the set inside the domain"
-    smoothed = smooth_indicator(W, A_prime.mask) if lemma_ratios else None
+    smoothed = smooth_indicator(W, A_prime.mask, averages=avg) \
+        if lemma_ratios else None
     return ExtensionGeometry(A_prime, A0, A_tilde, ap_ids, a0_ids, clipped,
                              dist, *_touching_masses(A, A0), flags, smoothed)
 

@@ -101,8 +101,11 @@ class WhitneyDecomposition:
                     rows = np.nonzero((beyond[:, d] >> up) != (idx[:, d] >> up))[0]
                     j = self._find(k - up, beyond[rows] >> up)
                     pairs.append(np.stack([pos[rows], j], axis=1)[j >= 0])
-        pairs = np.unique(np.sort(np.concatenate(pairs), axis=1), axis=0)
-        return pairs[:, 0], pairs[:, 1]
+        # one int64 key i * m + j per pair (i < j < m) sorts as (i, j) does
+        pairs = np.concatenate(pairs)
+        m = len(self.levels)
+        keys = np.unique(pairs.min(axis=1) * m + pairs.max(axis=1))
+        return keys // m, keys % m
 
     def side_mask(self) -> np.ndarray:
         m = self.domain.mask
@@ -541,10 +544,13 @@ class SmoothedIndicator:
     grad_valid: np.ndarray   # (m,) full central-difference stencil covered
 
 
-def cube_averages(dec: WhitneyDecomposition, F_mask: np.ndarray) -> np.ndarray:
-    """a_i = |F n Q_i| / |Q_i| for a set given on the domain grid."""
+def cube_averages(dec: WhitneyDecomposition, F_mask: np.ndarray,
+                  P=None) -> np.ndarray:
+    """a_i = |F n Q_i| / |Q_i| for a set given on the domain grid; P is the
+    mask's summed-area table, built here when not given."""
     dom = dec.domain
-    cnt = _level_counts(_integral_image(F_mask), dom, dec.levels, dec.index)
+    P = _integral_image(F_mask) if P is None else P
+    cnt = _level_counts(P, dom, dec.levels, dec.index)
     return cnt / np.left_shift(1, np.maximum(dom.K - dec.levels, 0) * dom.n)
 
 
@@ -681,7 +687,8 @@ def _box_members(flat, shape, s0, s1):
 
 
 def smooth_indicator(dec: WhitneyDecomposition, F_mask: np.ndarray,
-                     eval_level: int | None = None) -> SmoothedIndicator:
+                     eval_level: int | None = None,
+                     averages: np.ndarray | None = None) -> SmoothedIndicator:
     """u = sum_i psi_i * a_i on a uniform evaluation grid with spacing
     l(Q_min)/8 (overridable), gradient by central differences, evaluated on
     the band where u is not constant (see SmoothedIndicator).
@@ -689,10 +696,11 @@ def smooth_indicator(dec: WhitneyDecomposition, F_mask: np.ndarray,
     Every band cell sums its covering cubes in ascending cube id through the
     dense kernel, so its u, coverage and gradient equal those of the full
     grid bit for bit.  Bands over SMOOTH_BUDGET_BYTES are refused before
-    allocation."""
+    allocation.  `averages` are F's `cube_averages`, taken here when not
+    given."""
     dom = dec.domain
     n = dom.n
-    a = cube_averages(dec, F_mask)
+    a = cube_averages(dec, F_mask) if averages is None else averages
     if eval_level is None:
         eval_level = dec.min_side_level() + 3
     h_eval = 2.0**-eval_level

@@ -596,6 +596,29 @@ def test_solver_build_peak_stays_near_what_it_keeps():
     assert peak <= 1.25 * kept
 
 
+def test_slab_solver_keeps_no_cell_list_or_whole_lattice():
+    """Building the K=9 slab complement solver from a fresh field keeps its
+    graph, weights, centres, node mask and tree, and of the distances only
+    the window's cell centres: about 106 B per node.  A kept int64 cell
+    list (16 B per node) or the window's whole doubled lattice (16 B per
+    window cell) would break the bound."""
+    K = 9
+    N = int(2.5 * 2**K)
+    iy = np.arange(N) - N // 2
+    slab = VoxelDomain(K, (-(N // 2),) * 2,
+                       np.broadcast_to(iy > 0, (N, N)).copy())
+    dist = distance_transform(slab)
+    solver, peak = traced_peak(GeodesicSolver, slab, dist, "complement",
+                               ("power", 1.5))
+    nodes = solver.graph.shape[0]
+    assert peak <= 110 * nodes
+    assert "cells" not in vars(solver)
+    ((lo, hi), kept), = dist._lattices.items()
+    assert (lo, hi) == distance._window(~slab.mask)
+    assert kept.shape == tuple(b - a for a, b in zip(lo, hi))
+    assert kept.nbytes == 4 * kept.size
+
+
 def test_focus_anchors_take_one_per_distance_band():
     rng = np.random.default_rng(0)
     pts = rng.random((400, 2))

@@ -190,6 +190,34 @@ def test_side_reads_match_brute_force(dom, data):
     assert np.array_equal(cell_d2(field), ref)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: build_domain("outward_cusp", 7, alpha=2.0, margin=0),
+    lambda: build_domain("ball", 5, dim=3, r=0.5, margin=0.5),
+])
+def test_side_windows_keep_only_their_cell_centres(make):
+    """After both sides' reads, each kept lattice is its window's cell
+    centres: the window's cell shape, 4 B per cell, owning its buffer.  The
+    whole doubled lattice is kept apart, even from a window that spans the
+    grid (the ball's complement)."""
+    dom = make()
+    field = distance_transform(dom)
+    sides = (dom.mask, ~dom.mask)
+    for side in sides:
+        field.side_d2(side)
+    windows = {_window(s) for s in sides}
+    assert set(field._lattices) == windows
+    assert ((0,) * dom.n, dom.shape) in windows or dom.n == 2
+    whole = field.d2_doubled
+    assert whole.shape == tuple(2 * s + 1 for s in dom.shape)
+    for lo, hi in windows:
+        kept = field._lattices[lo, hi]
+        assert kept.shape == tuple(b - a for a, b in zip(lo, hi))
+        assert kept.dtype == np.int32 and kept.base is None
+        assert kept.nbytes == 4 * math.prod(kept.shape)
+        cells = whole[(slice(1, None, 2),) * dom.n][tuple(map(slice, lo, hi))]
+        assert np.array_equal(kept, cells)
+
+
 def test_side_read_refuses_cells_off_the_side():
     dom = build_domain("outward_cusp", 6)
     field = distance_transform(dom)

@@ -451,6 +451,32 @@ def test_one_smoothing_for_every_p(disk_setup, monkeypatch):
         assert rep.flags == alone.flags
 
 
+@pytest.mark.parametrize("lemma_ratios", [True, False])
+def test_one_table_per_distinct_mask(disk_setup, monkeypatch, lemma_ratios):
+    """extend_geometry builds one summed-area table per distinct mask: the
+    domain, A and A', or only the domain and A when A' = A."""
+    from sobex import whitney
+
+    dom, dist, W, We = disk_setup
+    masks = []
+    build = whitney._integral_image
+
+    def recording(mask):
+        masks.append(mask.tobytes())
+        return build(mask)
+
+    monkeypatch.setattr(extension, "_integral_image", recording)
+    monkeypatch.setattr(whitney, "_integral_image", recording)
+    # the half cut runs along a dyadic line, so its A' is A itself
+    for A, tables in ((make_set(dom, "random", seed=11), 3),
+                      (left_half(dom), 2)):
+        masks.clear()
+        geo = extension.extend_geometry(A, W, We, dist, lemma_ratios)
+        assert np.array_equal(geo.A_prime.mask, A.mask) == (tables == 2)
+        assert len(masks) == len(set(masks)) == tables
+        assert (geo.smoothed is not None) == lemma_ratios
+
+
 _SHARED_CASES = {
     "disk": ("ball", 6, dict(r=0.5, margin=Fraction(3, 2))),
     "slit": ("slit_square", 6, dict(slit_len=0.5, margin=Fraction(3, 2))),
