@@ -3,7 +3,11 @@
 The construction removes tubular neighbourhoods of axis-parallel curves from
 the unit cube; the curves descend toward a Cantor set built from 8 shrinking
 sub-cubes per generation.  All cube corners, curve vertices and constants are
-Fractions, and every geometric constraint is certified in exact arithmetic.
+Fractions.  Every geometric constraint is certified exactly in integers: each
+level is scaled once onto one grid, D_n times every value its checks read
+(`_level_grid`), so squared distances compare with squared bounds and the
+(P1)-(P4) split is scheduled on the same grid.  The CANTOR1 writer reduces
+each cut point num/D_n from the factorisation D_n = 2^a m.
 
 Curve routing (one admissible scheme; the constraints only assert existence):
 from the top-face center of a child cube the curve rises by e_n/2 into the
@@ -20,7 +24,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import and_, floordiv, mul, neg
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,18 +57,6 @@ def _fr(x) -> Fraction:
 def _seg_box(a: Vec, b: Vec) -> tuple[Vec, Vec]:
     """An axis-parallel segment as the degenerate box it spans."""
     return tuple(map(min, a, b)), tuple(map(max, a, b))
-
-
-def seg_seg_dist2(a: Vec, b: Vec, c: Vec, d: Vec) -> Fraction:
-    """Squared distance between two axis-parallel segments (exact)."""
-    return box_box_dist2_int(*_seg_box(a, b), *_seg_box(c, d))
-
-
-def polyline_length(verts: list[Vec]) -> Fraction:
-    total = Fraction(0)
-    for a, b in zip(verts, verts[1:]):
-        total += sum(abs(x - y) for x, y in zip(a, b))
-    return total
 
 
 @dataclass
@@ -141,10 +135,13 @@ class CantorTubeSpec:
                 out += reversed(vlines)  # the chain is the curve reversed
                 lines, ends = _cut(vlines, ichain, runs,
                                    partial(_line_points, toks, D))
-                for j, (s, t) in enumerate(zip(ends, ends[1:])):
-                    out.append(f"split {n} {i} {j} {t - s + 1}")
-                    out += lines[s:t + 1]
-                yield "\n".join(out) + "\n"
+                # one string per split record; most pieces are one segment
+                head = f"split {n} {i} "
+                out += [f"{head}{j} 2\n{lines[s]}\n{lines[t]}" if t == s + 1
+                        else f"{head}{j} {t - s + 1}\n" + "\n".join(lines[s:t + 1])
+                        for j, (s, t) in enumerate(zip(ends, ends[1:]))]
+                out.append("")  # the closing newline, without a second copy
+                yield "\n".join(out)
 
     @classmethod
     def from_text(cls, text: str) -> "CantorTubeSpec":
@@ -226,15 +223,21 @@ def _line_points(toks: list[tuple[str, str, str]], D: int, k: int, ax: int,
                  nums: list[int]) -> list[str]:
     """The cut points of `_cut` on segment k as "v" lines: each keeps the
     other two tokens of the segment's start, and its moved coordinate is
-    written as num/D reduced, the token of Fraction(num, D)."""
+    written as num/D reduced, the token of Fraction(num, D).
+
+    With D = 2^a m, m odd, gcd(num, D) is gcd(num, m) times the lowest set
+    bit of num capped at 2^a (every num is positive: a cut lies inside a
+    segment of the closed unit cube), all taken in one pass over the
+    segment's cuts."""
     a = toks[k]
-    head = "v " + "".join(t + " " for t in a[:ax])
+    fmt = "v " + "".join(t + " " for t in a[:ax]) + "%d%s"
     tail = "".join(" " + t for t in a[ax + 1:])
-    out = []
-    for num in nums:
-        g = math.gcd(num, D)
-        out.append(f"{head}{num // g}/{D // g}{tail}")
-    return out
+    two = D & -D
+    gs = list(map(mul, map(math.gcd, nums, repeat(D // two)),
+                  map(min, map(and_, nums, map(neg, nums)), repeat(two))))
+    dens = {g: f"/{D // g}{tail}" for g in set(gs)}
+    return list(map(fmt.__mod__, zip(map(floordiv, nums, gs),
+                                     map(dens.__getitem__, gs))))
 
 
 def _cantor_constants(depth: int, lambda_override=None):
@@ -306,8 +309,9 @@ def _certify(spec: CantorTubeSpec) -> None:
     spec.schedules = [[]]
     pieces = 0
     for n in range(1, spec.depth + 1):
-        _check_level(spec, n)
-        spec.schedules.append(_split_schedule(spec, n))
+        grid = _level_grid(spec, n)
+        _check_level(n, grid)
+        spec.schedules.append(_split_schedule(spec, n, grid))
         pieces += sum(k for *_, runs in spec.schedules[n] for _, k in runs)
         if pieces > _MAX_PIECES:
             raise PreconditionNotMet(
@@ -344,17 +348,61 @@ def _route_level(spec: CantorTubeSpec, n: int) -> None:
         spec.curves[n].append(verts)
 
 
-def _check_level(spec: CantorTubeSpec, n: int) -> None:
-    """Certify (L1)-(L5), lane feasibility and tube separation exactly."""
-    l, e, c = spec.l, spec.e, spec.c
-    cn = c[n]
-    curves = spec.curves[n]
+class _Grid(NamedTuple):
+    """Level n of a spec on one integer grid: every value its checks read,
+    times D.  D is 2 lcm of the denominators of c_n, c_{n-1}, l_n, l_{n-1},
+    the cube corners of levels n and n-1, the anchors x_{n-1} (the top-face
+    centre (1/2, 1/2, 1) at n = 1) and y_n, and the level-n curve vertices,
+    so each of them is an integer (the 2 keeps the parity bisection of
+    `_piece_runs` integral)."""
+    D: int
+    c: int                                  # c_n D
+    c_prev: int                             # c_{n-1} D
+    l: int                                  # l_n D
+    l_prev: int                             # l_{n-1} D
+    cubes: list[tuple[int, int, int]]       # level-n lower corners
+    parents: list[tuple[int, int, int]]     # level-(n-1) lower corners
+    x_prev: list[tuple[int, int, int]]      # x_{n-1}; (1/2, 1/2, 1) at n = 1
+    y: list[tuple[int, int, int]]           # y_n
+    curves: list[list[tuple[int, int, int]]]
+
+
+_TOP_CENTRE: Vec = (Fraction(1, 2), Fraction(1, 2), Fraction(1))
+
+
+def _level_grid(spec: CantorTubeSpec, n: int) -> _Grid:
+    """Scale level n of the spec once onto its integer grid."""
+    consts = (spec.c[n], spec.c[n - 1], spec.l[n], spec.l[n - 1])
+    x_prev = spec.anchors_x[n - 1] if n > 1 else [_TOP_CENTRE]
+    vecs = (spec.cubes[n], spec.cubes[n - 1], x_prev, spec.anchors_y[n],
+            *spec.curves[n])
+    dens = {x.denominator for x in consts}
+    dens.update(x.denominator for vs in vecs for v in vs for x in v)
+    D = 2 * math.lcm(*dens)
+    per = {d: D // d for d in dens}
+
+    def scale(vs):
+        return [tuple(x.numerator * per[x.denominator] for x in v) for v in vs]
+
+    return _Grid(D, *(x.numerator * per[x.denominator] for x in consts),
+                 *map(scale, vecs[:4]),
+                 [scale(vs) for vs in vecs[4:]])
+
+
+def _check_level(n: int, g: _Grid) -> None:
+    """Certify (L1)-(L5), lane feasibility and tube separation exactly, on
+    the level's integer grid `g`: squared distances compare with squared
+    bounds in units of 1/D^2, and (L2) reads 4 d2 <= c_{n-1}^2."""
+    cn = g.c
+    curves = g.curves
+    segs = [[_seg_box(a, b) for a, b in zip(v, v[1:])] for v in curves]
     for i, verts in enumerate(curves):
-        plo, phi = spec.cube_box(n - 1, i // 8)
-        olo, ohi = spec.cube_box(n, i)
+        plo = g.parents[i // 8]
+        phi = tuple(v + g.l_prev for v in plo)
+        olo = g.cubes[i]
+        ohi = tuple(v + g.l for v in olo)
         for a, b in zip(verts, verts[1:]):
-            diffs = [abs(x - y) for x, y in zip(a, b)]
-            nz = [d for d in diffs if d != 0]
+            nz = [d for d in (abs(x - y) for x, y in zip(a, b)) if d]
             if len(nz) != 1:
                 raise ConstructionError("segment not axis-parallel", level=n, cube=i)
             if nz[0] < cn:
@@ -372,24 +420,22 @@ def _check_level(spec: CantorTubeSpec, n: int) -> None:
         for a, b in ((verts[0], verts[1]), (verts[-2], verts[-1])):
             if not (a[0] == b[0] and a[1] == b[1]):
                 raise ConstructionError("(L5) approach not perpendicular", level=n, cube=i)
-        # (L2)
-        xp = spec.anchors_x[n - 1][i // 8] if n > 1 else (
-            Fraction(1, 2), Fraction(1, 2), Fraction(1))
-        yv = spec.anchors_y[n][i]
-        d2 = sum((a - b) ** 2 for a, b in zip(yv, xp))
-        if d2 > (c[n - 1] / 2) ** 2:
+        # (L2): |y_n - x_{n-1}| <= c_{n-1}/2
+        d2 = sum((a - b) ** 2 for a, b in zip(g.y[i], g.x_prev[i // 8]))
+        if 4 * d2 > g.c_prev ** 2:
             raise ConstructionError("(L2) exit anchor too far", level=n, cube=i)
         # feasibility for split rules later
-        if polyline_length(verts) < 8 * cn:
+        if _length(verts) < 8 * cn:
             raise ConstructionError("curve shorter than 8 c_n", level=n, cube=i)
         # tube must clear the other children of the same parent by c_n
         base = (i // 8) * 8
         for j in range(base, base + 8):
             if j == i:
                 continue
-            blo, bhi = spec.cube_box(n, j)
-            for a, b in zip(verts, verts[1:]):
-                if box_box_dist2_int(*_seg_box(a, b), blo, bhi) < cn**2:
+            blo = g.cubes[j]
+            bhi = tuple(v + g.l for v in blo)
+            for box in segs[i]:
+                if box_box_dist2_int(*box, blo, bhi) < cn * cn:
                     raise ConstructionError(
                         f"lane too close to sibling cube at level {n}",
                         level=n, cube=i,
@@ -398,21 +444,21 @@ def _check_level(spec: CantorTubeSpec, n: int) -> None:
     # Same-parent pairs are checked segment-by-segment; cross-parent pairs
     # reduce to the exact parent cube distance since curves stay inside
     # their parents.
-    nparents = len(spec.cubes[n - 1])
+    bound = (2 * cn) ** 2
+    nparents = len(g.parents)
     for pi in range(nparents):
         for a_idx in range(pi * 8, pi * 8 + 8):
             for b_idx in range(a_idx + 1, pi * 8 + 8):
-                if _curve_dist2_lt(curves[a_idx], curves[b_idx], (2 * cn) ** 2):
+                if any(box_box_dist2_int(*sa, *sb) < bound
+                       for sa in segs[a_idx] for sb in segs[b_idx]):
                     raise ConstructionError(
                         f"(L3) curves {a_idx},{b_idx} closer than 2c_n at level {n}",
                         level=n, cube=a_idx,
                     )
-    bound = (2 * cn) ** 2
+    boxes = [(lo, tuple(v + g.l_prev for v in lo)) for lo in g.parents]
     for pi in range(nparents):
-        alo, ahi = spec.cube_box(n - 1, pi)
         for pj in range(pi + 1, nparents):
-            blo, bhi = spec.cube_box(n - 1, pj)
-            if box_box_dist2_int(alo, ahi, blo, bhi) < bound:
+            if box_box_dist2_int(*boxes[pi], *boxes[pj]) < bound:
                 raise ConstructionError(
                     f"parent cubes {pi},{pj} too close for (L3) at level {n}",
                     level=n,
@@ -428,34 +474,25 @@ def _seg_meets_open_box(a: Vec, b: Vec, lo: Vec, hi: Vec) -> bool:
     return True
 
 
-def _curve_dist2_lt(va: list[Vec], vb: list[Vec], bound: Fraction) -> bool:
-    for a0, a1 in zip(va, va[1:]):
-        for b0, b1 in zip(vb, vb[1:]):
-            if seg_seg_dist2(a0, a1, b0, b1) < bound:
-                return True
-    return False
+def _length(verts) -> int:
+    """Arclength of an axis-parallel integer chain."""
+    return sum(abs(p - q) for a, b in zip(verts, verts[1:]) for p, q in zip(a, b))
 
 
-def _split_schedule(spec: CantorTubeSpec, n: int) -> list:
+def _split_schedule(spec: CantorTubeSpec, n: int, g: _Grid) -> list:
     """Integer schedule of the (P1)-(P4) split of every level-n curve.
 
-    Each chain runs from y (parent boundary) to x (child cube) for (P4) and
-    is scaled by D = 2 lcm of the denominators of c_n and its vertices, so
-    its vertices, c_n and every cut are integers (the 2 keeps the parity
-    bisection integral).  (P1)-(P3) are certified here in closed form on
-    the piece runs and (P4) on the chain's ends.  Returns (chain, integer
-    chain, D, runs) per curve.
+    Each chain runs from y (parent boundary) to x (child cube) for (P4),
+    with its vertices, c_n and every cut integers on the level's grid `g`.
+    (P1)-(P3) are certified here in closed form on the piece runs and (P4)
+    on the chain's ends.  Returns (chain, integer chain, D, runs) per
+    curve.
     """
-    cn = spec.c[n]
+    c, D = g.c, g.D
     out = []
-    for i, verts in enumerate(spec.curves[n]):
-        chain = verts[::-1]
-        D = 2 * math.lcm(cn.denominator, *(x.denominator for v in chain for x in v))
-        ichain = [tuple(x.numerator * (D // x.denominator) for x in v)
-                  for v in chain]
-        total = sum(abs(p - q) for a, b in zip(ichain, ichain[1:])
-                    for p, q in zip(a, b))
-        c = cn.numerator * (D // cn.denominator)
+    for i, (verts, iverts) in enumerate(zip(spec.curves[n], g.curves)):
+        chain, ichain = verts[::-1], iverts[::-1]
+        total = _length(ichain)
         runs = _piece_runs(total, c)
         if sum(k for _, k in runs) % 2 == 1:
             raise ConstructionError("(P1) could not enforce even piece count",

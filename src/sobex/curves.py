@@ -31,6 +31,8 @@ _OFFSETS_3D = [
     (1, -1, -1), (1, -1, 0), (1, -1, 1), (1, 0, -1), (1, 0, 0), (1, 0, 1),
     (1, 1, -1), (1, 1, 0), (1, 1, 1),
 ]
+# node-mask cells whose edges `_build_graph` makes at a time
+_EDGE_CHUNK = 1 << 16
 
 
 @dataclass
@@ -82,10 +84,16 @@ class GeodesicSolver:
             raise Unreachable(f"no cells on the {side} side")
         self._w = w
         self._build_graph(dom.h)
-        # the cell list lives only while the centres are made from it
-        centers = np.argwhere(mask).astype(np.float64)
-        centers += np.asarray(dom.lo_int) + 0.5
-        centers *= dom.h
+        # the centres are made one axis at a time from int32 grid indices,
+        # with no cell list, and C-ordered so that the tree shares them
+        centers = np.empty((len(w), mask.ndim))
+        for d, lo in enumerate(dom.lo_int):
+            col = centers[:, d]
+            axis = np.arange(mask.shape[d], dtype=np.int32)
+            col[:] = np.broadcast_to(axis.reshape((-1,) + (1,) * (mask.ndim - 1 - d)),
+                                     mask.shape)[mask]
+            col += lo + 0.5
+            col *= dom.h
         self._tree = cKDTree(centers)
         self._centers = centers
 
@@ -101,7 +109,9 @@ class GeodesicSolver:
         every a is distinct, so `pos[a] += 1` advances each row once.  int32
         suffices: the lattice budget bounds the nodes, and so the edges,
         far below 2^31.  Temporaries are dropped as soon as they are spent,
-        so the build peaks little above what the solver keeps."""
+        and each offset's edges are made over blocks of rows of about
+        `_EDGE_CHUNK` cells, so the build peaks little above what the
+        solver keeps."""
         mask = self.node_mask
         m = len(self._w)
         ids = np.full(mask.shape, -1, dtype=np.int32)
@@ -126,21 +136,28 @@ class GeodesicSolver:
         indices = np.empty(int(indptr[-1]), dtype=np.int32)
         data = np.empty(int(indptr[-1]), dtype=np.float64)
         pos = indptr[:-1].copy()
+        # a block of rows of the node mask spans about _EDGE_CHUNK cells
+        rows = max(1, _EDGE_CHUNK * mask.shape[0] // mask.size)
         for off, sl_from, sl_to in pairs:
-            ok = mask[sl_from] & mask[sl_to]
-            a = ids[sl_from][ok]
-            b = ids[sl_to][ok]
-            del ok
-            # length * (0.5 * (w[a] + w[b])), evaluated in place
-            cost = w[a]
-            cost += w[b]
-            cost *= 0.5
-            cost *= math.sqrt(sum(o * o for o in off)) * h
-            at = pos[a]
-            indices[at] = b
-            del b
-            data[at] = cost
-            pos[a] += 1
+            length = math.sqrt(sum(o * o for o in off)) * h
+            first, stop = sl_from[0].start, sl_from[0].stop
+            for r in range(first, stop, rows):
+                rf = slice(r, min(r + rows, stop))
+                rt = slice(rf.start + off[0], rf.stop + off[0])
+                bf, bt = (rf, *sl_from[1:]), (rt, *sl_to[1:])
+                ok = mask[bf] & mask[bt]
+                a = ids[bf][ok]
+                b = ids[bt][ok]
+                del ok
+                # length * (0.5 * (w[a] + w[b])), evaluated in place
+                cost = w[a]
+                cost += w[b]
+                cost *= 0.5
+                cost *= length
+                at = pos[a]
+                indices[at] = b
+                data[at] = cost
+                pos[a] += 1
         self.graph = csr_matrix((data, indices, indptr), shape=(m, m))
 
     def snap(self, z) -> int:

@@ -24,19 +24,27 @@ keeps, in the forms that held a second copy of that data:
   its touching masses from their `ON_BOUNDARY` faces;
 - the Cantor-tube occupancy from a general point-to-segment projection
   over the dense meshgrid of each tube's window (`cantor_occupancy_dense`),
-  before the tubes were read as segment boxes on open grids.
+  before the tubes were read as segment boxes on open grids;
+- the Cantor level certificates (L1)-(L5), lane feasibility and (L3) in
+  `Fraction` arithmetic on the spec's own vertices (`check_level_fraction`,
+  with `seg_seg_dist2` and `polyline_length`), before each level was
+  scaled onto one integer grid.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from distance_oracle import cell_d2, cell_values
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
+from sobex.cantor import _seg_box, _seg_meets_open_box
 from sobex.curves import _OFFSETS_2D, _OFFSETS_3D
+from sobex.dyadic import box_box_dist2_int
+from sobex.errors import ConstructionError
 from sobex.domain import interface_faces_doubled
 from sobex.figio import LEVEL_COLORS, SvgCanvas
 from sobex.extension import InequalityReport
@@ -427,3 +435,96 @@ def _point_seg_d2(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     proj = a + t[..., None] * ab
     diff = pts - proj
     return np.einsum("...d,...d->...", diff, diff)
+
+
+def seg_seg_dist2(a, b, c, d) -> Fraction:
+    """Squared distance between two axis-parallel segments (exact)."""
+    return box_box_dist2_int(*_seg_box(a, b), *_seg_box(c, d))
+
+
+def polyline_length(verts) -> Fraction:
+    total = Fraction(0)
+    for a, b in zip(verts, verts[1:]):
+        total += sum(abs(x - y) for x, y in zip(a, b))
+    return total
+
+
+def _curve_dist2_lt(va, vb, bound: Fraction) -> bool:
+    for a0, a1 in zip(va, va[1:]):
+        for b0, b1 in zip(vb, vb[1:]):
+            if seg_seg_dist2(a0, a1, b0, b1) < bound:
+                return True
+    return False
+
+
+def check_level_fraction(spec, n: int) -> None:
+    """`cantor._check_level` on the spec's `Fraction` vertices: (L1)-(L5),
+    lane feasibility and tube separation."""
+    c = spec.c
+    cn = c[n]
+    curves = spec.curves[n]
+    for i, verts in enumerate(curves):
+        plo, phi = spec.cube_box(n - 1, i // 8)
+        olo, ohi = spec.cube_box(n, i)
+        for a, b in zip(verts, verts[1:]):
+            diffs = [abs(x - y) for x, y in zip(a, b)]
+            nz = [d for d in diffs if d != 0]
+            if len(nz) != 1:
+                raise ConstructionError("segment not axis-parallel", level=n, cube=i)
+            if nz[0] < cn:
+                raise ConstructionError(
+                    f"(L4) segment shorter than c_n at level {n}", level=n, cube=i
+                )
+            # (L1): inside the closed parent cube
+            for p in (a, b):
+                if not all(lo <= v <= hi for v, lo, hi in zip(p, plo, phi)):
+                    raise ConstructionError("(L1) curve leaves parent", level=n, cube=i)
+            # (L1): not through the open child cube
+            if _seg_meets_open_box(a, b, olo, ohi):
+                raise ConstructionError("(L1) curve enters child", level=n, cube=i)
+        # (L5): perpendicular approach, first and last segments vertical
+        for a, b in ((verts[0], verts[1]), (verts[-2], verts[-1])):
+            if not (a[0] == b[0] and a[1] == b[1]):
+                raise ConstructionError("(L5) approach not perpendicular", level=n, cube=i)
+        # (L2)
+        xp = spec.anchors_x[n - 1][i // 8] if n > 1 else (
+            Fraction(1, 2), Fraction(1, 2), Fraction(1))
+        yv = spec.anchors_y[n][i]
+        d2 = sum((a - b) ** 2 for a, b in zip(yv, xp))
+        if d2 > (c[n - 1] / 2) ** 2:
+            raise ConstructionError("(L2) exit anchor too far", level=n, cube=i)
+        # feasibility for split rules later
+        if polyline_length(verts) < 8 * cn:
+            raise ConstructionError("curve shorter than 8 c_n", level=n, cube=i)
+        # tube must clear the other children of the same parent by c_n
+        base = (i // 8) * 8
+        for j in range(base, base + 8):
+            if j == i:
+                continue
+            blo, bhi = spec.cube_box(n, j)
+            for a, b in zip(verts, verts[1:]):
+                if box_box_dist2_int(*_seg_box(a, b), blo, bhi) < cn**2:
+                    raise ConstructionError(
+                        f"lane too close to sibling cube at level {n}",
+                        level=n, cube=i,
+                    )
+    # (L3) with tube radii: pairwise curve distance >= 2 c_n.
+    nparents = len(spec.cubes[n - 1])
+    for pi in range(nparents):
+        for a_idx in range(pi * 8, pi * 8 + 8):
+            for b_idx in range(a_idx + 1, pi * 8 + 8):
+                if _curve_dist2_lt(curves[a_idx], curves[b_idx], (2 * cn) ** 2):
+                    raise ConstructionError(
+                        f"(L3) curves {a_idx},{b_idx} closer than 2c_n at level {n}",
+                        level=n, cube=a_idx,
+                    )
+    bound = (2 * cn) ** 2
+    for pi in range(nparents):
+        alo, ahi = spec.cube_box(n - 1, pi)
+        for pj in range(pi + 1, nparents):
+            blo, bhi = spec.cube_box(n - 1, pj)
+            if box_box_dist2_int(alo, ahi, blo, bhi) < bound:
+                raise ConstructionError(
+                    f"parent cubes {pi},{pj} too close for (L3) at level {n}",
+                    level=n,
+                )

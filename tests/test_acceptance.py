@@ -10,11 +10,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from copy_oracles import seg_seg_dist2
 from distance_oracle import brute_force_d2, cell_d2
 from full_scan import bellman_ford_cost
 from scipy import ndimage
 
-from sobex.cantor import build_cantor_tube, seg_seg_dist2
+from sobex.cantor import build_cantor_tube
 from sobex.curves import (
     GeodesicSolver,
     curve_condition_scan,

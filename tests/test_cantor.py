@@ -1,20 +1,26 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from copy_oracles import cantor_occupancy_dense
+from copy_oracles import (
+    cantor_occupancy_dense,
+    check_level_fraction,
+    polyline_length,
+    seg_seg_dist2,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from memory import traced_peak
 
 from sobex.cantor import (
     CantorTubeSpec,
+    _certify,
     build_cantor_tube,
     cantor_occupancy,
-    polyline_length,
-    seg_seg_dist2,
 )
+import sobex.cantor as cantor
 from sobex.cli import main
 from sobex.domain import build_domain
 from sobex.errors import ConstructionError, PreconditionNotMet
@@ -427,3 +433,156 @@ def test_cli_writes_the_spec_text(depth1, tmp_path):
     spec_file = tmp_path / "cantor_spec.txt"
     assert spec_file.read_bytes() == depth1.to_text().encode()
     assert not (tmp_path / "cantor_spec.txt.partial").exists()
+
+
+# -- the integer-grid certificates against the Fraction checker --------------
+
+
+def _oracle_certify(spec):
+    for n in range(1, spec.depth + 1):
+        check_level_fraction(spec, n)
+
+
+def test_built_specs_pass_the_fraction_checker(depth1, depth2):
+    for spec in (depth1, depth2):
+        _oracle_certify(spec)
+
+
+@settings(max_examples=10, deadline=None)
+@given(lam=st.one_of(_lambda_n, _lambda_any))
+def test_drawn_lambdas_pass_both_checkers(lam):
+    spec = build_cantor_tube(1, lambda_override=[lam])
+    _oracle_certify(spec)
+
+
+def _with(spec, n, i, verts=None, y=None):
+    """A copy of spec, uncertified, with curve (n, i) or its exit anchor
+    replaced."""
+    curves = [list(lvl) for lvl in spec.curves]
+    ys = [list(lvl) for lvl in spec.anchors_y]
+    if verts is not None:
+        curves[n][i] = verts
+    if y is not None:
+        ys[n][i] = y
+    return dataclasses.replace(spec, curves=curves, anchors_y=ys, schedules=[])
+
+
+def _vertex_outside_parent(spec, n, i):
+    v = list(spec.curves[n][i])
+    x, y, z = v[-1]
+    v[-1] = (x, y, z + spec.c[n])
+    return _with(spec, n, i, verts=v), "(L1) curve leaves parent"
+
+
+def _segment_into_child(spec, n, i):
+    v = list(spec.curves[n][i])
+    x, y, z = v[0]
+    v[0] = (x, y, z - spec.l[n] / 2)
+    return _with(spec, n, i, verts=v), "(L1) curve enters child"
+
+
+def _oblique_segment(spec, n, i):
+    v = list(spec.curves[n][i])
+    x, y, z = v[1]
+    v[1] = (x + spec.c[n], y, z)
+    return _with(spec, n, i, verts=v), "segment not axis-parallel"
+
+
+def _short_segment(spec, n, i):
+    v = list(spec.curves[n][i])
+    x, y, z = v[0]
+    v.insert(1, (x, y, z + spec.c[n] / 2))
+    return _with(spec, n, i, verts=v), "(L4) segment shorter than c_n"
+
+
+def _horizontal_approach(spec, n, i):
+    # a run on the child's top face leads into the top-face centre
+    v = list(spec.curves[n][i])
+    x, y, z = v[0]
+    v.insert(0, (x - 2 * spec.c[n], y, z))
+    return _with(spec, n, i, verts=v), "(L5) approach not perpendicular"
+
+
+def _far_exit_anchor(spec, n, i):
+    x, y, z = spec.anchors_y[n][i]
+    return (_with(spec, n, i, y=(x + spec.c[n - 1], y, z)),
+            "(L2) exit anchor too far")
+
+
+def _lane_beside_sibling(spec, n, i):
+    # curve i (the parent's first child) rises c_n/2 beside the right face
+    # of the child above it
+    v0, v1 = spec.curves[n][i][:2]
+    X = spec.cubes[n - 1][i // 8][0] + spec.e[n] + spec.l[n] + spec.c[n] / 2
+    ptop = spec.curves[n][i][-1][2]
+    v = [v0, v1, (X, v1[1], v1[2]), (X, v1[1], ptop)]
+    return _with(spec, n, i, verts=v), "lane too close to sibling cube"
+
+
+def _lanes_too_close(spec, n, i):
+    # curve i + 1 takes the lane c_n from curve i's
+    X = spec.curves[n][i][2][0] + spec.c[n]
+    v = [p if k < 2 else (X, *p[1:]) for k, p in enumerate(spec.curves[n][i + 1])]
+    return (_with(spec, n, i + 1, verts=v),
+            f"(L3) curves {i},{i + 1} closer than 2c_n")
+
+
+@pytest.mark.parametrize("perturb", [
+    _vertex_outside_parent, _segment_into_child, _oblique_segment,
+    _short_segment, _horizontal_approach, _far_exit_anchor,
+    _lane_beside_sibling, _lanes_too_close,
+])
+@pytest.mark.parametrize("depth,n,i", [(1, 1, 0), (2, 1, 0), (2, 2, 40)])
+def test_perturbed_spec_raises_the_fraction_checkers_error(
+        depth1, depth2, perturb, depth, n, i):
+    spec, msg = perturb(depth1 if depth == 1 else depth2, n, i)
+    with pytest.raises(ConstructionError) as want:
+        _oracle_certify(spec)
+    with pytest.raises(ConstructionError) as got:
+        _certify(spec)
+    assert msg in str(want.value)
+    assert (str(got.value), got.value.level, got.value.cube) == (
+        str(want.value), want.value.level, want.value.cube)
+
+
+def test_starved_streets_raise_the_fraction_checkers_error(monkeypatch):
+    # the constants hold (e_2 is 8.1 c_2), but the outer lanes at 7 c_2
+    # from the parent's centre pass within c_2 of the sibling cubes
+    with monkeypatch.context() as m:
+        m.setattr(cantor, "_certify", lambda spec: None)
+        spec = build_cantor_tube(2, [Fraction(2, 5), Fraction(1, 2) - Fraction(62, 10**6)])
+    with pytest.raises(ConstructionError) as want:
+        _oracle_certify(spec)
+    with pytest.raises(ConstructionError) as got:
+        _certify(spec)
+    assert "lane too close to sibling cube at level 2" in str(want.value)
+    assert (str(got.value), got.value.level, got.value.cube) == (
+        str(want.value), want.value.level, want.value.cube)
+
+
+def test_level_checks_make_no_fraction_comparison(depth2, monkeypatch):
+    """Each level is certified on its integer grid: no Fraction is compared
+    inside `_check_level` (the Fraction checker makes about 100k)."""
+    count = {"inside": False, "calls": 0}
+    check, richcmp, eq = cantor._check_level, Fraction._richcmp, Fraction.__eq__
+
+    def inside(*args):
+        count["inside"] = True
+        try:
+            return check(*args)
+        finally:
+            count["inside"] = False
+
+    def counted(fn):
+        def wrapped(*args):
+            count["calls"] += count["inside"]
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(cantor, "_check_level", inside)
+    monkeypatch.setattr(Fraction, "_richcmp", counted(richcmp))
+    monkeypatch.setattr(Fraction, "__eq__", counted(eq))
+    spec = dataclasses.replace(depth2, schedules=[])
+    _certify(spec)
+    assert count == {"inside": False, "calls": 0}
+    assert spec.schedules == depth2.schedules

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -599,9 +600,10 @@ def test_solver_build_peak_stays_near_what_it_keeps():
 def test_slab_solver_keeps_no_cell_list_or_whole_lattice():
     """Building the K=9 slab complement solver from a fresh field keeps its
     graph, weights, centres, node mask and tree, and of the distances only
-    the window's cell centres: about 106 B per node.  A kept int64 cell
-    list (16 B per node) or the window's whole doubled lattice (16 B per
-    window cell) would break the bound."""
+    the window's cell centres: about 90 B per node.  A kept int64 cell
+    list (16 B per node), the window's whole doubled lattice (16 B per
+    window cell) or a tree holding its own copy of the centres (16 B per
+    node) would break the bound."""
     K = 9
     N = int(2.5 * 2**K)
     iy = np.arange(N) - N // 2
@@ -611,12 +613,25 @@ def test_slab_solver_keeps_no_cell_list_or_whole_lattice():
     solver, peak = traced_peak(GeodesicSolver, slab, dist, "complement",
                                ("power", 1.5))
     nodes = solver.graph.shape[0]
-    assert peak <= 110 * nodes
+    assert peak <= 96 * nodes
+    assert np.shares_memory(solver._tree.data, solver._centers)
     assert "cells" not in vars(solver)
     ((lo, hi), kept), = dist._lattices.items()
     assert (lo, hi) == distance._window(~slab.mask)
     assert kept.shape == tuple(b - a for a, b in zip(lo, hi))
     assert kept.nbytes == 4 * kept.size
+
+
+@pytest.mark.parametrize("dom", [
+    build_domain("outward_cusp", 7),
+    build_domain("ball", 4, r=0.5, margin=Fraction(1, 2), dim=3),
+], ids=["cusp", "ball3"])
+def test_kd_trees_share_their_points(dom):
+    # C-ordered points: a tree over an F-ordered array keeps its own copy
+    solver = GeodesicSolver(dom, None, "complement", ("power", 1.5))
+    assert np.shares_memory(solver._tree.data, solver._centers)
+    pts = boundary_probe_points(dom)
+    assert np.shares_memory(curves.cKDTree(pts).data, pts)
 
 
 def test_focus_anchors_take_one_per_distance_band():
