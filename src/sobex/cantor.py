@@ -24,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from operator import and_, floordiv, mul, neg
 from typing import NamedTuple
 
@@ -184,7 +184,9 @@ class CantorTubeSpec:
             raise ValueError("CANTOR1 constants do not follow from the lambdas")
         cubes, ax, ay, curves = ([[] for _ in range(depth + 1)] for _ in range(4))
         verts = None
-        for ln in lines[6:]:
+        for ln in islice(lines, 6, None):
+            if verts is None and ln.startswith("v "):
+                continue  # a split record's row, skipped unsplit
             tag, *toks = ln.split()
             if tag == "v":
                 if verts is not None:

@@ -2,12 +2,15 @@
 
 Distances are measured to boundary-face centroids.  Cell centers and face
 centroids all live on the half-step lattice (units of h/2), so squared
-distances are exact integers in (h/2)^2 units.  Sparse reads (face
-centroids, Whitney boxes) take candidates from one KD-tree of the centroids
-and recompute distances in integers; dense reads (the geodesics) use the
-transform over the doubled lattice of one side's window (its bounding box
-grown by a cell), built on the first read of that window; the field keeps
-only the window's cell centres, 4 B per cell.
+distances are exact integers in (h/2)^2 units.  Reads on one side of the
+boundary (the domain's cells or the rest of the grid) use the transform
+over the doubled lattice of that side's window (its bounding box grown by
+a cell): the geodesics' cell reads build it on the first read of that
+window, and the field keeps only the window's cell centres, 4 B per cell.
+A face set's reads on one side use it when the window has at most 2^(n+1)
+nodes a face and fits the budget, and drop it after; sparser face sets,
+and Whitney's boxes, take candidates from one KD-tree of the centroids and
+recompute distances in integers.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .domain import VoxelDomain
+from .domain import EXTERIOR, INTERIOR, VoxelDomain, _mask_bounds
 from .dyadic import box_point_d2
 from .errors import PreconditionNotMet
 
@@ -43,7 +46,8 @@ class DistanceField:
         self.shape = tuple(shape)
         self.coords = coords  # (m, n) int64 boundary centroids, units h/2
         self._tree = cKDTree(coords.astype(np.float64))
-        self._face_d2 = weakref.WeakKeyDictionary()  # face set -> its d2
+        # face set -> {class: d2 at its faces of that class}
+        self._face_d2 = weakref.WeakKeyDictionary()
         # cell bounds (lo, hi) -> int32 d2 at that window's cell centres;
         # None -> the whole doubled lattice, built only for d2_doubled
         self._lattices = {}
@@ -76,16 +80,17 @@ class DistanceField:
         only, 4 B per cell; the whole doubled lattice lives only while it
         is built.
 
-        This is exact for side cells.  Take a side cell c and its nearest
-        centroid f, and let q be the point where the segment c -> f leaves
-        the closed union U of side cells (q = f if it never does).  Every
-        centroid lies in the grid's closed box, so just past q the segment
-        runs in a non-side cell of the array.  The array cells around q are
-        joined through their faces, so one face incident to q lies between a
-        side cell and a non-side cell: a boundary face, whose centroid g is
-        within h sqrt(n-1)/2 of q.  A centroid outside the window is more
-        than h from every point of U.  So if f lay outside it, |c - g| <=
-        |c - q| + h sqrt(n-1)/2 < |c - q| + |q - f| = |c - f| for n = 2, 3,
+        This is exact at every point of the closed union U of side cells,
+        side cells' centres and side faces' centroids included.  Take a point
+        x of U and its nearest centroid f, and let q be the point where the
+        segment x -> f leaves U (q = f if it never does).  Every centroid
+        lies in the grid's closed box, so just past q the segment runs in a
+        non-side cell of the array.  The array cells around q are joined
+        through their faces, so one face incident to q lies between a side
+        cell and a non-side cell: a boundary face, whose centroid g is within
+        h sqrt(n-1)/2 of q.  A centroid outside the window is more than h
+        from every point of U.  So if f lay outside it, |x - g| <=
+        |x - q| + h sqrt(n-1)/2 < |x - q| + |q - f| = |x - f| for n = 2, 3,
         and f would not be nearest.  Cells off the side are refused: the
         window may be inexact there."""
         if cells is not None and not side[cells].all():
@@ -102,15 +107,20 @@ class DistanceField:
         """int32 squared distances at the centres of cells [lo, hi), shape
         hi - lo, cut from that window's lattice once per bounds."""
         if (lo, hi) not in self._lattices:
-            base = np.asarray(self.lo_int, dtype=np.int64) + lo
-            ext = np.subtract(hi, lo)
-            inside = ((self.coords >= 2 * base)
-                      & (self.coords <= 2 * (base + ext))).all(axis=1)
-            lattice = _build_lattice(tuple(base.tolist()), tuple(ext.tolist()),
-                                     self.coords[inside])
-            self._lattices[lo, hi] = lattice[
+            self._lattices[lo, hi] = self._window_lattice(lo, hi)[
                 (slice(1, None, 2),) * self.n].copy()
         return self._lattices[lo, hi]
+
+    def _window_lattice(self, lo: tuple[int, ...],
+                        hi: tuple[int, ...]) -> np.ndarray:
+        """int32 squared distances over the doubled lattice of cells
+        [lo, hi), to the centroids in its closed box."""
+        base = np.add(self.lo_int, lo)
+        ext = np.subtract(hi, lo)
+        inside = ((self.coords >= 2 * base)
+                  & (self.coords <= 2 * (base + ext))).all(axis=1)
+        return _build_lattice(tuple(base.tolist()), tuple(ext.tolist()),
+                              self.coords[inside])
 
     def d2_at_doubled(self, coords: np.ndarray) -> np.ndarray:
         """Exact int64 squared distances at doubled-grid points: float64
@@ -120,11 +130,44 @@ class DistanceField:
         gap = coords - self.coords[j]
         return (gap * gap).sum(axis=1)
 
-    def d2_at_faces(self, faces) -> np.ndarray:
-        """`d2_at_doubled` at a face set's centroids, read once per set."""
-        if faces not in self._face_d2:
-            self._face_d2[faces] = self.d2_at_doubled(faces.coords)
-        return self._face_d2[faces]
+    def d2_at_faces(self, faces, side: np.ndarray) -> np.ndarray:
+        """Exact int64 squared distances at the centroids of a face set's
+        faces on one side of the boundary, in face order, read once per set
+        and side.  The set is classified against this field's domain, and
+        `side` is that domain's mask or its complement, as in `side_d2`:
+        the faces on it are the INTERIOR ones on the mask and the EXTERIOR
+        ones on the complement.  ON_BOUNDARY faces lie on neither and need
+        no read: their centroids are boundary centroids.
+
+        The centroids read lie in the closed union of side cells, where the
+        side's window lattice is exact (see `side_d2`).  That lattice is
+        built, read and dropped when it has at most 2^(n+1) nodes a face
+        read and `_build_lattice` takes it (within the budget and short
+        enough for int32); other reads go to the tree."""
+        code = _side_class(faces, side, self.lo_int)
+        reads = self._face_d2.setdefault(faces, {})
+        if code not in reads:
+            pts = faces.coords[faces.classification == code]
+            reads[code] = self._side_points_d2(pts, side)
+        return reads[code]
+
+    def _side_points_d2(self, pts: np.ndarray, side: np.ndarray) -> np.ndarray:
+        """`d2_at_doubled` at doubled-grid points of the closed union of
+        side cells, from the side's window lattice when it is dense enough
+        for them (`_dense_enough`) and `_build_lattice` takes it."""
+        if not len(pts):
+            return np.empty(0, dtype=np.int64)
+        lo, hi = _window(side)
+        nodes = math.prod(2 * (b - a) + 1 for a, b in zip(lo, hi))
+        if _dense_enough(nodes, len(pts), self.n):
+            try:
+                lattice = self._window_lattice(lo, hi)
+            except PreconditionNotMet:  # refused before any allocation
+                pass
+            else:
+                offs = pts - 2 * np.add(self.lo_int, lo)
+                return lattice[tuple(offs.T)].astype(np.int64)
+        return self.d2_at_doubled(pts)
 
     def box_d2(self, lo: np.ndarray, ell: int, shift: int) -> np.ndarray:
         """Exact min squared distance from each integer box [lo, lo + ell]
@@ -168,13 +211,32 @@ class DistanceField:
 def _window(side: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Cell bounds [lo, hi) of a nonempty mask's bounding box grown by one
     cell and clipped to the grid."""
-    lo, hi = [], []
-    for d, s in enumerate(side.shape):
-        hit = np.flatnonzero(side.any(
-            axis=tuple(a for a in range(side.ndim) if a != d)))
-        lo.append(max(int(hit[0]) - 1, 0))
-        hi.append(min(int(hit[-1]) + 2, s))
-    return tuple(lo), tuple(hi)
+    lo, hi = _mask_bounds(side)
+    return (tuple(max(a - 1, 0) for a in lo),
+            tuple(min(b + 1, s) for b, s in zip(hi, side.shape)))
+
+
+def _side_class(faces, side: np.ndarray, lo_int) -> int:
+    """The class of a face set's faces on `side`, the domain's mask or its
+    complement: INTERIOR or EXTERIOR faces have both their cells on one
+    side, so the grid cell of the first of them tells which (a set with
+    neither has no faces on either side)."""
+    classified = faces.classification <= EXTERIOR
+    if not classified.any():
+        return INTERIOR
+    i = int(classified.argmax())
+    code = int(faces.classification[i])
+    # the cell above the face, or the one below it at the grid's top edge
+    cell = faces.coords[i] // 2 - np.asarray(lo_int)
+    ax = faces.axes[i]
+    cell[ax] = min(cell[ax], side.shape[ax] - 1)
+    return code if side[tuple(cell)] else INTERIOR + EXTERIOR - code
+
+
+def _dense_enough(nodes: int, reads: int, n: int) -> bool:
+    """Whether a window lattice of `nodes` nodes serves `reads` point reads
+    better than the tree: at most 2^(n+1) nodes a read."""
+    return nodes <= 2 ** (n + 1) * reads
 
 
 def _peak_bytes_per_node(n: int) -> int:

@@ -13,6 +13,11 @@ from scipy import ndimage
 
 from .errors import InvalidDomain, ResolutionTooCoarse
 
+# classes of a face against a domain: both its cells in it, both out of it
+# (cells off the grid are out), one of each (on its boundary), or not
+# classified (a set given no domain)
+INTERIOR, EXTERIOR, ON_BOUNDARY, UNCLASSIFIED = 0, 1, 2, 3
+
 GENERATORS = (
     "cube",
     "ball",
@@ -216,30 +221,49 @@ class VoxelDomain:
             return cls.from_voxd(f.read())
 
 
+def _mask_bounds(mask: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Cell bounds [lo, hi) of a mask's bounding box, or None for an empty
+    mask.  Each axis reduces only the box the axes before it cut."""
+    lo, hi = [], []
+    for d in range(mask.ndim):
+        box = mask[tuple(map(slice, lo, hi))]
+        hit = np.flatnonzero(box.any(
+            axis=tuple(a for a in range(mask.ndim) if a != d)))
+        if not len(hit):
+            return None
+        lo.append(int(hit[0]))
+        hi.append(int(hit[-1]) + 1)
+    return tuple(lo), tuple(hi)
+
+
 def interface_faces_doubled(mask: np.ndarray, lo_int) -> tuple[np.ndarray, np.ndarray]:
     """Interface faces of a mask (in/out plus clipping at the array edge),
-    as (axes, doubled centroid coordinates)."""
-    axes_list, coords_list = [], []
+    as (axes, doubled centroid coordinates), per axis in C order of the
+    grid.  Only the mask's bounding box is scanned: C order inside a box is
+    C order of the grid, and its padding stands for the empty cells around
+    it."""
     n = mask.ndim
+    bounds = _mask_bounds(mask)
+    if bounds is None:
+        return np.empty(0, dtype=np.int8), np.empty((0, n), dtype=np.int64)
+    box = mask[tuple(map(slice, *bounds))]
+    base = np.add(lo_int, bounds[0])
+    axes_list, coords_list = [], []
     for d in range(n):
         padded = np.zeros(
-            tuple(s + 2 if a == d else s for a, s in enumerate(mask.shape)), bool
+            tuple(s + 2 if a == d else s for a, s in enumerate(box.shape)), bool
         )
         sl = tuple(slice(1, -1) if a == d else slice(None) for a in range(n))
-        padded[sl] = mask
+        padded[sl] = box
         lowside = tuple(slice(0, -1) if a == d else slice(None) for a in range(n))
         highside = tuple(slice(1, None) if a == d else slice(None) for a in range(n))
         iface = padded[lowside] != padded[highside]
         idx = np.argwhere(iface)
-        coords = np.empty_like(idx)
-        for a in range(n):
-            if a == d:
-                coords[:, a] = 2 * (idx[:, a] + lo_int[a])
-            else:
-                coords[:, a] = 2 * (idx[:, a] + lo_int[a]) + 1
+        coords = 2 * (idx + base) + 1
+        coords[:, d] -= 1
         axes_list.append(np.full(len(idx), d, dtype=np.int8))
         coords_list.append(coords)
-    return np.concatenate(axes_list), np.concatenate(coords_list).astype(np.int64)
+    return np.concatenate(axes_list), np.concatenate(coords_list)
 
 
 def root_tiling_level(dom: VoxelDomain) -> int:

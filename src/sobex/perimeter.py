@@ -12,12 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import VoxelDomain, _grid_centers, interface_faces_doubled
+from .domain import (
+    EXTERIOR,
+    INTERIOR,
+    ON_BOUNDARY,
+    UNCLASSIFIED,
+    VoxelDomain,
+    _grid_centers,
+    interface_faces_doubled,
+)
 from .distance import DistanceField
 from .dyadic import DyadicCube
 from .errors import PreconditionNotMet, UnsupportedExponent
-
-INTERIOR, EXTERIOR, ON_BOUNDARY, UNCLASSIFIED = 0, 1, 2, 3
 
 
 class VoxelSet:
@@ -153,10 +159,10 @@ def weighted_boundary_integral(
     faces = boundary_faces(A)
     cls = faces.classification
     touching = float(np.count_nonzero(cls == ON_BOUNDARY)) * faces.face_area
-    own = cls == (INTERIOR if side == "interior" else EXTERIOR)
-    if not own.any():
+    if not (cls == (INTERIOR if side == "interior" else EXTERIOR)).any():
         return 0.0, touching
-    d2 = dist.d2_at_faces(faces)[own]
+    mask = A.parent.mask
+    d2 = dist.d2_at_faces(faces, mask if side == "interior" else ~mask)
     dvals = np.sqrt(d2.astype(np.float64)) * (dist.h / 2.0)
     return float(np.sum(dvals ** (1.0 - p))) * faces.face_area, touching
 

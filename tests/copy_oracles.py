@@ -28,7 +28,10 @@ keeps, in the forms that held a second copy of that data:
 - the Cantor level certificates (L1)-(L5), lane feasibility and (L3) in
   `Fraction` arithmetic on the spec's own vertices (`check_level_fraction`,
   with `seg_seg_dist2` and `polyline_length`), before each level was
-  scaled onto one integer grid.
+  scaled onto one integer grid;
+- the interface faces of a mask from a scan of its whole grid
+  (`interface_faces_whole_grid`), before the scan was cut to the mask's
+  bounding box.
 """
 
 from __future__ import annotations
@@ -528,3 +531,29 @@ def check_level_fraction(spec, n: int) -> None:
                     f"parent cubes {pi},{pj} too close for (L3) at level {n}",
                     level=n,
                 )
+
+
+def interface_faces_whole_grid(mask: np.ndarray, lo_int) -> tuple[np.ndarray, np.ndarray]:
+    """Interface faces of a mask (in/out plus clipping at the array edge),
+    as (axes, doubled centroid coordinates)."""
+    axes_list, coords_list = [], []
+    n = mask.ndim
+    for d in range(n):
+        padded = np.zeros(
+            tuple(s + 2 if a == d else s for a, s in enumerate(mask.shape)), bool
+        )
+        sl = tuple(slice(1, -1) if a == d else slice(None) for a in range(n))
+        padded[sl] = mask
+        lowside = tuple(slice(0, -1) if a == d else slice(None) for a in range(n))
+        highside = tuple(slice(1, None) if a == d else slice(None) for a in range(n))
+        iface = padded[lowside] != padded[highside]
+        idx = np.argwhere(iface)
+        coords = np.empty_like(idx)
+        for a in range(n):
+            if a == d:
+                coords[:, a] = 2 * (idx[:, a] + lo_int[a])
+            else:
+                coords[:, a] = 2 * (idx[:, a] + lo_int[a]) + 1
+        axes_list.append(np.full(len(idx), d, dtype=np.int8))
+        coords_list.append(coords)
+    return np.concatenate(axes_list), np.concatenate(coords_list).astype(np.int64)

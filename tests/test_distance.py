@@ -12,9 +12,15 @@ from hypothesis import strategies as st
 from memory import traced_peak
 
 import sobex.distance as distance
-from sobex.distance import _peak_bytes_per_node, _window, distance_transform
-from sobex.domain import VoxelDomain, build_domain
+from sobex.distance import (
+    DistanceField,
+    _peak_bytes_per_node,
+    _window,
+    distance_transform,
+)
+from sobex.domain import EXTERIOR, INTERIOR, VoxelDomain, build_domain
 from sobex.errors import PreconditionNotMet
+from sobex.perimeter import VoxelSet, boundary_faces
 
 
 def test_unit_square_center_value():
@@ -188,6 +194,108 @@ def test_side_reads_match_brute_force(dom, data):
                               ref[tuple(pick.T)])
     assert set(field._lattices) == {_window(s) for s in sides}
     assert np.array_equal(cell_d2(field), ref)
+
+
+def _fresh_field(dom):
+    return DistanceField(dom.K, dom.lo_int, dom.shape,
+                         dom.boundary_faces_doubled()[1])
+
+
+def _recording_builds(mp):
+    """Patch `_build_lattice` to record the shape of every lattice built
+    (not of those it refuses)."""
+    shapes = []
+    build = distance._build_lattice
+
+    def recording(lo_int, shape, coords):
+        lattice = build(lo_int, shape, coords)
+        shapes.append(tuple(shape))
+        return lattice
+
+    mp.setattr(distance, "_build_lattice", recording)
+    return shapes
+
+
+@settings(max_examples=60, deadline=None)
+@given(sided_domains(), st.data())
+def test_face_reads_match_brute_force(dom, data):
+    """Each side's face reads equal the brute-force minimum at the centroids
+    of the set's faces of that side's class, with the lattice rule forced
+    each way: a set straddling the boundary or a single cell, on domains at
+    the array edge and one-cell sides included.  The forced lattice is that
+    side's window, dropped after the read; the forced tree builds none."""
+    grid = np.array(data.draw(st.lists(st.booleans(), min_size=dom.mask.size,
+                                       max_size=dom.mask.size)), dtype=bool)
+    if data.draw(st.booleans()):
+        grid[:] = False
+        grid[data.draw(st.integers(0, dom.mask.size - 1))] = True
+    A = VoxelSet.from_domain(dom, grid.reshape(dom.shape),
+                             require_subset=False)
+    faces = boundary_faces(A)
+    ref = brute_force_d2_doubled(dom)
+    lo2 = 2 * np.asarray(dom.lo_int, dtype=np.int64)
+    for dense in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distance, "_dense_enough", lambda *args: dense)
+            shapes = _recording_builds(mp)
+            field = _fresh_field(dom)
+            for side, code in ((dom.mask, INTERIOR), (~dom.mask, EXTERIOR)):
+                pts = faces.coords[faces.classification == code]
+                got = field.d2_at_faces(faces, side)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, ref[tuple((pts - lo2).T)])
+                assert field.d2_at_faces(faces, side) is got
+                if dense and len(pts):
+                    lo, hi = _window(side)
+                    assert shapes.pop() == tuple(np.subtract(hi, lo).tolist())
+            assert shapes == [] and not field._lattices
+
+
+def test_face_read_over_budget_goes_to_the_tree(monkeypatch):
+    """A dense face read whose window lattice is over the budget reads the
+    tree instead, to the same d2, allocating no lattice; at the budget
+    exactly it builds the window."""
+    dom = build_domain("ball", 6, r=0.5, margin=0.5)
+    rng = np.random.default_rng(3)
+    faces = boundary_faces(VoxelSet.from_domain(
+        dom, (rng.random(dom.shape) < 0.5) & dom.mask))
+    lo, hi = _window(dom.mask)
+    need = math.prod(2 * (b - a) + 1 for a, b in zip(lo, hi)) \
+        * _peak_bytes_per_node(2)
+    pts = faces.coords[faces.classification == INTERIOR]
+    ref = brute_force_d2_doubled(dom)[
+        tuple((pts - 2 * np.asarray(dom.lo_int)).T)]
+    shapes = _recording_builds(monkeypatch)
+    monkeypatch.setattr(distance, "EDT_BUDGET_BYTES", need)
+    assert np.array_equal(_fresh_field(dom).d2_at_faces(faces, dom.mask), ref)
+    assert shapes == [tuple(np.subtract(hi, lo).tolist())]
+    monkeypatch.setattr(distance, "EDT_BUDGET_BYTES", need - 1)
+    _refuse_scipy(monkeypatch)
+    assert np.array_equal(_fresh_field(dom).d2_at_faces(faces, dom.mask), ref)
+    assert len(shapes) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("ball", 8, dict(r=0.5, margin=0.5)),
+    ("ball", 5, dict(dim=3, r=0.5, margin=0.5)),
+])
+def test_dense_face_read_peak_memory(args):
+    """A dense face read peaks within the lattice build's per-node model
+    over its window, plus arrays of the faces and centroids it reads."""
+    dom = build_domain(args[0], args[1], **args[2])
+    rng = np.random.default_rng(7)
+    faces = boundary_faces(VoxelSet.from_domain(
+        dom, (rng.random(dom.shape) < 0.5) & dom.mask))
+    field = _fresh_field(dom)
+    lo, hi = _window(dom.mask)
+    nodes = math.prod(2 * (b - a) + 1 for a, b in zip(lo, hi))
+    reads = int((faces.classification == INTERIOR).sum())
+    assert distance._dense_enough(nodes, reads, dom.n)
+    d2, peak = traced_peak(field.d2_at_faces, faces, dom.mask)
+    assert len(d2) == reads and not field._lattices
+    # per face or centroid: its coordinates, their offsets, a mask and d2
+    extra = (2 * 8 * dom.n + 16) * (len(faces) + len(field.coords))
+    assert peak <= _peak_bytes_per_node(dom.n) * nodes + extra
 
 
 @pytest.mark.parametrize("make", [

@@ -356,30 +356,66 @@ def test_touching_masses_match_face_set_loop(disk_setup):
 
 
 def test_each_face_set_is_read_once(disk_setup, monkeypatch):
-    """The tree reads are A's, A0's and, with lemma ratios, A''s face
-    centroids, each once for every p; A~'s are never read."""
+    """The distance reads are A's interior, A0's exterior and, with lemma
+    ratios, A''s interior face centroids, each once for every p; A~'s are
+    never read."""
     from sobex.distance import DistanceField
-    from sobex.perimeter import boundary_faces
+    from sobex.perimeter import EXTERIOR, INTERIOR, boundary_faces
 
     dom, dist, W, We = disk_setup
     read = []
-    tree_read = DistanceField.d2_at_doubled
+    side_read = DistanceField._side_points_d2
 
-    def counted(self, coords):
-        read.append(coords)
-        return tree_read(self, coords)
+    def counted(self, pts, side):
+        read.append(pts)
+        return side_read(self, pts, side)
 
-    monkeypatch.setattr(DistanceField, "d2_at_doubled", counted)
+    def own(S, code):
+        faces = boundary_faces(S)
+        return faces.coords[faces.classification == code]
+
+    monkeypatch.setattr(DistanceField, "_side_points_d2", counted)
     for lemma_ratios in (True, False):
         read.clear()
         A = left_half(dom)
         for p in (1.25, 1.5, 1.75):
             res = extend_set(A, W, We, dist,
                              ExtensionParams(p=p, lemma_ratios=lemma_ratios))
-        sets = (A, res.A_prime, res.A0) if lemma_ratios else (A, res.A0)
-        assert len(read) == len(sets)
-        assert {id(c) for c in read} == {id(boundary_faces(S).coords)
-                                         for S in sets}
+        want = [own(A, INTERIOR), own(res.A0, EXTERIOR)]
+        if lemma_ratios:
+            want.append(own(res.A_prime, INTERIOR))
+        assert len(read) == len(want)
+        for got, pts in zip(read, want):
+            assert np.array_equal(got, pts)
+
+
+def test_only_dense_face_sets_build_a_lattice(disk_setup, monkeypatch):
+    """A random set of density 1/2 has about 5 of its domain's interior
+    window nodes per interior face: its extension builds that window's
+    lattice once, for A's faces (A''s and A0's are too sparse).  The half
+    set's faces are sparse, and its extensions build none."""
+    from sobex import distance
+
+    dom, dist, W, We = disk_setup
+    shapes = []
+    build = distance._build_lattice
+
+    def recording(lo_int, shape, coords):
+        shapes.append((tuple(lo_int), tuple(shape)))
+        return build(lo_int, shape, coords)
+
+    monkeypatch.setattr(distance, "_build_lattice", recording)
+    rng = np.random.default_rng(5)
+    A = VoxelSet.from_domain(dom, (rng.random(dom.shape) < 0.5) & dom.mask)
+    for p in (1.25, 1.5):
+        extend_set(A, W, We, dist, ExtensionParams(p=p))
+    lo, hi = distance._window(dom.mask)
+    assert shapes == [(tuple(np.add(dom.lo_int, lo).tolist()),
+                       tuple(np.subtract(hi, lo).tolist()))]
+    shapes.clear()
+    for p in (1.25, 1.5, 1.75):
+        extend_set(left_half(dom), W, We, dist, ExtensionParams(p=p))
+    assert shapes == []
 
 
 @pytest.mark.parametrize("lemma_ratios", [True, False])

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from copy_oracles import face_classes_by_lookup
-from hypothesis import given, settings
+from copy_oracles import face_classes_by_lookup, interface_faces_whole_grid
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sobex.distance import distance_transform
-from sobex.domain import VoxelDomain, build_domain
+from sobex.domain import VoxelDomain, build_domain, interface_faces_doubled
 from sobex.dyadic import DyadicCube
 from sobex.errors import PreconditionNotMet, UnsupportedExponent
 from sobex.extension import select_A0, select_A_prime
@@ -75,6 +75,45 @@ def test_face_count_matches_neighbor_scan():
         hi = tuple(slice(1, None) if k == d else slice(None) for k in range(2))
         scan += int(np.sum(a[lo] != a[hi]))
     assert len(faces) == scan
+
+
+@st.composite
+def face_masks(draw):
+    """(mask, lo_int) in 2D or 3D: random bits in a drawn sub-box (on the
+    array edge or off it), a single cell, or an empty or full mask."""
+    n = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.integers(1, 12 if n == 2 else 6)) for _ in range(n))
+    kind = draw(st.sampled_from(["box", "one cell", "empty", "full"]))
+    mask = np.full(shape, kind == "full")
+    if kind == "one cell":
+        mask[draw(st.tuples(*(st.integers(0, s - 1) for s in shape)))] = True
+    elif kind == "box":
+        lo = [draw(st.integers(0, s - 1)) for s in shape]
+        hi = [draw(st.integers(a + 1, s)) for a, s in zip(lo, shape)]
+        size = math.prod(b - a for a, b in zip(lo, hi))
+        bits = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        mask[tuple(map(slice, lo, hi))] = np.reshape(
+            bits, [b - a for a, b in zip(lo, hi)])
+    lo_int = tuple(draw(st.integers(-9, 9)) for _ in range(n))
+    return mask, lo_int
+
+
+@settings(max_examples=40, deadline=None)
+@given(face_masks())
+@example((np.zeros((5, 4), dtype=bool), (-3, 2)))
+@example((np.ones((3, 4, 2), dtype=bool), (-1, -2, 0)))
+@example((np.eye(4, dtype=bool), (0, -7)))
+@example((np.pad(np.ones((2, 2, 2), dtype=bool), 1), (-5, 3, -2)))
+def test_bbox_faces_equal_the_whole_grid_scan(case):
+    """Faces cut from the mask's bounding box are the whole grid's, same
+    arrays, dtypes and order: empty, full, edge-touching and 3D masks."""
+    mask, lo_int = case
+    axes, coords = interface_faces_doubled(mask, lo_int)
+    want_axes, want_coords = interface_faces_whole_grid(mask, lo_int)
+    assert axes.dtype == want_axes.dtype and coords.dtype == want_coords.dtype
+    assert coords.shape == want_coords.shape
+    assert np.array_equal(axes, want_axes)
+    assert np.array_equal(coords, want_coords)
 
 
 def test_disk_perimeter_anisotropic_limit():
