@@ -110,6 +110,7 @@ class VoxelDomain:
         self.name = name or GeneratorSpec("custom")
         self._faces = None
         self._dist = None
+        self._table = None
         structure = ndimage.generate_binary_structure(mask.ndim, 1)
         _, ncomp = ndimage.label(mask, structure=structure)
         self.connected = ncomp == 1
@@ -354,6 +355,8 @@ def build_domain(spec: GeneratorSpec | str, K: int, **params) -> VoxelDomain:
     tag = spec.tag
     if tag not in GENERATORS:
         raise InvalidDomain(f"unknown generator '{tag}'")
+    if K < 0:
+        raise InvalidDomain(f"resolution K must be >= 0, got {K}")
     margin = Fraction(p.pop("margin", 0))
     if tag == "cantor_tube":
         dom = _build_cantor_domain(K, margin, p)
@@ -363,6 +366,8 @@ def build_domain(spec: GeneratorSpec | str, K: int, **params) -> VoxelDomain:
         return dom
 
     ndim = int(p.pop("dim", 2))
+    if ndim not in (2, 3):
+        raise InvalidDomain(f"only 2D and 3D grids are supported, got dim={ndim}")
     lo_int, shape = _margin_bbox(K, margin, 0, 1, ndim)
     grids = _grid_centers(K, lo_int, shape)
 

@@ -31,10 +31,10 @@ from .whitney import (
     SmoothedIndicator,
     WhitneyDecomposition,
     _box_count_batch,
-    _integral_image,
     _level_counts,
     _paint_level,
     _per_level,
+    _table,
     cube_averages,
     gradient_energy,
     smooth_indicator,
@@ -92,18 +92,16 @@ class ExtensionResult:
     report: InequalityReport
 
 
-def select_A_prime(A: VoxelSet, W: WhitneyDecomposition, P=None, Pom=None):
+def select_A_prime(A: VoxelSet, W: WhitneyDecomposition):
     """Union of Whitney cubes holding a strict majority of A (ties excluded).
 
     Truncation-collar cubes take the same test relative to their in-domain
     part, so that A = Omega selects all of Omega; the returned ids refer to
-    the accepted (non-collar) cubes only.  P and Pom are the summed-area
-    tables (`_integral_image`) of A and of the domain, built here when not
-    given.
+    the accepted (non-collar) cubes only.  The counts come from the
+    summed-area tables that A and the domain keep (`_table`).
     """
     dom = W.domain
-    P = _integral_image(A.mask) if P is None else P
-    Pom = _integral_image(dom.mask) if Pom is None else Pom
+    P, Pom = _table(A), _table(dom)
     picked = np.zeros(len(W.levels), dtype=bool)
     mask = np.zeros(dom.mask.shape, dtype=bool)
     for collar in (False, True):
@@ -119,8 +117,7 @@ def select_A_prime(A: VoxelSet, W: WhitneyDecomposition, P=None, Pom=None):
         np.nonzero(picked)[0].tolist()
 
 
-def select_A0(A_prime: VoxelSet, We: WhitneyDecomposition, Pa=None,
-              Pom=None):
+def select_A0(A_prime: VoxelSet, We: WhitneyDecomposition):
     """Exterior cubes passing the dilated strict-majority test: the dilate
     D sees more of A' than of the rest of the domain.  A' lies in Omega, so
     that is 2 |A' n D| > |Omega n D|, the count select_A_prime uses.
@@ -128,14 +125,13 @@ def select_A0(A_prime: VoxelSet, We: WhitneyDecomposition, Pa=None,
     The dilate factor is c = 20 sqrt(n), entering only through
     c^2 * l^2 = 400 n l^2.  Synthetic cubes (touching the outer
     bbox) are never selected; cubes whose dilate leaves the bbox use the
-    clipped dilate and are reported in `clipped`.  Pa and Pom are the
-    summed-area tables of A' and of the domain, built here when not given.
+    clipped dilate and are reported in `clipped`.  The counts come from
+    the summed-area tables that A' and the domain keep (`_table`).
     """
     dom = We.domain
     K = dom.K
     c2x = 400 * dom.n
-    Pa = _integral_image(A_prime.mask) if Pa is None else Pa
-    Pom = _integral_image(dom.mask) if Pom is None else Pom
+    Pa, Pom = _table(A_prime), _table(dom)
     lo_int = np.asarray(dom.lo_int, dtype=np.int64)
     N = np.asarray(dom.mask.shape, dtype=np.int64)
     picked = np.zeros(len(We.levels), dtype=bool)
@@ -243,30 +239,23 @@ def extend_geometry(A: VoxelSet, W: WhitneyDecomposition,
     hold the domain's own boundary centroids: only then are the touching
     faces exactly the faces on the domain boundary.
 
-    One summed-area table is built per distinct mask: the domain's serves
-    both selections, and A''s serves A0 and the cube averages (A's serves
-    them too when A' = A).  Each is dropped after its last reader."""
+    The domain and each set keep their mask's summed-area table (`_table`)
+    for every later reader; A' takes A's when A' = A."""
     dom = W.domain
     coords = dom.boundary_faces_doubled()[1]
     if dist.coords is not coords and not np.array_equal(dist.coords, coords):
         raise PreconditionNotMet(
             "the distance field must hold the domain's boundary centroids")
-    Pom = _integral_image(dom.mask)
-    P = _integral_image(A.mask)
-    A_prime, ap_ids = select_A_prime(A, W, P, Pom)
-    if not np.array_equal(A_prime.mask, A.mask):
-        del P  # before A''s table is built: two tables at a time at most
-        P = _integral_image(A_prime.mask)
-    A0, a0_ids, clipped = select_A0(A_prime, We, P, Pom)
-    del Pom
-    avg = cube_averages(W, A_prime.mask, P) if lemma_ratios else None
-    del P
+    A_prime, ap_ids = select_A_prime(A, W)
+    if np.array_equal(A_prime.mask, A.mask):
+        A_prime._table = _table(A)
+    A0, a0_ids, clipped = select_A0(A_prime, We)
     flags = [f"clipped-dilates:{len(clipped)}"] if clipped else []
     A_tilde = VoxelSet.from_domain(dom, A.mask | A0.mask, require_subset=False)
     assert np.array_equal(A_tilde.mask & dom.mask, A.mask), \
         "extension altered the set inside the domain"
-    smoothed = smooth_indicator(W, A_prime.mask, averages=avg) \
-        if lemma_ratios else None
+    smoothed = smooth_indicator(W, A_prime.mask, averages=cube_averages(
+        W, A_prime.mask, _table(A_prime))) if lemma_ratios else None
     return ExtensionGeometry(A_prime, A0, A_tilde, ap_ids, a0_ids, clipped,
                              dist, *_touching_masses(A, A0), flags, smoothed)
 

@@ -8,8 +8,9 @@ collar at L_max.  The upper bound dist <= 4 sqrt(n) l(Q) then holds
 automatically for accepted cubes and is asserted.  Both questions asked of
 a cube, how many region cells it holds and how far it is from the
 boundary, are answered a level at a time over arrays: the first by box
-counts on a summed-area table, the second by `DistanceField.box_d2`, whose
-KD-tree of the boundary centroids the extension's face reads share.
+counts on the domain's summed-area table (kept by the domain, cut to its
+bounding box; no complement is tabulated), the second by
+`DistanceField.box_d2`, whose KD-tree the extension's face reads share.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .distance import distance_transform
-from .domain import VoxelDomain, root_tiling_level
+from .domain import VoxelDomain, _mask_bounds, root_tiling_level
 from .dyadic import DyadicCube, box_point_d2
 from .errors import PreconditionNotMet
 
@@ -137,40 +138,44 @@ def _cube_views(levels: np.ndarray, index: np.ndarray) -> list[DyadicCube]:
             for k, row in zip(levels.tolist(), index.tolist())]
 
 
-def _integral_image(mask: np.ndarray) -> np.ndarray:
-    """Summed-area table of a mask as int32, padded by a zero row on the
-    low side of every axis.  Tables over TABLE_BUDGET_BYTES are refused
-    before allocation."""
-    shape = tuple(s + 1 for s in mask.shape)
+def _integral_image(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Summed-area table (int32, a zero row padding the low side of every
+    axis) of the mask's bounding box, and the box's first cell; an empty
+    mask gets one zero.  Tables over TABLE_BUDGET_BYTES are refused first."""
+    lo, hi = _mask_bounds(mask) or ((0,) * mask.ndim,) * 2
+    shape = tuple(b - a + 1 for a, b in zip(lo, hi))
     need = 4 * math.prod(shape)
     if need > TABLE_BUDGET_BYTES:
         raise PreconditionNotMet(
             f"summed-area table of {shape} needs {need / 2**30:.1f} GiB, over "
             f"the {TABLE_BUDGET_BYTES / 2**30:g} GiB budget")
     P = np.zeros(shape, dtype=np.int32)
-    P[(slice(1, None),) * mask.ndim] = mask
+    P[(slice(1, None),) * mask.ndim] = mask[tuple(map(slice, lo, hi))]
     for d in range(mask.ndim):
         np.cumsum(P, axis=d, out=P)
-    return P
+    return P, np.asarray(lo, dtype=np.int64)
 
 
-def _box_count_batch(P: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _table(owner) -> tuple[np.ndarray, np.ndarray]:
+    """A VoxelDomain's or VoxelSet's `_integral_image`, kept as owner._table;
+    like the face cache, this treats the mask as immutable."""
+    if owner._table is None:
+        owner._table = _integral_image(owner.mask)
+    return owner._table
+
+
+def _box_count_batch(table, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Sums of the mask over the cell index boxes [lo, hi), one per row,
-    clipped to the grid, via the summed table."""
-    n = P.ndim
-    lo = np.clip(lo, 0, np.array(P.shape) - 1)
-    hi = np.clip(hi, 0, np.array(P.shape) - 1)
+    via its table (P, first cell): each box is shifted by the first cell
+    and clipped to the table's box, off which the mask is empty."""
+    P, first = table
+    lo = np.clip(lo - first, 0, np.array(P.shape) - 1)
+    hi = np.clip(hi - first, 0, np.array(P.shape) - 1)
     total = np.zeros(len(lo), dtype=np.int64)
-    for corner in range(2**n):
-        sign = 1
-        idx = []
-        for d in range(n):
-            if (corner >> d) & 1:
-                idx.append(lo[:, d])
-                sign = -sign
-            else:
-                idx.append(hi[:, d])
-        total += sign * P[tuple(idx)]
+    # inclusion-exclusion over the 2^n corners: a lo end flips the sign
+    for corner in itertools.product((False, True), repeat=P.ndim):
+        ends = tuple((lo if c else hi)[:, d] for d, c in enumerate(corner))
+        total += (-1) ** sum(corner) * P[ends]
     return total
 
 
@@ -183,12 +188,12 @@ def _per_level(dec: WhitneyDecomposition, collar: bool = False):
         yield int(k), pos, idx[pos]
 
 
-def _level_counts(P: np.ndarray, dom: VoxelDomain, level,
+def _level_counts(table, dom: VoxelDomain, level,
                   idx: np.ndarray) -> np.ndarray:
-    """Cells counted by the summed table P in each cube (levels `level`, one
+    """Cells counted by the summed table in each cube (levels `level`, one
     for all rows or one per row): a box count over the cube's cell box,
     which is its block of cells down to the grid level K and below it the
-    one cell containing it (0 outside the grid).
+    one cell containing it (0 off the table's box).
 
     Cubes at levels <= K lie on that level's block grid inside the bbox,
     which the root tiling level guarantees.
@@ -198,7 +203,19 @@ def _level_counts(P: np.ndarray, dom: VoxelDomain, level,
     level = np.asarray(level, dtype=np.int64).reshape(-1, 1)
     f = np.left_shift(1, np.maximum(K - level, 0))
     clo = (idx >> np.maximum(level - K, 0)) * f - lo_int
-    return _box_count_batch(P, clo, clo + f)
+    return _box_count_batch(table, clo, clo + f)
+
+
+def _cube_cells(dom: VoxelDomain, level):
+    """Grid cells in the cell box of a cube of `level` (scalar or array)."""
+    return np.left_shift(1, np.maximum(dom.K - np.asarray(level), 0) * dom.n)
+
+
+def _side_counts(dom: VoxelDomain, side: str, level, idx: np.ndarray):
+    """Region cells in each cube (as `_level_counts`): the domain's count,
+    or on the exterior the cube's cells less it."""
+    cnt = _level_counts(_table(dom), dom, level, idx)
+    return cnt if side == "interior" else _cube_cells(dom, level) - cnt
 
 
 def _paint_level(mask: np.ndarray, dom: VoxelDomain, level: int,
@@ -235,9 +252,9 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
     Levels are processed in vectorized batches.  At every level the full
     cubes take one exact distance path, `DistanceField.box_d2`: squared
     distances to the boundary centroids, exact integers in units of 2**-S
-    with S = max(L_max, K + 1).  No distance lattice is built; the largest
-    array is the region's summed-area table, which TABLE_BUDGET_BYTES
-    bounds.
+    with S = max(L_max, K + 1).  No distance lattice is built; both sides
+    count cells on the domain's summed-area table (`_side_counts`), which
+    spans the domain's bounding box within TABLE_BUDGET_BYTES.
     """
     if L_max < root_tiling_level(dom):
         raise PreconditionNotMet("L_max coarser than the bbox root tiling")
@@ -245,8 +262,6 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
     K = dom.K
     field = distance_transform(dom)
     S = max(L_max, K + 1)
-    region = dom.mask if side == "interior" else ~dom.mask
-    P = _integral_image(region)
     lo_int = np.asarray(dom.lo_int, dtype=np.int64)
     shape = np.asarray(dom.mask.shape, dtype=np.int64)
     bbox_lo_S = lo_int * 2 ** (S - K)
@@ -270,15 +285,14 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
     level = root_level
 
     while len(cur) and level <= L_max:
-        cnt = _level_counts(P, dom, level, cur)
-        full = 2 ** (max(K - level, 0) * n)
+        cnt = _side_counts(dom, side, level, cur)
         keep = cnt > 0
         cur = cur[keep]
         cnt = cnt[keep]
         if len(cur) == 0:
             break
         ell = 2 ** (S - level)
-        is_full = cnt == full
+        is_full = cnt == _cube_cells(dom, level)
         d2 = np.zeros(len(cur), dtype=np.int64)
         if is_full.any():
             d2[is_full] = field.box_d2(cur[is_full] * ell, ell, S - K - 1)
@@ -331,15 +345,12 @@ def audit_whitney(dec: WhitneyDecomposition) -> dict:
     dom = dec.domain
     n = dom.n
     S = dec.scale_level
-    region = dec.side_mask()
-    P = _integral_image(region)
     w2 = w4 = True
     # (W1): dyadic by construction; all covered cells in the region and
     # positive distance to the boundary centroids.  (W3) in exact integers.
     levels, d2 = dec.levels, dec.d2
-    full = np.left_shift(1, np.maximum(dom.K - levels, 0) * n)
-    w1 = bool(np.all(_level_counts(P, dom, levels, dec.index) == full)
-              and np.all(d2 > 0))
+    w1 = bool(np.all(_side_counts(dom, dec.side, levels, dec.index)
+                     == _cube_cells(dom, levels)) and np.all(d2 > 0))
     ell2 = np.left_shift(1, 2 * (S - levels))
     w3 = bool(np.all((ell2 <= d2) & (d2 <= 16 * n * ell2)))
     vol = sum((Fraction(int(c), 2 ** (int(k) * n))
@@ -354,11 +365,13 @@ def audit_whitney(dec: WhitneyDecomposition) -> dict:
     collar_vol = Fraction(0)
     for k, pos, idx in _per_level(dec, collar=True):
         if k <= dom.K:
-            cells = int(_level_counts(P, dom, k, idx).sum())
+            cells = int(_side_counts(dom, dec.side, k, idx).sum())
             collar_vol += Fraction(cells, 2 ** (dom.K * n))
         else:
             collar_vol += Fraction(len(pos), 2 ** (k * n))
-    region_vol = Fraction(int(region.sum()), 2 ** (dom.K * n))
+    cells = int(np.count_nonzero(dom.mask))
+    region_vol = Fraction(cells if dec.side == "interior"
+                          else dom.mask.size - cells, 2 ** (dom.K * n))
     if vol + collar_vol != region_vol:
         w2 = False
     # (W4) over the face-adjacency graph
@@ -547,11 +560,12 @@ class SmoothedIndicator:
 def cube_averages(dec: WhitneyDecomposition, F_mask: np.ndarray,
                   P=None) -> np.ndarray:
     """a_i = |F n Q_i| / |Q_i| for a set given on the domain grid; P is the
-    mask's summed-area table, built here when not given."""
+    mask's summed-area table (`_integral_image`), built here when not
+    given."""
     dom = dec.domain
     P = _integral_image(F_mask) if P is None else P
     cnt = _level_counts(P, dom, dec.levels, dec.index)
-    return cnt / np.left_shift(1, np.maximum(dom.K - dec.levels, 0) * dom.n)
+    return cnt / _cube_cells(dom, dec.levels)
 
 
 # The band's arrays and temporaries may take at most this many bytes.

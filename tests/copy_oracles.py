@@ -31,7 +31,11 @@ keeps, in the forms that held a second copy of that data:
   scaled onto one integer grid;
 - the interface faces of a mask from a scan of its whole grid
   (`interface_faces_whole_grid`), before the scan was cut to the mask's
-  bounding box.
+  bounding box;
+- the Whitney decomposition and its audit with the region's cells counted
+  on a whole-grid table of the region, `~dom.mask` on the exterior
+  (`whitney_by_region_table`, `audit_by_region_table`), before an exterior
+  cube's count became its cells less the domain's.
 """
 
 from __future__ import annotations
@@ -48,14 +52,17 @@ from sobex.cantor import _seg_box, _seg_meets_open_box
 from sobex.curves import _OFFSETS_2D, _OFFSETS_3D
 from sobex.dyadic import box_box_dist2_int
 from sobex.errors import ConstructionError
-from sobex.domain import interface_faces_doubled
+from sobex.distance import distance_transform
+from sobex.domain import interface_faces_doubled, root_tiling_level
 from sobex.figio import LEVEL_COLORS, SvgCanvas
 from sobex.extension import InequalityReport
 from sobex.perimeter import EXTERIOR, INTERIOR, ON_BOUNDARY, VoxelSet
 from sobex.whitney import (
     SUPPORT_SHELL,
+    WhitneyDecomposition,
     _box_count_batch,
     _integral_image,
+    _level_counts,
     _paint_level,
     _per_level,
     gradient_energy,
@@ -557,3 +564,122 @@ def interface_faces_whole_grid(mask: np.ndarray, lo_int) -> tuple[np.ndarray, np
         axes_list.append(np.full(len(idx), d, dtype=np.int8))
         coords_list.append(coords)
     return np.concatenate(axes_list), np.concatenate(coords_list).astype(np.int64)
+
+
+def _region_grid_table(dom, side: str):
+    """Summed-area table (int64) of the side's region over the whole grid,
+    with its first cell 0: the interior counts on the domain's mask, the
+    exterior on ~dom.mask."""
+    region = dom.mask if side == "interior" else ~dom.mask
+    P = np.zeros(tuple(s + 1 for s in region.shape), dtype=np.int64)
+    P[(slice(1, None),) * region.ndim] = region
+    for d in range(region.ndim):
+        np.cumsum(P, axis=d, out=P)
+    return P, np.zeros(region.ndim, dtype=np.int64)
+
+
+def whitney_by_region_table(dom, L_max: int, side: str):
+    """whitney_decompose with every cube's region cells counted on a
+    whole-grid table of the region (`~dom.mask` on the exterior), before
+    the exterior count became the cube's cells less the domain's."""
+    n = dom.n
+    K = dom.K
+    field = distance_transform(dom)
+    S = max(L_max, K + 1)
+    P = _region_grid_table(dom, side)
+    lo_int = np.asarray(dom.lo_int, dtype=np.int64)
+    shape = np.asarray(dom.mask.shape, dtype=np.int64)
+    bbox_lo_S = lo_int * 2 ** (S - K)
+    bbox_hi_S = (lo_int + shape) * 2 ** (S - K)
+    acc = {"levels": [np.empty(0, dtype=np.int64)],
+           "index": [np.empty((0, n), dtype=np.int64)],
+           "d2": [np.empty(0, dtype=np.int64)],
+           "synthetic": [np.empty(0, dtype=bool)]}
+    collar_lvl = np.empty(0, dtype=np.int64)
+    collar_idx = np.empty((0, n), dtype=np.int64)
+    collar_cells = 0.0
+    root_level = root_tiling_level(dom)
+    t = 2 ** (K - root_level)
+    ranges = [np.arange(lo_int[d] // t, (lo_int[d] + shape[d]) // t)
+              for d in range(n)]
+    cur = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, n)
+    level = root_level
+    while len(cur) and level <= L_max:
+        cnt = _level_counts(P, dom, level, cur)
+        full = 2 ** (max(K - level, 0) * n)
+        keep = cnt > 0
+        cur, cnt = cur[keep], cnt[keep]
+        if len(cur) == 0:
+            break
+        ell = 2 ** (S - level)
+        is_full = cnt == full
+        d2 = np.zeros(len(cur), dtype=np.int64)
+        if is_full.any():
+            d2[is_full] = field.box_d2(cur[is_full] * ell, ell, S - K - 1)
+        accept = is_full & (d2 >= ell * ell)
+        sel = cur[accept]
+        acc["levels"].append(np.full(len(sel), level, dtype=np.int64))
+        acc["index"].append(sel)
+        acc["d2"].append(d2[accept])
+        acc["synthetic"].append((side == "exterior") & np.any(
+            (sel * ell == bbox_lo_S) | (sel * ell + ell == bbox_hi_S), axis=1))
+        rest = ~accept
+        if level == L_max:
+            collar_idx = cur[rest]
+            collar_lvl = np.full(len(collar_idx), level, dtype=np.int64)
+            collar_cells = float(cnt[rest].sum()) if level <= K \
+                else len(collar_idx) * 2.0 ** (-(level - K) * n)
+            break
+        nxt = cur[rest]
+        cur = np.concatenate([2 * nxt + np.array([(m >> d) & 1 for d in range(n)])
+                              for m in range(2**n)])
+        level += 1
+    return WhitneyDecomposition(
+        domain=dom, side=side,
+        **{key: np.concatenate(parts) for key, parts in acc.items()},
+        scale_level=S, truncation_level=L_max,
+        collar_levels=collar_lvl, collar_index=collar_idx,
+        collar_measure=float(collar_cells) * dom.h**n)
+
+
+def audit_by_region_table(dec) -> dict:
+    """audit_whitney with the (W1) and (W2) counts taken on a whole-grid
+    table of the region, and the region's volume from its mask."""
+    dom = dec.domain
+    n = dom.n
+    S = dec.scale_level
+    region = dec.side_mask()
+    P = _region_grid_table(dom, dec.side)
+    w2 = w4 = True
+    levels, d2 = dec.levels, dec.d2
+    full = np.left_shift(1, np.maximum(dom.K - levels, 0) * n)
+    w1 = bool(np.all(_level_counts(P, dom, levels, dec.index) == full)
+              and np.all(d2 > 0))
+    ell2 = np.left_shift(1, 2 * (S - levels))
+    w3 = bool(np.all((ell2 <= d2) & (d2 <= 16 * n * ell2)))
+    vol = sum((Fraction(int(c), 2 ** (int(k) * n))
+               for k, c in zip(*np.unique(levels, return_counts=True))),
+              Fraction(0))
+    for k, pos, idx in _per_level(dec):
+        for up in range(1, k + 1):
+            if np.any(dec._find(k - up, idx >> up) >= 0):
+                w2 = False
+    collar_vol = Fraction(0)
+    for k, pos, idx in _per_level(dec, collar=True):
+        if k <= dom.K:
+            cells = int(_level_counts(P, dom, k, idx).sum())
+            collar_vol += Fraction(cells, 2 ** (dom.K * n))
+        else:
+            collar_vol += Fraction(len(pos), 2 ** (k * n))
+    if vol + collar_vol != Fraction(int(region.sum()), 2 ** (dom.K * n)):
+        w2 = False
+    i, j = dec._adjacent
+    if np.any(np.abs(dec.levels[i] - dec.levels[j]) > 2):
+        w4 = False
+    return {
+        "W1": w1, "W2": w2, "W3": w3, "W4": w4,
+        "cubes": len(dec.levels),
+        "collar_measure": dec.collar_measure,
+        "levels": dict(zip(*np.unique(dec.levels, return_counts=True)))
+        if len(dec.levels) else {},
+    }

@@ -57,6 +57,29 @@ def test_gen_cantor_tube_refused_with_one_line(tmp_path, capsys, K, reason):
     assert not (tmp_path / "domain.voxd").exists()
 
 
+@pytest.mark.parametrize("args, reason", [
+    (["--domain", "ball", "--K", "-1"], "resolution K must be >= 0, got -1"),
+    (["--domain", "cantor_tube", "--K", "-2"], "resolution K must be >= 0"),
+    (["--domain", "ball", "--K", "6", "--dim", "4"],
+     "only 2D and 3D grids are supported, got dim=4"),
+    (["--domain", "cube", "--K", "6", "--dim", "1"], "got dim=1"),
+])
+def test_gen_bad_resolution_or_dim_exit_2_before_any_grid(
+        tmp_path, capsys, monkeypatch, args, reason):
+    import sobex.domain
+
+    def no_grid(*a, **k):
+        raise AssertionError("a grid was built")
+
+    for name in ("_margin_bbox", "_bbox_cells", "_grid_centers"):
+        monkeypatch.setattr(sobex.domain, name, no_grid)
+    assert run(["--out", str(tmp_path), "gen", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err
+    assert not (tmp_path / "domain.voxd").exists()
+
+
 def test_slit_gen_count(tmp_path, capsys):
     out = str(tmp_path)
     assert run(["--out", out, "gen", "--domain", "slit_square",

@@ -488,29 +488,44 @@ def test_one_smoothing_for_every_p(disk_setup, monkeypatch):
 
 
 @pytest.mark.parametrize("lemma_ratios", [True, False])
-def test_one_table_per_distinct_mask(disk_setup, monkeypatch, lemma_ratios):
-    """extend_geometry builds one summed-area table per distinct mask: the
-    domain, A and A', or only the domain and A when A' = A."""
+def test_one_table_per_distinct_mask(monkeypatch, lemma_ratios):
+    """Over the whole pipeline on one domain (both decompositions, both
+    audits, and two sets extended at three p) `_table` builds every table:
+    the domain's once, never one of ~dom.mask, and one per distinct set
+    mask, A' taking A's when A' = A."""
+    import sys
+
     from sobex import whitney
 
-    dom, dist, W, We = disk_setup
-    masks = []
+    built = []
     build = whitney._integral_image
 
     def recording(mask):
-        masks.append(mask.tobytes())
+        built.append((sys._getframe(1).f_code.co_name, mask.tobytes()))
         return build(mask)
 
-    monkeypatch.setattr(extension, "_integral_image", recording)
     monkeypatch.setattr(whitney, "_integral_image", recording)
+    assert not hasattr(extension, "_integral_image")
+    dom = build_domain("ball", 6, r=0.5, margin=Fraction(3, 2))
+    W, We = whitney_decompose(dom, 6), exterior_whitney(dom, 6)
+    assert [whitney.audit_whitney(d)["W2"] for d in (W, We)] == [True, True]
+    dist = distance_transform(dom)
     # the half cut runs along a dyadic line, so its A' is A itself
-    for A, tables in ((make_set(dom, "random", seed=11), 3),
-                      (left_half(dom), 2)):
-        masks.clear()
-        geo = extension.extend_geometry(A, W, We, dist, lemma_ratios)
-        assert np.array_equal(geo.A_prime.mask, A.mask) == (tables == 2)
-        assert len(masks) == len(set(masks)) == tables
-        assert (geo.smoothed is not None) == lemma_ratios
+    random, half = make_set(dom, "random", seed=11), left_half(dom)
+    primes = []
+    for A in (random, half):
+        for p in (1.25, 1.5, 1.75):
+            res = extend_set(A, W, We, dist,
+                             ExtensionParams(p=p, lemma_ratios=lemma_ratios))
+        primes.append(res.A_prime)
+    assert {caller for caller, _ in built} == {"_table"}
+    keys = [mask for _, mask in built]
+    assert not np.array_equal(primes[0].mask, random.mask)
+    assert np.array_equal(primes[1].mask, half.mask)
+    assert primes[1]._table is half._table
+    assert keys == [dom.mask.tobytes(), random.mask.tobytes(),
+                    primes[0].mask.tobytes(), half.mask.tobytes()]
+    assert (~dom.mask).tobytes() not in keys
 
 
 _SHARED_CASES = {

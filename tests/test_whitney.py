@@ -7,11 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from copy_oracles import (
+    audit_by_region_table,
     domain_svg_by_runs,
     exact_box_dist2,
     gradient_constant_from_views,
     sets_svg_by_runs,
     surface_gather_d2,
+    whitney_by_region_table,
     whitney_svg_from_views,
 )
 from hypothesis import assume, given, settings
@@ -22,7 +24,7 @@ import sobex.cli as cli
 import sobex.distance
 import sobex.whitney as whitney
 from sobex import figio
-from sobex.domain import VoxelDomain, build_domain
+from sobex.domain import VoxelDomain, _mask_bounds, build_domain
 from sobex.dyadic import DyadicCube
 from sobex.errors import PreconditionNotMet
 from sobex.distance import distance_transform
@@ -381,31 +383,84 @@ def test_decompositions_match_pinned_digests(case):
             assert all(audit[w] for w in ("W1", "W2", "W3", "W4"))
 
 
+@pytest.mark.parametrize("below", [0, 2])
+@pytest.mark.parametrize("case", sorted(_PIN_DOMAINS))
+def test_side_counts_match_a_whole_grid_region_table(case, below):
+    """An exterior cube's region count, its cells less the domain's count,
+    gives the decomposition and the audit that counting on a whole-grid
+    table of ~dom.mask gives; so does the interior on the domain's own
+    table.  At L_max = K + 2 the collar holds sub-cell cubes."""
+    dom = _PIN_DOMAINS[case]()
+    for side in ("exterior", "interior"):
+        got = whitney_decompose(dom, dom.K + below, side=side)
+        want = whitney_by_region_table(dom, dom.K + below, side)
+        for name in ("levels", "index", "d2", "synthetic", "collar_levels",
+                     "collar_index"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (side, name)
+        assert got.collar_measure == want.collar_measure
+        assert bool(below) == bool((got.collar_levels > dom.K).any())
+        assert audit_whitney(got) == audit_by_region_table(got)
+
+
+def _reference_counts(mask, lo, hi):
+    """int64 sums of the mask over the boxes [lo, hi), clipped to the grid."""
+    return [int(mask[tuple(slice(max(a, 0), max(min(b, s), 0))
+                           for a, b, s in zip(row_lo, row_hi, mask.shape))]
+                .sum(dtype=np.int64))
+            for row_lo, row_hi in zip(lo.tolist(), hi.tolist())]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 9), min_size=2, max_size=3),
-       st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2**16))
+       st.sampled_from([0.0, 0.05, 0.5, 1.0]), st.integers(0, 2**16))
 def test_integral_image_equals_int64_construction(shape, density, seed):
-    mask = np.random.default_rng(seed).random(shape) < density
-    ref = mask.astype(np.int64)
-    for d in range(mask.ndim):
+    """The table is the int64 cumsum of the mask's bounding box and starts at
+    the box's first cell; every box count, whether the box lies inside,
+    across or wholly off the mask's box, equals the full-grid count."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random(shape) < density
+    n = mask.ndim
+    bounds = _mask_bounds(mask) or ((0,) * n, (0,) * n)
+    ref = mask[tuple(map(slice, *bounds))].astype(np.int64)
+    for d in range(n):
         ref = ref.cumsum(axis=d)
-    ref = np.pad(ref, [(1, 0)] * mask.ndim)
-    P = whitney._integral_image(mask)
+    ref = np.pad(ref, [(1, 0)] * n)
+    P, first = whitney._integral_image(mask)
     assert P.dtype == np.int32 and np.array_equal(P, ref)
-    lo = np.zeros((1, mask.ndim), dtype=np.int64)
-    assert whitney._box_count_batch(P, lo, lo + shape).tolist() == [mask.sum()]
+    assert first.dtype == np.int64 and first.tolist() == list(bounds[0])
+    blo, bhi, N = (np.array(v) for v in (*bounds, shape))
+    # the mask's box, the grid, a box across each face of the mask's box
+    # and one wholly beyond it on either side, then random boxes
+    lo = [blo, np.zeros(n, int)]
+    hi = [bhi, N]
+    for d in range(n):
+        for a, b in ((blo[d] - 2, blo[d] + 1), (bhi[d] - 1, bhi[d] + 2),
+                     (-3, blo[d]), (bhi[d], N[d] + 3)):
+            lo.append(np.where(np.arange(n) == d, a, -1))
+            hi.append(np.where(np.arange(n) == d, b, N + 1))
+    lo = np.concatenate([np.array(lo), rng.integers(-3, N + 3, size=(40, n))])
+    hi = np.concatenate([np.array(hi), lo[len(hi):] + rng.integers(
+        1, N.max() + 4, size=(40, n))])
+    assert whitney._box_count_batch((P, first), lo, hi).tolist() \
+        == _reference_counts(mask, lo, hi)
 
 
 def test_integral_image_refused_over_budget(monkeypatch):
+    """The budget is checked on the bytes of the domain's box, which are
+    fewer than the grid's."""
     dom = build_domain("ball", 6, r=0.5, margin=0.5)
-    need = 4 * math.prod(s + 1 for s in dom.shape)
+    lo, hi = _mask_bounds(dom.mask)
+    need = 4 * math.prod(b - a + 1 for a, b in zip(lo, hi))
+    assert need < 4 * math.prod(s + 1 for s in dom.shape)
     monkeypatch.setattr(whitney, "TABLE_BUDGET_BYTES", need)
-    assert whitney._integral_image(dom.mask).nbytes == need
+    assert whitney._integral_image(dom.mask)[0].nbytes == need
     monkeypatch.setattr(whitney, "TABLE_BUDGET_BYTES", need - 1)
     with pytest.raises(PreconditionNotMet, match="budget"):
         whitney._integral_image(dom.mask)
-    with pytest.raises(PreconditionNotMet, match="summed-area table"):
-        whitney_decompose(dom, 7)
+    for side in ("interior", "exterior"):
+        with pytest.raises(PreconditionNotMet, match="summed-area table"):
+            whitney_decompose(dom, 7, side=side)
 
 
 def _hand_built(dom, cubes):
