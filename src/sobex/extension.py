@@ -97,8 +97,7 @@ def select_A_prime(A: VoxelSet, W: WhitneyDecomposition):
 
     Truncation-collar cubes take the same test relative to their in-domain
     part, so that A = Omega selects all of Omega; the returned ids refer to
-    the accepted (non-collar) cubes only.  The counts come from the
-    summed-area tables that A and the domain keep (`_table`).
+    the accepted (non-collar) cubes only; counts read the kept `_table`s.
     """
     dom = W.domain
     P, Pom = _table(A), _table(dom)
@@ -125,8 +124,7 @@ def select_A0(A_prime: VoxelSet, We: WhitneyDecomposition):
     The dilate factor is c = 20 sqrt(n), entering only through
     c^2 * l^2 = 400 n l^2.  Synthetic cubes (touching the outer
     bbox) are never selected; cubes whose dilate leaves the bbox use the
-    clipped dilate and are reported in `clipped`.  The counts come from
-    the summed-area tables that A' and the domain keep (`_table`).
+    clipped dilate and are reported in `clipped`; counts read `_table`s.
     """
     dom = We.domain
     K = dom.K
@@ -237,10 +235,8 @@ def extend_geometry(A: VoxelSet, W: WhitneyDecomposition,
     """A -> A' -> A0 -> A~ and everything else that does not depend on p;
     A' is smoothed here, once, only when lemma ratios are on.  `dist` must
     hold the domain's own boundary centroids: only then are the touching
-    faces exactly the faces on the domain boundary.
-
-    The domain and each set keep their mask's summed-area table (`_table`)
-    for every later reader; A' takes A's when A' = A."""
+    faces exactly the faces on the domain boundary.  A' = A shares A's
+    kept summed-area table (`_table`)."""
     dom = W.domain
     coords = dom.boundary_faces_doubled()[1]
     if dist.coords is not coords and not np.array_equal(dist.coords, coords):

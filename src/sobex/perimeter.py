@@ -24,7 +24,6 @@ from .domain import (
 from .distance import DistanceField
 from .dyadic import DyadicCube
 from .errors import PreconditionNotMet, UnsupportedExponent
-from .whitney import _box_count_batch, _table
 
 
 class VoxelSet:
@@ -182,20 +181,16 @@ def isoperimetric_check(A: VoxelSet, context) -> float:
         _, Q, Qp = context
         if not (Qp.level - 2 <= Q.level <= Qp.level + 2):
             raise PreconditionNotMet("cube sides must be within a factor of 4")
+        s_q, s_p = 2.0**-Q.level, 2.0**-Qp.level
+        if not (0.25 * s_p <= s_q <= 4 * s_p):
+            raise PreconditionNotMet("cube sides must be within a factor of 4")
         if not Q.face_adjacent(Qp):
             raise PreconditionNotMet("int(Q u Q') must be connected")
-        # the interiors are disjoint: count each cube's cells on A's table
-        inner = outer = 0
-        for C in (Q, Qp):
-            if C.level > A.K:
-                raise PreconditionNotMet("cube finer than the grid")
-            lo = np.subtract(C.index, A.lo_int) * 2 ** (A.K - C.level)
-            hi = lo + 2 ** (A.K - C.level)
-            cnt = int(_box_count_batch(_table(A), lo[None], hi[None])[0])
-            grid = np.clip(hi, 0, A.mask.shape) - np.clip(lo, 0, A.mask.shape)
-            inner += cnt
-            outer += int(np.prod(grid)) - cnt
-        inner, outer = float(inner) * h**n, float(outer) * h**n
+        in_q = _cells_in_cube(A, Q)
+        in_p = _cells_in_cube(A, Qp)
+        union = in_q | in_p
+        inner = float(np.sum(A.mask & union)) * h**n
+        outer = float(np.sum(~A.mask & union)) * h**n
         faces = boundary_faces(A)
         cen = faces.coords  # doubled coords
         keep = _centroid_in_open_union(cen, faces.axes, Q, Qp, A.K)
@@ -224,6 +219,20 @@ def perimeter_interior_in_ball(A: VoxelSet, x, r) -> float:
     d2 = ((cen - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
     sel = (d2 < r * r) & (faces.classification == INTERIOR)
     return float(sel.sum()) * faces.face_area
+
+
+def _cells_in_cube(A: VoxelSet, Q: DyadicCube) -> np.ndarray:
+    """Mask of grid cells whose closed cell lies inside the closed cube."""
+    if Q.level > A.K:
+        raise PreconditionNotMet("cube finer than the grid")
+    f = 2 ** (A.K - Q.level)
+    out = np.ones(A.mask.shape, dtype=bool)
+    for d in range(A.n):
+        idx = (np.arange(A.mask.shape[d]) + A.lo_int[d]).reshape(
+            tuple(-1 if a == d else 1 for a in range(A.n))
+        )
+        out &= (idx >= Q.index[d] * f) & (idx < (Q.index[d] + 1) * f)
+    return out
 
 
 def _centroid_in_open_union(coords, axes, Q: DyadicCube, Qp: DyadicCube, K: int):

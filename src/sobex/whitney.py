@@ -8,9 +8,8 @@ collar at L_max.  The upper bound dist <= 4 sqrt(n) l(Q) then holds
 automatically for accepted cubes and is asserted.  Both questions asked of
 a cube, how many region cells it holds and how far it is from the
 boundary, are answered a level at a time over arrays: the first by box
-counts on the domain's summed-area table (kept by the domain, cut to its
-bounding box; no complement is tabulated), the second by
-`DistanceField.box_d2`, whose KD-tree the extension's face reads share.
+counts on the domain's kept, bounding-box summed-area table, the second
+by `DistanceField.box_d2`, whose KD-tree the extension's face reads share.
 """
 
 from __future__ import annotations
@@ -157,8 +156,7 @@ def _integral_image(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _table(owner) -> tuple[np.ndarray, np.ndarray]:
-    """A VoxelDomain's or VoxelSet's `_integral_image`, kept as owner._table;
-    like the face cache, this treats the mask as immutable."""
+    """A domain's or set's `_integral_image`, kept (its mask is immutable)."""
     if owner._table is None:
         owner._table = _integral_image(owner.mask)
     return owner._table
@@ -212,8 +210,7 @@ def _cube_cells(dom: VoxelDomain, level):
 
 
 def _side_counts(dom: VoxelDomain, side: str, level, idx: np.ndarray):
-    """Region cells in each cube (as `_level_counts`): the domain's count,
-    or on the exterior the cube's cells less it."""
+    """Region cells per cube: the domain's, or on the exterior the rest."""
     cnt = _level_counts(_table(dom), dom, level, idx)
     return cnt if side == "interior" else _cube_cells(dom, level) - cnt
 
@@ -253,8 +250,7 @@ def whitney_decompose(dom: VoxelDomain, L_max: int, side: str = "interior",
     cubes take one exact distance path, `DistanceField.box_d2`: squared
     distances to the boundary centroids, exact integers in units of 2**-S
     with S = max(L_max, K + 1).  No distance lattice is built; both sides
-    count cells on the domain's summed-area table (`_side_counts`), which
-    spans the domain's bounding box within TABLE_BUDGET_BYTES.
+    count cells on the domain's kept, bounding-box table (`_side_counts`).
     """
     if L_max < root_tiling_level(dom):
         raise PreconditionNotMet("L_max coarser than the bbox root tiling")
@@ -560,8 +556,7 @@ class SmoothedIndicator:
 def cube_averages(dec: WhitneyDecomposition, F_mask: np.ndarray,
                   P=None) -> np.ndarray:
     """a_i = |F n Q_i| / |Q_i| for a set given on the domain grid; P is the
-    mask's summed-area table (`_integral_image`), built here when not
-    given."""
+    mask's table (`_integral_image`), built here when not given."""
     dom = dec.domain
     P = _integral_image(F_mask) if P is None else P
     cnt = _level_counts(P, dom, dec.levels, dec.index)

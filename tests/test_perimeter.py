@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from sobex.perimeter import (
     jordan_loops,
     perimeter,
     weighted_boundary_integral,
+    _centroid_in_open_union,
 )
 from sobex.whitney import exterior_whitney, whitney_decompose
 
@@ -244,6 +246,70 @@ def test_isoperimetric_monte_carlo(unit_square_k6):
             trials += 1
     assert trials >= 400
     assert worst > 0  # empirical C(n) floor, reported by the acceptance run
+
+
+def _cube_pair_by_cell_centres(A, Q, Qp):
+    """The cube-pair ratio with |A n U| and |U \\ A| counted over the whole
+    grid from the float cell centres (dyadic, so exact): a cell lies in a
+    cube iff its centre lies in the open cube."""
+    n = A.n
+    centres = A.parent.cell_centers()
+    union = np.zeros(A.mask.shape, dtype=bool)
+    for C in (Q, Qp):
+        side = 2.0 ** -C.level
+        inside = np.ones(A.mask.shape, dtype=bool)
+        for d in range(n):
+            lo = C.index[d] * side
+            hit = (centres[d] > lo) & (centres[d] < lo + side)
+            inside &= hit.reshape(tuple(-1 if a == d else 1 for a in range(n)))
+        union |= inside
+    inner = float(np.sum(A.mask & union)) * A.h**n
+    outer = float(np.sum(~A.mask & union)) * A.h**n
+    faces = boundary_faces(A)
+    P = float(_centroid_in_open_union(faces.coords, faces.axes, Q, Qp,
+                                      A.K).sum()) * faces.face_area
+    denom = min(inner, outer) ** (1.0 - 1.0 / n)
+    if denom == 0.0:
+        return float("nan") if P == 0.0 else float("inf")
+    return P / denom
+
+
+def test_isoperimetric_cube_pair_on_a_margin_grid(ball_k7):
+    """Grids not starting at the origin (negative lo_int): exact ratios, and
+    random sets and cube pairs, cubes straddling the grid's edge included,
+    against a whole-grid count from the cell centres."""
+    assert min(ball_k7.lo_int) < 0
+    Q, Qp = DyadicCube(3, (3, 3)), DyadicCube(3, (4, 3))
+    def cells(C):  # a level-3 cube's 16 x 16 block of K=7 cells
+        return tuple(slice(16 * i - o, 16 * i - o + 16)
+                     for i, o in zip(C.index, ball_k7.lo_int))
+    q = cells(Q)
+    mask = np.zeros(ball_k7.shape, bool)
+    mask[q] = True  # A = Q
+    A = VoxelSet.from_domain(ball_k7, mask)
+    assert isoperimetric_check(A, ("cube_pair", Q, Qp)) == pytest.approx(1.0)
+    mask[cells(Qp)] = True
+    x, y = q[0].start + 6, q[1].start + 6
+    mask[x:x + 4, y:y + 4] = False
+    A = VoxelSet.from_domain(ball_k7, mask)  # Q u Q' less a 4h square hole
+    assert isoperimetric_check(A, ("cube_pair", Q, Qp)) == pytest.approx(4.0)
+
+    rng = np.random.default_rng(29)
+    disk = build_domain("ball", 5, r=0.5, margin=Fraction(1, 2))
+    for dom in (ball_k7, disk):
+        lo = min(dom.lo_int) * dom.h
+        hi = lo + dom.shape[0] * dom.h
+        for _ in range(40):
+            k = int(rng.integers(0, 4))
+            j0, j1 = math.floor(lo * 2**k), math.ceil(hi * 2**k)
+            jx = int(rng.integers(j0, j1 - 1))
+            jy = int(rng.integers(j0, j1))
+            Q, Qp = DyadicCube(k, (jx, jy)), DyadicCube(k, (jx + 1, jy))
+            mask = rng.random(dom.shape) < rng.uniform(0.2, 0.8)
+            A = VoxelSet.from_domain(dom, mask & dom.mask)
+            got = isoperimetric_check(A, ("cube_pair", Q, Qp))
+            want = _cube_pair_by_cell_centres(A, Q, Qp)
+            assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 def test_isoperimetric_ball_form(ball_k7):
