@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import _grid_centers
+from .domain import _cube, _grid_centers
 from .dyadic import box_box_dist2_int, box_point_d2
 from .errors import ConstructionError, PreconditionNotMet, SobexError
 
@@ -584,9 +584,6 @@ def cantor_occupancy(spec: CantorTubeSpec, K: int, lo_int, shape) -> np.ndarray:
     h = 2.0**-K
     grids = _grid_centers(K, lo_int, shape)
     axes = [g.ravel() for g in grids]
-    inside = np.ones(shape, dtype=bool)
-    for g in grids:
-        inside &= (g > 0.0) & (g < 1.0)
     removed = np.zeros(shape, dtype=bool)
     for n, i, verts, radius in spec.all_tubes():
         r = float(radius)
@@ -611,4 +608,4 @@ def cantor_occupancy(spec: CantorTubeSpec, K: int, lo_int, shape) -> np.ndarray:
                 in_child = in_child & (g > float(c0)) & (g < float(c1))
             removed[sel] |= ((box_point_d2(slo, shi, sub) <= r * r)
                              & in_parent & ~in_child)
-    return inside & ~removed
+    return _cube(K, lo_int, shape) & ~removed

@@ -62,12 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a domain file and previews")
     g.add_argument("--domain", required=True, choices=GENERATORS)
     g.add_argument("--K", type=int, required=True)
-    g.add_argument("--dim", type=int, default=2)
-    g.add_argument("--r", type=float, default=0.5)
-    g.add_argument("--slit-len", type=float, default=0.5)
-    g.add_argument("--alpha", type=float, default=2.0)
-    g.add_argument("--iterations", type=int, default=3)
-    g.add_argument("--depth", type=int, default=1)
+    # --margin is read as typed, an exact rational such as 1/2
+    flags = {k: gen.arguments({})[k] for gen in GENERATORS.values()
+             for k in gen.flags if k != "margin"}
+    for name, default in flags.items():
+        g.add_argument("--" + name.replace("_", "-"), type=type(default),
+                       default=default)
     g.add_argument("--margin", default="0")
     g.set_defaults(func=cmd_gen)
 
@@ -132,21 +132,13 @@ def _run_recorded(args) -> int:
 
 def cmd_gen(args) -> tuple[int, list[str]]:
     out = args.out
-    params = {"margin": Fraction(args.margin)}
-    if args.domain == "ball":
-        params["r"] = args.r
-        params["dim"] = args.dim
-    elif args.domain == "cube":
-        params["dim"] = args.dim
-    elif args.domain == "slit_square":
-        params["slit_len"] = args.slit_len
-    elif args.domain == "outward_cusp":
-        params["alpha"] = args.alpha
-    elif args.domain == "snowflake_approx":
-        params["iterations"] = args.iterations
-    elif args.domain == "cantor_tube":
-        params["depth"] = args.depth
-        params.pop("margin")
+    gen = GENERATORS[args.domain]
+    # the default --dim 2 stands for no --dim, so cantor_tube (3D) takes it
+    if "dim" not in gen.flags and args.dim != 2:
+        gen.arguments({"dim": args.dim})
+    params = {name: getattr(args, name) for name in gen.flags}
+    if "margin" in params:
+        params["margin"] = Fraction(params["margin"])
     dom = build_domain(args.domain, args.K, **params)
     path = os.path.join(out, "domain.voxd")
     dom.save(path)

@@ -1,12 +1,16 @@
 """Voxel domains: occupancy grids at dyadic resolution plus the generators
 for the test geometries (box, ball, slit square, outward cusp, snowflake
-prefractal, Cantor-tube window)."""
+prefractal, Cantor-tube window), one table of them, `GENERATORS`, from
+which `build_domain` checks a request before building any grid, and the
+one bounding box of every generator: its window grown by the margin."""
 
 from __future__ import annotations
 
 import io
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -17,16 +21,6 @@ from .errors import InvalidDomain, ResolutionTooCoarse
 # (cells off the grid are out), one of each (on its boundary), or not
 # classified (a set given no domain)
 INTERIOR, EXTERIOR, ON_BOUNDARY, UNCLASSIFIED = 0, 1, 2, 3
-
-GENERATORS = (
-    "cube",
-    "ball",
-    "slit_square",
-    "outward_cusp",
-    "snowflake_approx",
-    "cantor_tube",
-)
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -100,20 +94,23 @@ class VoxelDomain:
     def __init__(self, K: int, lo_int: tuple[int, ...], mask: np.ndarray,
                  name: GeneratorSpec | None = None):
         mask = np.asarray(mask, dtype=bool)
+        self.name = name or GeneratorSpec("custom")
         if mask.ndim not in (2, 3):
             raise InvalidDomain("only 2D and 3D grids are supported")
         if not mask.any():
-            raise InvalidDomain("empty occupancy")
+            raise InvalidDomain(f"{self.name.tag}: empty occupancy at K={K}")
         self.K = K
         self.lo_int = tuple(int(v) for v in lo_int)
         self.mask = mask
-        self.name = name or GeneratorSpec("custom")
         self._faces = None
         self._dist = None
         self._table = None
-        structure = ndimage.generate_binary_structure(mask.ndim, 1)
-        _, ncomp = ndimage.label(mask, structure=structure)
-        self.connected = ncomp == 1
+
+    @cached_property
+    def connected(self) -> bool:
+        """One face-connected component; labelled on the first read."""
+        structure = ndimage.generate_binary_structure(self.n, 1)
+        return ndimage.label(self.mask, structure=structure)[1] == 1
 
     @property
     def n(self) -> int:
@@ -304,14 +301,11 @@ def _bbox_cells(K, lo: Fraction, hi: Fraction):
     return int(a), int(b - a)
 
 
-def _margin_bbox(K, margin, base_lo, base_hi, n):
-    margin = Fraction(margin)
-    lo = [Fraction(base_lo)] * n
-    hi = [Fraction(base_hi)] * n
-    lo = [v - margin for v in lo]
-    hi = [v + margin for v in hi]
-    lo_int, shapes = zip(*[_bbox_cells(K, a, b) for a, b in zip(lo, hi)])
-    return tuple(lo_int), tuple(shapes)
+def _margin_bbox(K, margin, window, n):
+    """(lo_int, shape) of the window, or the unit box, grown by the margin."""
+    lo, hi = window or ((0,) * n, (1,) * n)
+    return tuple(zip(*(_bbox_cells(K, Fraction(a) - margin, Fraction(b) + margin)
+                       for a, b in zip(lo, hi))))
 
 
 def koch_snowflake(iterations: int) -> np.ndarray:
@@ -342,84 +336,45 @@ def _points_in_polygon(px, py, poly):
     return inside
 
 
-def build_domain(spec: GeneratorSpec | str, K: int, **params) -> VoxelDomain:
-    """Realize a generator at resolution 2**-K.
-
-    Occupancy is the analytic set sampled at cell centers.  Every generator
-    accepts `margin` (dyadic, default 0) growing the bbox beyond the unit
-    box so the complement has room for exterior decompositions.
-    """
-    if isinstance(spec, str):
-        spec = GeneratorSpec(spec, dict(params))
-    p = dict(spec.params)
-    tag = spec.tag
-    if tag not in GENERATORS:
-        raise InvalidDomain(f"unknown generator '{tag}'")
-    if K < 0:
-        raise InvalidDomain(f"resolution K must be >= 0, got {K}")
-    margin = Fraction(p.pop("margin", 0))
-    if tag == "cantor_tube":
-        dom = _build_cantor_domain(K, margin, p)
-        # depth and lambdas rebuild the spec, so the name leaves it out
-        dom.name = GeneratorSpec(tag, {k: v for k, v in spec.params.items()
-                                       if k != "cantor_spec"})
-        return dom
-
-    ndim = int(p.pop("dim", 2))
-    if ndim not in (2, 3):
-        raise InvalidDomain(f"only 2D and 3D grids are supported, got dim={ndim}")
-    lo_int, shape = _margin_bbox(K, margin, 0, 1, ndim)
-    grids = _grid_centers(K, lo_int, shape)
-
-    if tag == "cube":
-        inside = np.ones(shape, dtype=bool)
-        for g in grids:
-            inside &= (g > 0) & (g < 1)
-    elif tag == "ball":
-        r = float(p.pop("r", 0.5))
-        c = [0.5] * ndim
-        d2 = sum((g - ci) ** 2 for g, ci in zip(grids, c))
-        inside = d2 < r * r
-    elif tag == "slit_square":
-        slit_len = float(p.pop("slit_len", 0.5))
-        x, y = grids
-        inside = (x > 0) & (x < 1) & (y > 0) & (y < 1)
-        h = 2.0**-K
-        # the slit is one cell row thick: cells [0, slit_len) x [1/2, 1/2+h)
-        slit = (x < slit_len) & (y > 0.5) & (y < 0.5 + h)
-        inside &= ~slit
-    elif tag == "outward_cusp":
-        alpha = float(p.pop("alpha", 2.0))
-        if alpha <= 1:
-            raise InvalidDomain("cusp exponent must satisfy alpha > 1")
-        x, y = grids
-        inside = (x > 0) & (x < 1) & (y > 0) & (y < 1)
-        spike = (y >= 0.5) & (np.abs(x - 0.5) <= (y - 0.5) ** alpha)
-        inside &= ~spike
-    elif tag == "snowflake_approx":
-        iters = int(p.pop("iterations", 3))
-        poly = koch_snowflake(iters)
-        x, y = grids
-        inside = _points_in_polygon(x, y, poly)
-    else:  # pragma: no cover
-        raise InvalidDomain(tag)
-
-    if p:
-        raise InvalidDomain(f"unused generator parameters: {sorted(p)}")
-    if not inside.any():
-        raise InvalidDomain(f"{tag}: empty occupancy at K={K}")
-    return VoxelDomain(K, lo_int, inside, name=spec)
+def _cube(K, lo_int, shape):
+    inside = np.ones(shape, dtype=bool)
+    for g in _grid_centers(K, lo_int, shape):
+        inside &= (g > 0) & (g < 1)
+    return inside
 
 
-def _build_cantor_domain(K, margin, p):
+def _ball(K, lo_int, shape, r):
+    d2 = sum((g - 0.5) ** 2 for g in _grid_centers(K, lo_int, shape))
+    return d2 < r * r
+
+
+def _slit_square(K, lo_int, shape, slit_len):
+    x, y = _grid_centers(K, lo_int, shape)
+    h = 2.0**-K
+    # the slit is one cell row thick: cells [0, slit_len) x [1/2, 1/2+h)
+    slit = (x < slit_len) & (y > 0.5) & (y < 0.5 + h)
+    return _cube(K, lo_int, shape) & ~slit
+
+
+def _outward_cusp(K, lo_int, shape, alpha):
+    if alpha <= 1:
+        raise InvalidDomain("cusp exponent must satisfy alpha > 1")
+    x, y = _grid_centers(K, lo_int, shape)
+    spike = (y >= 0.5) & (np.abs(x - 0.5) <= (y - 0.5) ** alpha)
+    return _cube(K, lo_int, shape) & ~spike
+
+
+def _snowflake_approx(K, lo_int, shape, iterations):
+    x, y = _grid_centers(K, lo_int, shape)
+    return _points_in_polygon(x, y, koch_snowflake(iterations))
+
+
+def _cantor_tube(K, lo_int, shape, depth, lambda_override, allow_coarse,
+                 cantor_spec):
     from .cantor import _cantor_constants, build_cantor_tube, cantor_occupancy
 
-    depth = int(p.pop("depth", 1))
-    lam = p.pop("lambda_override", None)
-    window = p.pop("window", None)
-    allow_coarse = bool(p.pop("allow_coarse", False))
-    spec3 = p.pop("cantor_spec", None)
-    c = _cantor_constants(depth, lam)[3] if spec3 is None else spec3.c
+    c = (_cantor_constants(depth, lambda_override)[3] if cantor_spec is None
+         else cantor_spec.c)
     h = Fraction(1, 2**K)
     if c[depth] < 4 * h and not allow_coarse:
         # sub-resolution tubes vanish under center sampling; measure-level
@@ -428,24 +383,88 @@ def _build_cantor_domain(K, margin, p):
             f"cantor_tube depth={depth} needs h <= c_{depth}/4 = "
             f"{float(c[depth] / 4):.3e}, got h = {float(h):.3e}"
         )
-    if window is None:
-        wlo = [Fraction(0) - margin] * 3
-        whi = [Fraction(1) + margin] * 3
-    else:
-        wlo = [Fraction(v) - margin for v in window[0]]
-        whi = [Fraction(v) + margin for v in window[1]]
-    lo_int, shape = zip(*[_bbox_cells(K, a, b) for a, b in zip(wlo, whi)])
-    ncells = int(np.prod(shape))
-    if ncells > 2**27:
+    if int(np.prod(shape)) > 2**27:
         raise InvalidDomain(
             f"cantor_tube voxelization of {shape} exceeds the cell budget of "
             "2^27 cells; voxelize a window with build_domain(..., window=)"
         )
-    if spec3 is None:
-        spec3 = build_cantor_tube(depth, lambda_override=lam)
-    mask = cantor_occupancy(spec3, K, lo_int, shape)
-    if not mask.any():
-        raise InvalidDomain("cantor_tube: empty occupancy")
-    dom = VoxelDomain(K, lo_int, mask, name=GeneratorSpec("cantor_tube"))
-    dom.cantor_spec = spec3
+    if cantor_spec is None:
+        cantor_spec = build_cantor_tube(depth, lambda_override=lambda_override)
+    # depth and lambdas rebuild the spec, so the name leaves it out
+    return (cantor_occupancy(cantor_spec, K, lo_int, shape),
+            {"cantor_spec": cantor_spec})
+
+
+@dataclass(frozen=True)
+class Generator:
+    """`occupancy(K, lo_int, shape, **params)` returns the set's mask at the
+    cell centres, or a (mask, attributes) pair; the domain keeps the
+    attributes and leaves them out of its name.  `params` maps the own
+    parameters to their defaults, `flags` lists those `sobex gen` passes."""
+
+    tag: str
+    occupancy: Callable
+    dims: tuple[int, ...]
+    params: dict
+    flags: tuple[str, ...]
+
+    def arguments(self, given: dict) -> dict:
+        """Given and default values of the own parameters and of `margin`,
+        `window` and `dim` (default `dims[0]`), each given value cast to its
+        default's type; unknown names, other dims and bad windows raise."""
+        defaults = {"margin": Fraction(0), "window": None,
+                    "dim": self.dims[0], **self.params}
+        unknown = sorted(set(given) - set(defaults))
+        if unknown:
+            raise InvalidDomain(f"{self.tag}: unknown parameters {unknown}")
+        args = {**defaults, **{
+            k: v if defaults[k] is None else type(defaults[k])(v)
+            for k, v in given.items()}}
+        dim, window = args["dim"], args["window"]
+        if dim not in self.dims:
+            grids = " and ".join(f"{d}D" for d in self.dims)
+            raise InvalidDomain(f"{self.tag}: only {grids} grids are "
+                                f"supported, got dim={dim}")
+        if window is not None and (
+                len(window) != 2 or any(len(c) != dim for c in window)):
+            raise InvalidDomain(f"{self.tag}: a window is two corners of "
+                                f"{dim} coordinates, got {window}")
+        return args
+
+
+GENERATORS = {g.tag: g for g in (
+    Generator("cube", _cube, (2, 3), {}, ("dim", "margin")),
+    Generator("ball", _ball, (2, 3), {"r": 0.5}, ("r", "dim", "margin")),
+    Generator("slit_square", _slit_square, (2,), {"slit_len": 0.5},
+              ("slit_len", "margin")),
+    Generator("outward_cusp", _outward_cusp, (2,), {"alpha": 2.0},
+              ("alpha", "margin")),
+    Generator("snowflake_approx", _snowflake_approx, (2,), {"iterations": 3},
+              ("iterations", "margin")),
+    Generator("cantor_tube", _cantor_tube, (3,),
+              {"depth": 1, "lambda_override": None, "allow_coarse": False,
+               "cantor_spec": None}, ("depth",)),
+)}
+
+
+def build_domain(spec: GeneratorSpec | str, K: int, **params) -> VoxelDomain:
+    """Realize a generator of `GENERATORS` at resolution 2**-K: the set
+    sampled at the cell centers of `window` (dyadic corners, the unit box by
+    default) grown by `margin` (dyadic, default 0, room for exterior
+    decompositions).  Bad requests are refused before any grid is built."""
+    if isinstance(spec, str):
+        spec = GeneratorSpec(spec, dict(params))
+    gen = GENERATORS.get(spec.tag)
+    if gen is None:
+        raise InvalidDomain(f"unknown generator '{spec.tag}'")
+    if K < 0:
+        raise InvalidDomain(f"resolution K must be >= 0, got {K}")
+    args = gen.arguments(spec.params)
+    lo_int, shape = _margin_bbox(K, args.pop("margin"), args.pop("window"),
+                                 args.pop("dim"))
+    mask = gen.occupancy(K, lo_int, shape, **args)
+    mask, kept = mask if isinstance(mask, tuple) else (mask, {})
+    dom = VoxelDomain(K, lo_int, mask, name=GeneratorSpec(spec.tag, {
+        k: v for k, v in spec.params.items() if k not in kept}))
+    vars(dom).update(kept)
     return dom

@@ -35,7 +35,9 @@ keeps, in the forms that held a second copy of that data:
 - the Whitney decomposition and its audit with the region's cells counted
   on a whole-grid table of the region, `~dom.mask` on the exterior
   (`whitney_by_region_table`, `audit_by_region_table`), before an exterior
-  cube's count became its cells less the domain's.
+  cube's count became its cells less the domain's;
+- the cells of a dyadic cube as a whole-grid mask (`cells_in_cube`), before
+  the cube-pair isoperimetric check counted slices of the set's mask.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ from scipy.spatial import cKDTree
 
 from sobex.cantor import _seg_box, _seg_meets_open_box
 from sobex.curves import _OFFSETS_2D, _OFFSETS_3D
-from sobex.dyadic import box_box_dist2_int
-from sobex.errors import ConstructionError
+from sobex.dyadic import DyadicCube, box_box_dist2_int
+from sobex.errors import ConstructionError, PreconditionNotMet
 from sobex.distance import distance_transform
 from sobex.domain import interface_faces_doubled, root_tiling_level
 from sobex.figio import LEVEL_COLORS, SvgCanvas
@@ -683,3 +685,17 @@ def audit_by_region_table(dec) -> dict:
         "levels": dict(zip(*np.unique(dec.levels, return_counts=True)))
         if len(dec.levels) else {},
     }
+
+
+def cells_in_cube(A: VoxelSet, Q: DyadicCube) -> np.ndarray:
+    """Mask of grid cells whose closed cell lies inside the closed cube."""
+    if Q.level > A.K:
+        raise PreconditionNotMet("cube finer than the grid")
+    f = 2 ** (A.K - Q.level)
+    out = np.ones(A.mask.shape, dtype=bool)
+    for d in range(A.n):
+        idx = (np.arange(A.mask.shape[d]) + A.lo_int[d]).reshape(
+            tuple(-1 if a == d else 1 for a in range(A.n))
+        )
+        out &= (idx >= Q.index[d] * f) & (idx < (Q.index[d] + 1) * f)
+    return out

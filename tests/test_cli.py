@@ -63,6 +63,8 @@ def test_gen_cantor_tube_refused_with_one_line(tmp_path, capsys, K, reason):
     (["--domain", "ball", "--K", "6", "--dim", "4"],
      "only 2D and 3D grids are supported, got dim=4"),
     (["--domain", "cube", "--K", "6", "--dim", "1"], "got dim=1"),
+    (["--domain", "slit_square", "--K", "6", "--dim", "3"],
+     "slit_square: only 2D grids are supported, got dim=3"),
 ])
 def test_gen_bad_resolution_or_dim_exit_2_before_any_grid(
         tmp_path, capsys, monkeypatch, args, reason):
@@ -78,6 +80,30 @@ def test_gen_bad_resolution_or_dim_exit_2_before_any_grid(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert reason in err
     assert not (tmp_path / "domain.voxd").exists()
+
+
+@pytest.mark.parametrize("args, sha256", [
+    (["--domain", "cube", "--K", "5"],
+     "f0d96a4d0bdb78ab0b905844e34117c770f41d8c792ded1aae4f01f976504a72"),
+    (["--domain", "ball", "--K", "6"],
+     "36626a555e2fa0472538686ffe71c12794a435bfb7e4d1ae16e1d80ba9244c1a"),
+    (["--domain", "ball", "--K", "4", "--dim", "3"],
+     "39c44690e916a4ff3bbd353fe23cd6eedaa7310da676a8aefe04f5f639d29267"),
+    (["--domain", "slit_square", "--K", "6"],
+     "1097b412da7557b9bd829040256d5fe06e8fa519f51512cba80917344e919d99"),
+    (["--domain", "outward_cusp", "--K", "6"],
+     "5b2716af2677bb2b5edd2cab962bd718a8d5e42283cdab4492e1718ced36a7ab"),
+    (["--domain", "snowflake_approx", "--K", "6"],
+     "23634d3f5c3a5705ad00ce03a16f0f3ff97e641cbd918aa308a562e9953bf41e"),
+])
+def test_gen_domain_file_bytes_are_pinned(tmp_path, args, sha256):
+    """The VOXD bytes `gen` writes at default flags are pinned: its
+    generator line, which every rebuild reads, holds exactly the parameters
+    `gen` passes.  cantor_tube, which `gen` refuses at every K, is pinned
+    through a saved window in test_domain."""
+    assert run(["--out", str(tmp_path), "gen", *args]) == 0
+    blob = (tmp_path / "domain.voxd").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == sha256
 
 
 def test_slit_gen_count(tmp_path, capsys):

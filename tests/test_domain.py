@@ -1,13 +1,16 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from copy_oracles import dense_grid_centers
+from memory import traced_peak
+from scipy import ndimage
 
 import sobex.domain as domain
 from sobex.cantor import build_cantor_tube, default_lambdas
-from sobex.domain import GeneratorSpec, VoxelDomain, build_domain
+from sobex.domain import GENERATORS, GeneratorSpec, VoxelDomain, build_domain
 from sobex.errors import InvalidDomain, ResolutionTooCoarse
 from sobex.perimeter import VoxelSet, perimeter
 
@@ -107,6 +110,104 @@ def test_connectivity_flag_on_disconnected_mask():
     mask[7, 7] = True
     dom = VoxelDomain(3, (0, 0), mask)
     assert not dom.connected
+
+
+def test_connected_is_labelled_on_first_read(monkeypatch, tmp_path):
+    calls = []
+    label = ndimage.label
+
+    def counting_label(*args, **kwargs):
+        calls.append(1)
+        return label(*args, **kwargs)
+
+    monkeypatch.setattr(domain.ndimage, "label", counting_label)
+    dom = build_domain("outward_cusp", 6, alpha=2.0)
+    dom.save(tmp_path / "cusp.voxd")
+    loaded = VoxelDomain.load(tmp_path / "cusp.voxd")
+    mask = np.zeros((8, 8), bool)
+    mask[0, 0] = mask[7, 7] = True
+    apart = VoxelDomain(3, (0, 0), mask)
+    assert not calls
+    assert dom.connected and loaded.connected and not apart.connected
+    assert dom.connected and len(calls) == 3  # kept after the first read
+    structure = ndimage.generate_binary_structure(2, 1)
+    assert label(dom.mask, structure=structure)[1] == 1
+
+
+def _no_grid(*args):
+    raise AssertionError("a grid was built")
+
+
+@pytest.mark.parametrize("tag", list(GENERATORS))
+@pytest.mark.parametrize("refused", ["dim", "unknown", "window"])
+def test_refusals_come_before_any_grid(monkeypatch, tag, refused):
+    """A wrong dim, an unknown parameter and a window of the wrong
+    dimension are refused by every generator before a grid exists."""
+    monkeypatch.setattr(domain, "_grid_centers", _no_grid)
+    monkeypatch.setattr(domain, "_margin_bbox", _no_grid)
+    dims = GENERATORS[tag].dims
+    params = {
+        "dim": dict(dim=4 if 3 in dims else 3),
+        "unknown": dict(bogus=7, dim=dims[0]),
+        "window": dict(window=((0,) * (5 - dims[0]), (1,) * (5 - dims[0]))),
+    }[refused]
+    with pytest.raises(InvalidDomain, match=tag):
+        build_domain(tag, 5, **params)
+
+
+def test_build_peaks():
+    """A 3D ball build holds its 2 MiB mask and 16 MiB of float64 squared
+    distances, and no int32 component labels; a refused build allocates
+    nothing."""
+    dom, peak = traced_peak(lambda: build_domain(
+        "ball", 6, r=0.5, margin=Fraction(1, 2), dim=3))
+    assert dom.shape == (128, 128, 128)
+    assert peak <= 18.1 * 2**20
+
+    def refused():
+        with pytest.raises(InvalidDomain):
+            build_domain("slit_square", 10, dim=3)
+
+    _, peak = traced_peak(refused)
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("tag, K, params", [
+    ("cube", 6, dict(dim=2)),
+    ("ball", 6, dict(r=0.5)),
+    ("slit_square", 7, dict(slit_len=0.5)),
+    ("outward_cusp", 7, dict(alpha=2.0)),
+    ("snowflake_approx", 6, dict(iterations=3)),
+    ("ball", 4, dict(r=0.5, dim=3)),
+])
+def test_window_is_the_crop_of_the_margin_build(tag, K, params):
+    """A window grown by a margin gives exactly that crop of the margin
+    build, and its generator line rebuilds it at K+1."""
+    n = params.get("dim", 2)
+    # across the unit box's low edges, and not a cube
+    window = ((Fraction(-1, 8),) * n,
+              (Fraction(3, 4),) + (Fraction(5, 8),) * (n - 1))
+    whole = build_domain(tag, K, margin=Fraction(1, 4), **params)
+    dom = build_domain(tag, K, margin=Fraction(1, 8), window=window, **params)
+    assert dom.bbox() == (tuple(a - Fraction(1, 8) for a in window[0]),
+                          tuple(b + Fraction(1, 8) for b in window[1]))
+    crop = tuple(slice(a - b, a - b + s) for a, b, s in
+                 zip(dom.lo_int, whole.lo_int, dom.shape))
+    assert np.array_equal(dom.mask, whole.mask[crop])
+    name = VoxelDomain.from_voxd(dom.to_voxd()).name
+    finer = build_domain(name, K + 1)
+    assert finer.bbox() == dom.bbox()
+    assert np.array_equal(finer.mask, build_domain(
+        tag, K + 1, margin=Fraction(1, 8), window=window, **params).mask)
+
+
+def test_cantor_window_file_bytes_are_pinned():
+    window = ((Fraction(1, 4), Fraction(1, 4), Fraction(3, 4)),
+              (Fraction(3, 4), Fraction(3, 4), Fraction(1)))
+    dom = build_domain("cantor_tube", 5, depth=1, window=window,
+                       allow_coarse=True, margin=Fraction(1, 8))
+    assert hashlib.sha256(dom.to_voxd()).hexdigest() == (
+        "33839774a2a349b18c73a38a0fc75000d7f3af467eccf53188625dec834bdee2")
 
 
 def _small_cantor_window():

@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from copy_oracles import face_classes_by_lookup, interface_faces_whole_grid
+from copy_oracles import (
+    cells_in_cube,
+    face_classes_by_lookup,
+    interface_faces_whole_grid,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +28,7 @@ from sobex.perimeter import (
     perimeter,
     weighted_boundary_integral,
     _centroid_in_open_union,
+    _cube_cells,
 )
 from sobex.whitney import exterior_whitney, whitney_decompose
 
@@ -310,6 +315,32 @@ def test_isoperimetric_cube_pair_on_a_margin_grid(ball_k7):
             got = isoperimetric_check(A, ("cube_pair", Q, Qp))
             want = _cube_pair_by_cell_centres(A, Q, Qp)
             assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+@pytest.mark.parametrize("n, K, margin", [(2, 5, Fraction(1, 2)),
+                                           (2, 4, Fraction(3, 2)),
+                                           (3, 3, Fraction(1, 4))])
+def test_cube_cells_match_the_whole_grid_mask(n, K, margin):
+    """The cube-pair check's slices of the grid hold exactly the cells of
+    the whole-grid mask, on margin grids (negative lo_int) and for cubes
+    inside, across the edge of and off the grid."""
+    dom = build_domain("cube", K, dim=n, margin=margin)
+    A = VoxelSet.from_domain(dom, dom.mask)
+    assert min(dom.lo_int) < 0
+    edge = dom.lo_int[0] * dom.h
+    for level in range(0, K + 1):
+        span = range(math.floor(edge * 2**level) - 1,
+                     math.ceil((1 - edge) * 2**level) + 1)
+        for i in span:
+            Q = DyadicCube(level, (i,) + (0,) * (n - 1))
+            got = np.zeros(dom.shape, bool)
+            got[_cube_cells(A, Q)] = True
+            assert np.array_equal(got, cells_in_cube(A, Q))
+    # a unit cube across the grid's low edge
+    Q = DyadicCube(0, (math.floor(edge),) + (0,) * (n - 1))
+    assert 0 < np.count_nonzero(cells_in_cube(A, Q)) < 2 ** (K * n)
+    with pytest.raises(PreconditionNotMet):
+        _cube_cells(A, DyadicCube(K + 1, (0,) * n))
 
 
 def test_isoperimetric_ball_form(ball_k7):
